@@ -55,7 +55,6 @@ from .spatial import (
     make_laplacian_2d_dirichlet,
 )
 from .spectral import (
-    PentaSolution,
     SpectralDecomposition,
     build_V,
     build_Vinv_fast,

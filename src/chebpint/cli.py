@@ -114,7 +114,8 @@ def _square_side(m):
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args):
-    n, dt, tol = args.n, args.dt if args.dt else 1.0 / args.n, args.tol
+    n, tol = args.n, args.tol
+    dt = 1.0 / n if args.dt is None else args.dt
     reps = 3 if n <= 1024 else 1
 
     dec, fast_seconds = _median_time(
@@ -138,12 +139,8 @@ def cmd_decompose(args):
             return vals, vecs, vecs_inv
 
         (vals, vecs, vecs_inv), ref_seconds = _median_time(reference_path, reps=1)
-        Bcoo = timedisc.assemble_B(n, dt).tocoo()
-        M = (vecs * vals[None, :]) @ vecs_inv
-        M[Bcoo.row, Bcoo.col] -= Bcoo.data
-        omega_ref = float(np.linalg.norm(M) / np.sqrt((Bcoo.data**2).sum()))
         row.update(
-            omega_ref=omega_ref,
+            omega_ref=spectral.decomposition_residual(vals, vecs, vecs_inv, n, dt),
             eta=spectral.eigenvalue_agreement(dec.eigenvalues, vals),
             ref_seconds=ref_seconds,
         )
@@ -160,6 +157,20 @@ def cmd_decompose(args):
 
 # -------------------------------------------------------------- convergence
 
+def _solve_benchmark(problem, dec, g, tol, max_iter, workers):
+    """Solve the manufactured benchmark problem for the sampled forcing g."""
+    dt = problem.grid.dt
+    if problem.kind == "heat":
+        rhs = rhs_first_order(problem.u0, g, dt)
+        return solve_first_order_linear(dec, problem.operator, rhs, workers)
+    if problem.kind == "wave":
+        rhs = rhs_second_order(problem.u0, problem.u0dot, g, dt)
+        return solve_second_order_linear(dec, problem.operator, rhs, workers)
+    return solve_semilinear_sni(
+        problem.semilinear(), dec, tol=tol, max_iter=max_iter, workers=workers
+    )
+
+
 def cmd_convergence(args):
     side = _square_side(args.m)
     n_list = args.n_list
@@ -172,17 +183,7 @@ def cmd_convergence(args):
         dec = spectral.decompose(n, grid.dt, with_residual=False)
         g = problem.sample_source(grid.t_points)
         t0 = time.perf_counter()
-        if args.kind == "heat":
-            rhs = rhs_first_order(problem.u0, g, grid.dt)
-            report = solve_first_order_linear(dec, problem.operator, rhs, workers)
-        elif args.kind == "wave":
-            rhs = rhs_second_order(problem.u0, problem.u0dot, g, grid.dt)
-            report = solve_second_order_linear(dec, problem.operator, rhs, workers)
-        else:
-            report = solve_semilinear_sni(
-                problem.semilinear(), dec, tol=args.tol,
-                max_iter=args.max_iter, workers=workers,
-            )
+        report = _solve_benchmark(problem, dec, g, args.tol, args.max_iter, workers)
         seconds = time.perf_counter() - t0
         ref = BlockVector(problem.discrete_reference(grid.t_points))
         err = global_error(report.solution, ref)
@@ -273,24 +274,15 @@ def cmd_compare_geometric(args):
 
 # ------------------------------------------------------------------- bench
 
-def _bench_once(kind, side, n, T, tol, workers):
-    problem = make_benchmark(kind, side, n=n, T=T)
+def _bench_once(args, side, n, workers):
+    problem = make_benchmark(args.kind, side, n=n, T=args.T)
     grid = problem.grid
     dec = spectral.decompose(n, grid.dt, with_residual=False)
     g = problem.sample_source(grid.t_points)
-
-    def run():
-        if kind == "heat":
-            rhs = rhs_first_order(problem.u0, g, grid.dt)
-            return solve_first_order_linear(dec, problem.operator, rhs, workers)
-        if kind == "wave":
-            rhs = rhs_second_order(problem.u0, problem.u0dot, g, grid.dt)
-            return solve_second_order_linear(dec, problem.operator, rhs, workers)
-        return solve_semilinear_sni(
-            problem.semilinear(), dec, tol=tol, max_iter=60, workers=workers
-        )
-
-    report, seconds = _median_time(run, reps=3)
+    report, seconds = _median_time(
+        lambda: _solve_benchmark(problem, dec, g, args.tol, args.max_iter, workers),
+        reps=3,
+    )
     ref = BlockVector(problem.discrete_reference(grid.t_points))
     return report, seconds, global_error(report.solution, ref)
 
@@ -305,12 +297,12 @@ def cmd_bench(args):
     weak_base = None
     prev_speedup = 0.0
     for s in workers_list:
-        report, seconds, err = _bench_once(args.kind, side, args.n, args.T, args.tol, s)
+        report, seconds, err = _bench_once(args, side, args.n, s)
         if strong_base is None:
             strong_base = seconds
         speedup = strong_base / seconds
         n_weak = 2 * s
-        rep_w, sec_w, err_w = _bench_once(args.kind, side, n_weak, args.T, args.tol, s)
+        rep_w, sec_w, err_w = _bench_once(args, side, n_weak, s)
         if weak_base is None:
             weak_base = sec_w
         rows.append({
@@ -342,10 +334,7 @@ def cmd_bench(args):
 def _add_common(p):
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="worker threads for step (b) (env CHEBPINT_WORKERS)")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=50)
+
 
 
 def build_parser():
@@ -353,51 +342,59 @@ def build_parser():
                      description="time-parallel solver benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", parents=[], help="spectral decomposition report")
+    p = sub.add_parser("decompose", help="spectral decomposition report")
     _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=50)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dt", type=float, default=None, help="default 1/n")
     p.add_argument("--dump", default=None, help="write a binary decomposition dump")
     p.add_argument("--skip-reference", action="store_true",
                    help="skip the dense eigensolver comparison path")
-    p.set_defaults(func=cmd_decompose, default_tol=1e-10)
+    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("convergence", help="temporal order study")
     _add_common(p)
+    p.add_argument("--workers", type=int, default=_default_workers(),
+                   help="worker threads for step (b) (env CHEBPINT_WORKERS)")
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=50)
     p.add_argument("--kind", choices=("heat", "wave", "semilinear"), required=True)
     p.add_argument("--m", type=int, default=64**2,
                    help="total spatial dimension (perfect square)")
     p.add_argument("--n-list", dest="n_list", default="16,32,64,128,256",
                    help="comma-separated time point counts")
     p.add_argument("--T", type=float, default=2.0)
-    p.set_defaults(func=cmd_convergence, default_tol=1e-8)
+    p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("compare-geometric",
                        help="geometric-step baseline comparison (1D wave)")
     _add_common(p)
+    p.add_argument("--workers", type=int, default=_default_workers(),
+                   help="worker threads for step (b) (env CHEBPINT_WORKERS)")
     p.add_argument("--tau", type=float, default=1.15)
     p.add_argument("--dt-last", dest="dt_last", type=float, default=1e-2)
     p.add_argument("--n-max", dest="n_max", type=int, default=50)
     p.add_argument("--m", type=int, default=128, help="1D periodic grid size")
-    p.set_defaults(func=cmd_compare_geometric, default_tol=1e-10)
+    p.set_defaults(func=cmd_compare_geometric)
 
     p = sub.add_parser("bench", help="scaling over worker counts")
     _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=60)
     p.add_argument("--kind", choices=("heat", "wave", "semilinear"), required=True)
     p.add_argument("--m", type=int, default=64**2)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--T", type=float, default=2.0)
     p.add_argument("--workers-list", dest="workers_list", default="1,2,4",
                    help="ascending comma-separated worker counts starting at 1")
-    p.set_defaults(func=cmd_bench, default_tol=1e-8)
+    p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
-        args.tol = args.default_tol
     if getattr(args, "tau", 1.5) <= 1.0:
         parser.error("--tau must be > 1")
     for attr in ("n_list", "workers_list"):

@@ -1,19 +1,20 @@
 """Time-parallel solve drivers.
 
-Linear first-order systems (B (x) I + I (x) A) u = b are solved directly in
-three steps once B = V D V^{-1} is known:
+Every driver runs one three-step kernel once B = V D V^{-1} is known:
 
     (a)  g = (V^{-1} (x) I) b          -- one dense n x n by n x m product
-    (b)  (lambda_j I + A) w_j = g_j    -- n independent shifted solves
+    (b)  (sigma_j I + A) w_j = g_j     -- n independent shifted solves
     (c)  u = (V (x) I) w               -- one dense product
 
-Second-order systems use the same V with squared shifts.  Semilinear
-problems wrap the-three step solve in a simplified Newton iteration whose
-block Jacobian is replaced by the time-averaged pointwise Jacobian, which
-keeps the Kronecker structure intact.
+Linear first-order systems (B (x) I + I (x) A) u = b use the shifts
+sigma_j = lambda_j, second-order systems (B^2 (x) I + I (x) A) u = b the
+squared shifts lambda_j^2.  Semilinear problems rerun the kernel on each
+sweep of a simplified Newton iteration whose block Jacobian is replaced by
+the time-averaged pointwise Jacobian, which keeps the Kronecker structure
+intact; only the shifted solve of step (b) changes.
 
-Step (b) distributes over a shared-memory thread pool; each worker writes
-its own block of the preallocated result, and steps (a)/(c) are single
+Step (b) distributes over a shared-memory thread pool; each worker
+overwrites its own blocks g_j by w_j in place, and steps (a)/(c) are single
 matrix products, so numerical output is identical for any worker count.
 """
 
@@ -92,31 +93,6 @@ def _check_shapes(decomp: SpectralDecomposition, op: SpatialOperator, rhs: Block
         )
 
 
-def _diagonalization_solve(decomp, op, rhs, workers, shifts):
-    times = {}
-    t0 = time.perf_counter()
-    bmat = np.ascontiguousarray(rhs.values, dtype=complex)
-    times["assembly"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    G = decomp.Vinv @ bmat
-    times["step_a"] = time.perf_counter() - t0
-
-    W = np.empty_like(G)
-
-    def solve_one(j):
-        W[j] = op.shifted_solve(shifts[j], G[j])
-
-    t0 = time.perf_counter()
-    _run_shifts(solve_one, decomp.n, workers)
-    times["step_b"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    U = decomp.V @ W
-    times["step_c"] = time.perf_counter() - t0
-    return U, times
-
-
 def _project_real(U):
     unorm = np.linalg.norm(U)
     residue = float(np.linalg.norm(U.imag) / unorm) if unorm > 0 else 0.0
@@ -128,53 +104,72 @@ def _project_real(U):
     return U.real.copy(), residue
 
 
-def solve_first_order_linear(decomp, op, rhs, workers=1):
-    """Direct solve of (B (x) I + I (x) A) u = b via diagonalization of B."""
+def _three_step(decomp, b, solve_shift, workers, times):
+    """Steps (a)-(c) for the complex (n, m) blocks b.
+
+    solve_shift(j, gj) returns w_j of step (b) for shift j.  The seconds of
+    each step are added to times["step_a"], times["step_b"] and
+    times["step_c"].  Returns the real solution blocks and the imaginary
+    residue that the projection onto the reals dropped.
+    """
+    t0 = time.perf_counter()
+    G = decomp.Vinv @ b
+    times["step_a"] += time.perf_counter() - t0
+
+    # w_j overwrites g_j: one n x m block fewer alive through step (c)
+    def solve_one(j):
+        G[j] = solve_shift(j, G[j])
+
+    t0 = time.perf_counter()
+    _run_shifts(solve_one, decomp.n, workers)
+    times["step_b"] += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    U = decomp.V @ G
+    times["step_c"] += time.perf_counter() - t0
+    return _project_real(U)
+
+
+def _solve_linear(decomp, op, rhs, workers, order):
+    """Direct solve of (B^order (x) I + I (x) A) u = b, order 1 or 2."""
     _check_shapes(decomp, op, rhs)
-    U, times = _diagonalization_solve(decomp, op, rhs, workers, decomp.eigenvalues)
-    Ur, residue = _project_real(U)
-    res = _stencil_residual_first(Ur, op, rhs, decomp.dt)
+    if decomp.n < order:
+        raise DimensionMismatchError(f"order-{order} solves need n >= {order}")
+    shifts = decomp.eigenvalues**order
+    times = {"assembly": 0.0, "step_a": 0.0, "step_b": 0.0, "step_c": 0.0}
+    t0 = time.perf_counter()
+    bmat = np.ascontiguousarray(rhs.values, dtype=complex)
+    times["assembly"] = time.perf_counter() - t0
+
+    U, residue = _three_step(
+        decomp, bmat, lambda j, gj: op.shifted_solve(shifts[j], gj), workers, times
+    )
+
+    BU = U
+    for _ in range(order):
+        BU = apply_B(BU, decomp.dt)
+    b = rhs.values
+    r = BU + op.apply(U) - b
+    bnorm = np.linalg.norm(b)
+    res = float(np.linalg.norm(r) / bnorm) if bnorm > 0 else float(np.linalg.norm(r))
     return SolveReport(
-        solution=BlockVector(Ur),
+        solution=BlockVector(U),
         iterations=1,
         residual_history=[res],
         phase_times=times,
         worker_count=workers,
         imag_residue=residue,
     )
+
+
+def solve_first_order_linear(decomp, op, rhs, workers=1):
+    """Direct solve of (B (x) I + I (x) A) u = b via diagonalization of B."""
+    return _solve_linear(decomp, op, rhs, workers, order=1)
 
 
 def solve_second_order_linear(decomp, op, rhs, workers=1):
     """Direct solve of (B^2 (x) I + I (x) A) u = b; shifts are lambda_j^2."""
-    _check_shapes(decomp, op, rhs)
-    if decomp.n < 2:
-        raise DimensionMismatchError("second-order solves need n >= 2")
-    shifts = decomp.eigenvalues**2
-    U, times = _diagonalization_solve(decomp, op, rhs, workers, shifts)
-    Ur, residue = _project_real(U)
-    res = _stencil_residual_second(Ur, op, rhs, decomp.dt)
-    return SolveReport(
-        solution=BlockVector(Ur),
-        iterations=1,
-        residual_history=[res],
-        phase_times=times,
-        worker_count=workers,
-        imag_residue=residue,
-    )
-
-
-def _stencil_residual_first(U, op, rhs, dt):
-    b = rhs.values
-    r = apply_B(U, dt) + op.apply(U) - b
-    bnorm = np.linalg.norm(b)
-    return float(np.linalg.norm(r) / bnorm) if bnorm > 0 else float(np.linalg.norm(r))
-
-
-def _stencil_residual_second(U, op, rhs, dt):
-    b = rhs.values
-    r = apply_B(apply_B(U, dt), dt) + op.apply(U) - b
-    bnorm = np.linalg.norm(b)
-    return float(np.linalg.norm(r) / bnorm) if bnorm > 0 else float(np.linalg.norm(r))
+    return _solve_linear(decomp, op, rhs, workers, order=2)
 
 
 def recover_velocity(decomp, u_blocks: BlockVector, u0):
@@ -198,9 +193,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
 
         (B (x) I + I (x) (A + A_k)) u^{k+1} = b + (I (x) A_k) u^k - F(u^k),
 
-    via the usual three-step diagonalization; iteration starts from u = 0 and
-    stops once the 2-norm residual of the nonlinear system drops under
-    tol * ||b||.
+    via the three-step kernel; iteration starts from u = 0 and stops once the
+    2-norm residual of the nonlinear system drops under tol * ||b||.
 
     jacobian_mode="exact" performs the diagonal-perturbed shifted solves
     exactly (sparse or dense factorization per shift); "mean" replaces the
@@ -214,6 +208,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
         raise ValueError(f"unknown jacobian_mode {jacobian_mode!r}")
     op = problem.operator
     n, m = decomp.n, op.m
+    lam = decomp.eigenvalues
     grid = TimeGrid(n=n, dt=decomp.dt)
     t = grid.t_points
     g = np.stack([problem.source(float(tj)) for tj in t])
@@ -244,28 +239,16 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
         rhs_k = b + U * avg_jac[None, :] - problem.f(U)
         times["assembly"] += time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        G = decomp.Vinv @ rhs_k
-        times["step_a"] += time.perf_counter() - t0
-
-        W = np.empty_like(G)
         if jacobian_mode == "exact":
-            def solve_one(j):
-                W[j] = op.shifted_diag_solve(decomp.eigenvalues[j], avg_jac, G[j])
+            def solve_shift(j, gj):
+                return op.shifted_diag_solve(lam[j], avg_jac, gj)
         else:
             mean_shift = float(avg_jac.mean())
 
-            def solve_one(j):
-                W[j] = op.shifted_solve(decomp.eigenvalues[j] + mean_shift, G[j])
+            def solve_shift(j, gj):
+                return op.shifted_solve(lam[j] + mean_shift, gj)
 
-        t0 = time.perf_counter()
-        _run_shifts(solve_one, n, workers)
-        times["step_b"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        Unew = decomp.V @ W
-        times["step_c"] += time.perf_counter() - t0
-        U, residue = _project_real(Unew)
+        U, residue = _three_step(decomp, rhs_k, solve_shift, workers, times)
 
     raise MaxIterationsError(max_iter, history[-1], tol)
 

@@ -75,6 +75,15 @@ class SpatialOperator:
         return v
 
 
+def _dense_solve(M, sigma, g):
+    """Solve M w = g for the shifted matrix M; singular M means the shift
+    sigma hit the spectrum."""
+    try:
+        return np.linalg.solve(M, g)
+    except np.linalg.LinAlgError as exc:
+        raise SingularShiftError(sigma, str(exc)) from exc
+
+
 class DenseOperator(SpatialOperator):
     """Any square matrix; shifted solves factorize per shift."""
 
@@ -92,18 +101,12 @@ class DenseOperator(SpatialOperator):
     def shifted_solve(self, sigma, g):
         g = self._check_dim(g)
         M = self.A.astype(complex) + sigma * np.eye(self.m)
-        try:
-            return np.linalg.solve(M, g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularShiftError(sigma, str(exc)) from exc
+        return _dense_solve(M, sigma, g)
 
     def shifted_diag_solve(self, sigma, diag, g):
         g = self._check_dim(g)
         M = self.A.astype(complex) + sigma * np.eye(self.m) + np.diag(diag)
-        try:
-            return np.linalg.solve(M, g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularShiftError(sigma, str(exc)) from exc
+        return _dense_solve(M, sigma, g)
 
 
 def _dst2(a, scale):
@@ -223,10 +226,7 @@ class PeriodicLaplacian1D(SpatialOperator):
     def shifted_diag_solve(self, sigma, diag, g):
         g = self._check_dim(g)
         M = self.dense().astype(complex) + np.diag(np.asarray(diag) + sigma)
-        try:
-            return np.linalg.solve(M, g.astype(complex))
-        except np.linalg.LinAlgError as exc:
-            raise SingularShiftError(sigma, str(exc)) from exc
+        return _dense_solve(M, sigma, g.astype(complex))
 
 
 def make_dense_operator(A):

@@ -31,7 +31,6 @@ from .chebroots import RootSet, _p_prime_array, find_roots
 from .errors import SingularMatrixError, ZeroPivotError
 
 __all__ = [
-    "PentaSolution",
     "SpectralDecomposition",
     "build_V",
     "thomas_tridiagonal",
@@ -96,13 +95,6 @@ def thomas_tridiagonal(lower, diag, upper, rhs):
     return x
 
 
-@dataclass(frozen=True)
-class PentaSolution:
-    """Solution b of S_n b = (0,...,0,i,2)^T."""
-
-    b: np.ndarray
-
-
 def solve_pentadiagonal_S(n):
     """Solve S_n b = (0,...,0,i,2)^T in O(n).
 
@@ -130,7 +122,7 @@ def solve_pentadiagonal_S(n):
             diag[-1] = 3.0
         off = np.full(k, -1.0, dtype=complex)
         b[idx] = thomas_tridiagonal(off, diag, off, rhs[idx])
-    return PentaSolution(b=b)
+    return b
 
 
 def _vectorized_thomas_constant(x_vals, rhs, check_pivots=False):
@@ -175,7 +167,7 @@ def build_Vinv_fast(roots: RootSet):
     n = roots.n
     theta = roots.thetas
     x = roots.xs
-    b = solve_pentadiagonal_S(n).b
+    b = solve_pentadiagonal_S(n)
     p_prime = _p_prime_array(theta, n)
     nhalf = (n + 1) // 2
 
@@ -366,14 +358,29 @@ def save_decomposition(dec, path):
 
 
 def load_decomposition(path):
-    """Read a decomposition dump written by `save_decomposition`."""
+    """Read a decomposition dump written by `save_decomposition`.
+
+    Raises ValueError for anything that is not a complete dump.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
+        line = fh.readline()
+        try:
+            header = line.decode("ascii").strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"dump header is not ASCII: {line[:80]!r}") from None
         parts = header.split()
-        if parts[0] != _DUMP_MAGIC or int(parts[1]) != _DUMP_VERSION:
+        if (len(parts) < 2 or parts[0] != _DUMP_MAGIC
+                or parts[1] != str(_DUMP_VERSION)):
             raise ValueError(f"not a chebpint decomposition dump: {header!r}")
-        fields = dict(p.split("=", 1) for p in parts[2:])
+        fields = dict(p.partition("=")[::2] for p in parts[2:])
+        missing = [k for k in ("n", "dt", "cond2", "residual") if k not in fields]
+        if missing:
+            raise ValueError(
+                f"dump header lacks the field(s) {', '.join(missing)}: {header!r}"
+            )
         n = int(fields["n"])
+        if n < 1:
+            raise ValueError(f"dump header has n={n}, but n must be >= 1")
         dt = float(fields["dt"])
         cond2 = float(fields["cond2"])
         residual = float(fields["residual"])

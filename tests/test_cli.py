@@ -49,6 +49,13 @@ def test_decompose_dump_round_trip(tmp_path):
     assert dec.n == 12
 
 
+def test_decompose_rejects_zero_dt(capsys):
+    # --dt 0 is a value given, not an absent flag: no fallback to 1/n
+    code = main(["decompose", "--n", "8", "--dt", "0", "--skip-reference"])
+    assert code == 1
+    assert "dt must be positive" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- convergence
 
 def test_convergence_heat_small(tmp_path):
@@ -138,11 +145,29 @@ def test_bench_rejects_bad_worker_list():
                  "--workers-list", "2,1"]) == 1
 
 
+def test_bench_honours_max_iter():
+    # one simplified Newton sweep cannot reach the default tolerance
+    assert main(["bench", "--kind", "semilinear", "--m", "16", "--n", "4",
+                 "--workers-list", "1", "--max-iter", "1"]) == 2
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_exit_code_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["decompose"])          # missing required --n
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "4", "--workers", "2"],
+    ["compare-geometric", "--tol", "1e-8"],
+    ["compare-geometric", "--max-iter", "3"],
+])
+def test_exit_code_unread_flag(argv):
+    # each subcommand accepts only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 1
 
 

@@ -102,13 +102,13 @@ def _S_matrix(n):
 
 
 def test_penta_n3_hand_solution():
-    b = solve_pentadiagonal_S(3).b
+    b = solve_pentadiagonal_S(3)
     assert np.abs(b - np.array([0.25, 0.5j, 0.75])).max() < 1e-14
 
 
 def test_penta_residual_n512():
     n = 512
-    b = solve_pentadiagonal_S(n).b
+    b = solve_pentadiagonal_S(n)
     rhs = np.zeros(n, dtype=complex)
     rhs[-1] = 2.0
     rhs[-2] = 1j
@@ -119,7 +119,7 @@ def test_penta_residual_n512():
 def test_penta_parity_structure(n):
     # the stencil (-1, 0, 2, 0, -1) decouples parities: entries sharing the
     # parity of the last index are real, the others purely imaginary
-    b = solve_pentadiagonal_S(n).b
+    b = solve_pentadiagonal_S(n)
     idx = np.arange(1, n + 1)
     same = (idx % 2) == (n % 2)
     assert np.abs(b[same].imag).max() == 0.0
@@ -271,6 +271,22 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"not a dump\n123")
     with pytest.raises(ValueError):
         load_decomposition(path)
+
+
+@pytest.mark.parametrize("dump, message", [
+    (b"", "not a chebpint decomposition dump"),
+    (b"chebpint-decomp 1 dt=0.5 cond2=1.0 residual=0.0\n", "lacks the field"),
+    # one complex value matches the payload size n + 2n^2 = 1 of n = -1
+    (b"chebpint-decomp 1 n=-1 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(16),
+     "n must be >= 1"),
+    (b"chebpint-decomp 1 n=1 dt=0.5 cond2=1.0 residual=\xff\n", "not ASCII"),
+], ids=["empty", "no-n", "negative-n", "non-ascii"])
+def test_load_rejects_malformed_dump(tmp_path, dump, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(dump)
+    with pytest.raises(ValueError, match=message) as exc:
+        load_decomposition(path)
+    assert type(exc.value) is ValueError
 
 
 # ------------------------------------------------- exhaustive invariant sweeps
