@@ -5,19 +5,13 @@ the hybrid time stencil (centered interior rows, backward-Euler closure) is
 diagonalized in closed form through the Chebyshev structure of its
 characteristic equation, after which all time points decouple into
 independent complex-shifted spatial solves.
+
+The package namespace holds the documented API; building blocks such as the
+root finder (``chebpint.chebroots``), the factor builders
+(``chebpint.spectral``) and the stencil assembly (``chebpint.timedisc``) are
+imported from their submodules.
 """
 
-from .chebroots import (
-    Root,
-    RootSet,
-    cheb_eval,
-    characteristic_residuals,
-    find_roots,
-    initial_guesses,
-    p_prime_at_root,
-    refined_guesses,
-    rho_and_derivative,
-)
 from .errors import (
     ChebPintError,
     DegenerateRootError,
@@ -50,32 +44,16 @@ from .spatial import (
     SineLaplacian2D,
     SpatialOperator,
     make_benchmark,
-    make_dense_operator,
-    make_laplacian_1d_periodic,
-    make_laplacian_2d_dirichlet,
 )
 from .spectral import (
     SpectralDecomposition,
-    build_V,
-    build_Vinv_fast,
-    build_Vinv_reference,
-    cond2_estimate,
     decompose,
-    eigenvalue_agreement,
     load_decomposition,
     save_decomposition,
-    solve_pentadiagonal_S,
-    thomas_tridiagonal,
 )
 from .timedisc import (
     BlockVector,
-    GeometricGrid,
     TimeGrid,
-    apply_B,
-    assemble_B,
-    assemble_TR_system,
-    geometric_decomposition,
-    geometric_grid,
     rhs_first_order,
     rhs_second_order,
 )

@@ -36,14 +36,12 @@ from .errors import (
 )
 
 __all__ = [
-    "Root",
     "RootSet",
     "cheb_eval",
     "rho_and_derivative",
-    "initial_guesses",
     "refined_guesses",
     "find_roots",
-    "p_prime_at_root",
+    "p_prime",
     "characteristic_residuals",
 ]
 
@@ -109,22 +107,6 @@ def rho_and_derivative(theta, n):
     return rho, rho_p
 
 
-def initial_guesses(n):
-    """Per-index starting points theta_j = (j*pi/n + j*pi/(n+1))/2 + i/n.
-
-    This is the simple j-indexed seeding rule; it places every guess in the
-    correct real bracket but with an index-independent imaginary offset.
-    ``find_roots`` keeps it available (``seed="fixed-offset"``) mainly to
-    demonstrate basin failures: for moderate n several guesses lie closer
-    to a mirror copy of a neighboring root than to their own, and Newton
-    then reports duplicates.  The default seeding is :func:`refined_guesses`.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    j = np.arange(1, n + 1)
-    return 0.5 * (j * np.pi / n + j * np.pi / (n + 1)) + 1j / n
-
-
 def refined_guesses(n):
     """Near-exact seeds from the scalar characterization of the roots.
 
@@ -180,48 +162,24 @@ def refined_guesses(n):
     return alpha_all + 1j * beta_all
 
 
-@dataclass(frozen=True)
-class Root:
-    """One converged root: index j in 1..n, theta, x = cos(theta), and
-    the unit-step eigenvalue lambda = i*x, plus Newton diagnostics."""
-
-    index: int
-    theta: complex
-    x: complex
-    lambda_unit: complex
-    newton_iters: int
-    residual: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSet:
-    """All n roots in index order, with vectorized accessors."""
+    """All n roots in index order: theta_j, x_j = cos(theta_j) and the
+    Newton diagnostics (iteration count, final |rho|) per index."""
 
     n: int
-    roots: tuple
-
-    @property
-    def thetas(self):
-        return np.array([r.theta for r in self.roots])
-
-    @property
-    def xs(self):
-        return np.array([r.x for r in self.roots])
+    thetas: np.ndarray
+    xs: np.ndarray
+    newton_iters: np.ndarray
+    residuals: np.ndarray
 
     @property
     def lambdas_unit(self):
-        return np.array([r.lambda_unit for r in self.roots])
-
-    @property
-    def newton_iters(self):
-        return np.array([r.newton_iters for r in self.roots])
-
-    @property
-    def residuals(self):
-        return np.array([r.residual for r in self.roots])
+        """Unit-step eigenvalues lambda_j = i*x_j."""
+        return 1j * self.xs
 
 
-def find_roots(n, tol=1e-10, max_iter=50, seed="refined"):
+def find_roots(n, tol=1e-10, max_iter=50):
     """Compute all n roots of U_{n-1}(x) - i*T_n(x) = 0 by Newton iteration.
 
     Newton runs simultaneously on all indices in the theta variable, on the
@@ -230,14 +188,13 @@ def find_roots(n, tol=1e-10, max_iter=50, seed="refined"):
     or once updates stagnate at the floating-point floor (for large n the
     evaluated residual cannot reach arbitrarily small tolerances even at the
     correctly rounded root; stagnation detection keeps such roots instead of
-    mislabeling them divergent).
+    mislabeling them divergent).  Seeds come from :func:`refined_guesses`.
 
     Parameters
     ----------
     n : number of roots (time points)
     tol : residual tolerance on |rho(theta)|
     max_iter : Newton iteration budget per root
-    seed : "refined" (default, basin-safe) or "fixed-offset"
 
     Raises
     ------
@@ -252,12 +209,7 @@ def find_roots(n, tol=1e-10, max_iter=50, seed="refined"):
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    if seed == "refined":
-        theta = refined_guesses(n).astype(complex)
-    elif seed == "fixed-offset":
-        theta = initial_guesses(n).astype(complex)
-    else:
-        raise ValueError(f"unknown seed strategy {seed!r}")
+    theta = refined_guesses(n).astype(complex)
 
     iters = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
@@ -307,22 +259,18 @@ def find_roots(n, tol=1e-10, max_iter=50, seed="refined"):
             pair = (int(order[k]) + 1, int(order[k + 1]) + 1)
             raise DuplicateRootsError(pair, float(gaps[k]))
 
-    roots = tuple(
-        Root(
-            index=j + 1,
-            theta=complex(theta[j]),
-            x=complex(x[j]),
-            lambda_unit=complex(1j * x[j]),
-            newton_iters=int(iters[j]),
-            residual=float(resid[j]),
-        )
-        for j in range(n)
-    )
-    return RootSet(n=n, roots=roots)
+    return RootSet(n=n, thetas=theta, xs=x, newton_iters=iters, residuals=resid)
 
 
-def _p_prime_array(theta, n):
-    """p_n'(cos(theta)) = -rho'(theta)/sin(theta)^2 at converged roots."""
+def p_prime(theta, n):
+    """Derivative p_n'(x_j) of p_n(x) = U_{n-1}(x) - i*T_n(x) at the roots.
+
+    Evaluated for the array of root angles ``theta`` through the chain-rule
+    identity p_n'(x) = -rho'(theta)/sin^2(theta) at x = cos(theta), which
+    follows from rho(theta) = sin(theta)*p_n(cos(theta)) and rho(theta_j) = 0.
+    This avoids running a degree-n derivative recurrence per root.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=complex))
     s = np.sin(theta)
     if np.any(np.abs(s) < _SIN_FLOOR):
         j = int(np.argmin(np.abs(s)))
@@ -331,19 +279,7 @@ def _p_prime_array(theta, n):
             "theta sits on a spurious zero of rho"
         )
     _, rho_p = rho_and_derivative(theta, n)
-    return -np.atleast_1d(rho_p) / s**2
-
-
-def p_prime_at_root(root, n):
-    """Derivative p_n'(x_j) of p_n(x) = U_{n-1}(x) - i*T_n(x) at a root.
-
-    Evaluated through the chain-rule identity p_n'(x) = -rho'(theta)/sin^2(theta)
-    at x = cos(theta), which follows from rho(theta) = sin(theta)*p_n(cos(theta))
-    and rho(theta_j) = 0.  This avoids running a degree-n derivative recurrence
-    per root.
-    """
-    theta = np.asarray([root.theta], dtype=complex)
-    return complex(_p_prime_array(theta, n)[0])
+    return -rho_p / s**2
 
 
 def characteristic_residuals(root_set, method="trig"):

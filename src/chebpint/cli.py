@@ -42,7 +42,14 @@ _FLOAT_FMT = "{:.16e}"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; the CLI contract wants 1."""
+    """argparse exits with code 2 on usage errors; the CLI contract wants 1.
+
+    Prefix matching is off, so ``--n`` is never read as ``--n-list``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

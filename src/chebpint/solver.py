@@ -185,7 +185,7 @@ def recover_velocity(decomp, u_blocks: BlockVector, u0):
 
 
 def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
-                         workers=1, jacobian_mode="exact"):
+                         workers=1):
     """Simplified Newton iteration for (B (x) I) u + A u + f(u) = b.
 
     Each sweep solves the linear system with the averaged pointwise Jacobian
@@ -193,19 +193,15 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
 
         (B (x) I + I (x) (A + A_k)) u^{k+1} = b + (I (x) A_k) u^k - F(u^k),
 
-    via the three-step kernel; iteration starts from u = 0 and stops once the
-    2-norm residual of the nonlinear system drops under tol * ||b||.
-
-    jacobian_mode="exact" performs the diagonal-perturbed shifted solves
-    exactly (sparse or dense factorization per shift); "mean" replaces the
-    averaged-Jacobian diagonal by its spatial mean so the spectral fast path
-    applies, which is an extra approximation layer on top of the Newton
-    simplification and is only worth it for very large m.
+    via the three-step kernel, whose step (b) solves each shift with the
+    diagonal A_k exactly (op.shifted_diag_solve); iteration starts from u = 0
+    and stops once the 2-norm residual of the nonlinear system drops under
+    tol * ||b||.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if jacobian_mode not in ("exact", "mean"):
-        raise ValueError(f"unknown jacobian_mode {jacobian_mode!r}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     op = problem.operator
     n, m = decomp.n, op.m
     lam = decomp.eigenvalues
@@ -239,14 +235,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
         rhs_k = b + U * avg_jac[None, :] - problem.f(U)
         times["assembly"] += time.perf_counter() - t0
 
-        if jacobian_mode == "exact":
-            def solve_shift(j, gj):
-                return op.shifted_diag_solve(lam[j], avg_jac, gj)
-        else:
-            mean_shift = float(avg_jac.mean())
-
-            def solve_shift(j, gj):
-                return op.shifted_solve(lam[j] + mean_shift, gj)
+        def solve_shift(j, gj):
+            return op.shifted_diag_solve(lam[j], avg_jac, gj)
 
         U, residue = _three_step(decomp, rhs_k, solve_shift, workers, times)
 

@@ -408,6 +408,8 @@ def make_benchmark(kind, points_per_dim, n=None, T=None):
     if n is not None:
         if T is None:
             raise ValueError("T is required when n is given")
+        if int(n) < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         from .timedisc import TimeGrid
 
         problem.grid = TimeGrid(n=int(n), dt=float(T) / int(n))

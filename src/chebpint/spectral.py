@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chebroots import RootSet, _p_prime_array, find_roots
+from .chebroots import RootSet, find_roots, p_prime
 from .errors import SingularMatrixError, ZeroPivotError
 
 __all__ = [
@@ -165,14 +165,13 @@ def _vectorized_thomas_constant(x_vals, rhs, check_pivots=False):
 def build_Vinv_fast(roots: RootSet):
     """V^{-1} in O(n^2) via the pentadiagonal/tridiagonal factor structure."""
     n = roots.n
-    theta = roots.thetas
     x = roots.xs
     b = solve_pentadiagonal_S(n)
-    p_prime = _p_prime_array(theta, n)
+    dp = p_prime(roots.thetas, n)
     nhalf = (n + 1) // 2
 
     phi = _vectorized_thomas_constant(x[:nhalf], b)      # phi[k, j], j < nhalf
-    phi *= (2.0 / p_prime[:nhalf])[None, :]
+    phi *= (2.0 / dp[:nhalf])[None, :]
     # Fold 0.5 * I^{-1} = 0.5 diag((-i)^k) into the rows up front.  S_n only
     # couples k with k +- 2, where (-i)^k differs by exactly -1, so its -1
     # off-band entries become +1 after the fold, and the mirror relation
@@ -382,6 +381,10 @@ def load_decomposition(path):
         if n < 1:
             raise ValueError(f"dump header has n={n}, but n must be >= 1")
         dt = float(fields["dt"])
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(
+                f"dump header has dt={dt!r}, but dt must be positive and finite"
+            )
         cond2 = float(fields["cond2"])
         residual = float(fields["residual"])
         payload = np.frombuffer(fh.read(), dtype="<c16")

@@ -163,9 +163,12 @@ def test_exit_code_usage_error():
     ["decompose", "--n", "4", "--workers", "2"],
     ["compare-geometric", "--tol", "1e-8"],
     ["compare-geometric", "--max-iter", "3"],
+    # a prefix of a longer flag is not that flag
+    ["convergence", "--kind", "heat", "--m", "16", "--n", "8"],
+    ["bench", "--kind", "heat", "--m", "16", "--workers", "2"],
 ])
 def test_exit_code_unread_flag(argv):
-    # each subcommand accepts only the flags it reads
+    # each subcommand accepts only the flags it reads, spelled out in full
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -175,6 +178,15 @@ def test_exit_code_bad_n_list():
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--kind", "heat", "--n-list", "a,b"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--kind", "semilinear", "--m", "16", "--n-list", "4",
+     "--max-iter", "0"],
+    ["convergence", "--kind", "heat", "--m", "16", "--n-list", "0"],
+])
+def test_exit_code_empty_budget_or_grid(argv):
+    assert main(argv) == 1
 
 
 def test_exit_code_numerical_failure():

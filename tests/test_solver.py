@@ -240,22 +240,6 @@ def test_sni_residual_history_reaches_tolerance():
     assert rep.iterations >= 2
 
 
-def test_sni_mean_mode_close_to_exact_for_mild_nonlinearity():
-    rng = np.random.default_rng(43)
-    m, n, dt = 3, 6, 0.2
-    M = rng.normal(size=(m, m))
-    A = M @ M.T + m * np.eye(m)
-    u0 = 0.2 * rng.normal(size=m)
-    g = 0.2 * rng.normal(size=(n, m))
-    dec = decompose(n, dt)
-    prob = _linear_semilinear_problem(A, u0, g, dt, slope=1.0)
-    exact = solve_semilinear_sni(prob, dec, tol=1e-10, max_iter=20)
-    approx = solve_semilinear_sni(prob, dec, tol=1e-10, max_iter=20,
-                                  jacobian_mode="mean")
-    # constant diagonal: the mean shift is not an approximation at all
-    assert np.abs(exact.solution.values - approx.solution.values).max() < 1e-9
-
-
 def test_sni_budget_exhaustion():
     rng = np.random.default_rng(47)
     m, n, dt = 2, 4, 0.2
@@ -266,6 +250,14 @@ def test_sni_budget_exhaustion():
     prob = _linear_semilinear_problem(A, u0, g, dt, slope=1.0)
     with pytest.raises(MaxIterationsError):
         solve_semilinear_sni(prob, dec, tol=1e-300, max_iter=2)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_sni_rejects_empty_budget(max_iter):
+    m, n, dt = 2, 4, 0.2
+    prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=max_iter)
 
 
 # --------------------------------------------------------------- trapezoidal

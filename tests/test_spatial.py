@@ -305,3 +305,8 @@ def test_benchmark_grid_attachment():
     assert prob.grid.dt == pytest.approx(0.2)
     g = prob.sample_source(prob.grid.t_points)
     assert g.shape == (10, 16)
+
+
+def test_benchmark_rejects_empty_grid():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        make_benchmark("heat", 4, n=0, T=2.0)

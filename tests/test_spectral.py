@@ -280,7 +280,15 @@ def test_load_rejects_garbage(tmp_path):
     (b"chebpint-decomp 1 n=-1 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(16),
      "n must be >= 1"),
     (b"chebpint-decomp 1 n=1 dt=0.5 cond2=1.0 residual=\xff\n", "not ASCII"),
-], ids=["empty", "no-n", "negative-n", "non-ascii"])
+    # complete n = 1 payloads (3 complex values): only dt is wrong
+    (b"chebpint-decomp 1 n=1 dt=-1.0 cond2=1.0 residual=0.0\n" + bytes(48),
+     "dt must be positive"),
+    (b"chebpint-decomp 1 n=1 dt=0.0 cond2=1.0 residual=0.0\n" + bytes(48),
+     "dt must be positive"),
+    (b"chebpint-decomp 1 n=1 dt=nan cond2=1.0 residual=0.0\n" + bytes(48),
+     "dt must be positive"),
+], ids=["empty", "no-n", "negative-n", "non-ascii", "negative-dt", "zero-dt",
+        "nan-dt"])
 def test_load_rejects_malformed_dump(tmp_path, dump, message):
     path = tmp_path / "bad.bin"
     path.write_bytes(dump)
