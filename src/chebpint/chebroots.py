@@ -204,7 +204,7 @@ def find_roots(n, tol=1e-10, max_iter=50):
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

@@ -10,12 +10,23 @@ Linear first-order systems (B (x) I + I (x) A) u = b use the shifts
 sigma_j = lambda_j, second-order systems (B^2 (x) I + I (x) A) u = b the
 squared shifts lambda_j^2.  Semilinear problems rerun the kernel on each
 sweep of a simplified Newton iteration whose block Jacobian is replaced by
-the time-averaged pointwise Jacobian, which keeps the Kronecker structure
-intact; only the shifted solve of step (b) changes.
+the time-averaged pointwise Jacobian d, which keeps the Kronecker structure
+intact; only step (b) changes, to (lambda_j I + A + diag(d)) w_j = g_j.
+
+That step still uses only the spectral shifted solve.  With the midrange
+c = (min d + max d)/2 and E = diag(d - c), each shift iterates
+
+    w_j <- ((lambda_j + c) I + A)^{-1} (g_j - E w_j),
+
+starting from the previous sweep's w_j (from ((lambda_j + c) I + A)^{-1} g_j
+on the first sweep), until one update moves w_j by at most _FP_RTOL of its
+norm.  A shift whose update stops shrinking, or that is still moving after
+_FP_MAX_SWEEPS updates, is solved exactly by op.shifted_diag_solve instead.
 
 Step (b) distributes over a shared-memory thread pool; each worker
-overwrites its own blocks g_j by w_j in place, and steps (a)/(c) are single
-matrix products, so numerical output is identical for any worker count.
+overwrites its own blocks g_j by w_j in place, every shift's iteration and
+stop depend on that shift alone, and steps (a)/(c) are single matrix
+products, so numerical output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -47,6 +58,13 @@ __all__ = [
 
 #: imaginary residue above this fraction of the solution norm is an error
 _IMAG_HARD = 1e-6
+
+#: an SNI shift's fixed point stops once an update moves w_j by at most
+#: this fraction of its norm
+_FP_RTOL = 1e-13
+#: updates one SNI shift may take before it falls back to the exact solve;
+#: on the 63^2 sine Laplacian one sparse LU costs about 40 spectral solves
+_FP_MAX_SWEEPS = 30
 
 
 @dataclass
@@ -104,11 +122,24 @@ def _project_real(U):
     return U.real.copy(), residue
 
 
-def _three_step(decomp, b, solve_shift, workers, times):
+def _each_shift(solve_shift, workers):
+    """Step (b) block solver that overwrites every g_j by solve_shift(j, g_j)
+    on the thread pool: one n x m block fewer alive through step (c)."""
+
+    def solve_block(G):
+        def solve_one(j):
+            G[j] = solve_shift(j, G[j])
+
+        _run_shifts(solve_one, len(G), workers)
+
+    return solve_block
+
+
+def _three_step(decomp, b, solve_block, times):
     """Steps (a)-(c) for the complex (n, m) blocks b.
 
-    solve_shift(j, gj) returns w_j of step (b) for shift j.  The seconds of
-    each step are added to times["step_a"], times["step_b"] and
+    solve_block(G) overwrites the blocks G of step (b) by W in place.  The
+    seconds of each step are added to times["step_a"], times["step_b"] and
     times["step_c"].  Returns the real solution blocks and the imaginary
     residue that the projection onto the reals dropped.
     """
@@ -116,12 +147,8 @@ def _three_step(decomp, b, solve_shift, workers, times):
     G = decomp.Vinv @ b
     times["step_a"] += time.perf_counter() - t0
 
-    # w_j overwrites g_j: one n x m block fewer alive through step (c)
-    def solve_one(j):
-        G[j] = solve_shift(j, G[j])
-
     t0 = time.perf_counter()
-    _run_shifts(solve_one, decomp.n, workers)
+    solve_block(G)
     times["step_b"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -141,9 +168,8 @@ def _solve_linear(decomp, op, rhs, workers, order):
     bmat = np.ascontiguousarray(rhs.values, dtype=complex)
     times["assembly"] = time.perf_counter() - t0
 
-    U, residue = _three_step(
-        decomp, bmat, lambda j, gj: op.shifted_solve(shifts[j], gj), workers, times
-    )
+    solve_block = _each_shift(lambda j, gj: op.shifted_solve(shifts[j], gj), workers)
+    U, residue = _three_step(decomp, bmat, solve_block, times)
 
     BU = U
     for _ in range(order):
@@ -184,6 +210,30 @@ def recover_velocity(decomp, u_blocks: BlockVector, u0):
     return BlockVector(v)
 
 
+def _diag_fixed_point(op, sigma, d, c, g, w):
+    """w of (sigma I + A + diag(d)) w = g by w <- P^{-1} (g - (d - c) w),
+    P = (sigma + c) I + A, started from w (from P^{-1} g if w is None).
+
+    Stops once an update moves w by at most _FP_RTOL of its norm; falls back
+    to op.shifted_diag_solve when an update does not shrink (or is not
+    finite) or after _FP_MAX_SWEEPS updates.
+    """
+    shift = sigma + c
+    e = d - c
+    if w is None:
+        w = op.shifted_solve(shift, g)
+    last = np.inf
+    for _ in range(_FP_MAX_SWEEPS):
+        w_new = op.shifted_solve(shift, g - e * w)
+        step = np.linalg.norm(w_new - w)
+        if step <= _FP_RTOL * np.linalg.norm(w_new):
+            return w_new
+        if not step < last:
+            break
+        w, last = w_new, step
+    return op.shifted_diag_solve(sigma, d, g)
+
+
 def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
                          workers=1):
     """Simplified Newton iteration for (B (x) I) u + A u + f(u) = b.
@@ -193,12 +243,17 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
 
         (B (x) I + I (x) (A + A_k)) u^{k+1} = b + (I (x) A_k) u^k - F(u^k),
 
-    via the three-step kernel, whose step (b) solves each shift with the
-    diagonal A_k exactly (op.shifted_diag_solve); iteration starts from u = 0
-    and stops once the 2-norm residual of the nonlinear system drops under
-    tol * ||b||.
+    via the three-step kernel.  Its step (b), (lambda_j I + A + A_k) w_j = g_j,
+    is the fixed point w_j <- ((lambda_j + c) I + A)^{-1} (g_j - (A_k - c) w_j)
+    with c the midrange of A_k's diagonal, on op.shifted_solve alone.  Each
+    shift starts from its w_j of the previous sweep (on the first sweep from
+    ((lambda_j + c) I + A)^{-1} g_j) and stops once an update moves w_j by
+    at most _FP_RTOL of its norm; a shift whose updates stop shrinking, or
+    that is not done after _FP_MAX_SWEEPS updates, falls back to the exact
+    op.shifted_diag_solve.  Iteration starts from u = 0 and stops once the
+    2-norm residual of the nonlinear system drops under tol * ||b||.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -214,6 +269,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     bnorm = np.linalg.norm(b)
 
     U = np.zeros((n, m))
+    warm = [None] * n  # each shift's w_j of the previous sweep
     history = []
     times = {"assembly": 0.0, "step_a": 0.0, "step_b": 0.0, "step_c": 0.0}
     residue = 0.0
@@ -232,13 +288,16 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
                 imag_residue=residue,
             )
         avg_jac = problem.jac_diag(U).mean(axis=0)
+        c = 0.5 * (avg_jac.min() + avg_jac.max())
         rhs_k = b + U * avg_jac[None, :] - problem.f(U)
         times["assembly"] += time.perf_counter() - t0
 
         def solve_shift(j, gj):
-            return op.shifted_diag_solve(lam[j], avg_jac, gj)
+            warm[j] = _diag_fixed_point(op, lam[j], avg_jac, c, gj, warm[j])
+            return warm[j]
 
-        U, residue = _three_step(decomp, rhs_k, solve_shift, workers, times)
+        solve_block = _each_shift(solve_shift, workers)
+        U, residue = _three_step(decomp, rhs_k, solve_block, times)
 
     raise MaxIterationsError(max_iter, history[-1], tol)
 

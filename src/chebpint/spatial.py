@@ -4,9 +4,11 @@ Every operator implements the contract used by the time-parallel driver:
 
 - ``apply(v)``: the matrix action A @ v (batched over a leading axis),
 - ``shifted_solve(sigma, g)``: solve (sigma*I + A) w = g for complex sigma,
-- ``shifted_diag_solve(sigma, diag, g)``: solve (sigma*I + A + diag(d)) w = g,
-  needed by the simplified Newton iteration where an averaged pointwise
-  Jacobian rides on top of the stiff linear part.
+- ``shifted_diag_solve(sigma, diag, g)``: solve (sigma*I + A + diag(d)) w = g
+  exactly.  The simplified Newton iteration, where an averaged pointwise
+  Jacobian rides on top of the stiff linear part, solves these systems by a
+  fixed point on ``shifted_solve`` and calls this method only as the exact
+  fallback for a shift whose fixed point does not contract.
 
 ``shifted_solve`` must be reentrant: the driver invokes it concurrently for
 different shifts, so no method mutates shared scratch state.
@@ -410,6 +412,8 @@ def make_benchmark(kind, points_per_dim, n=None, T=None):
             raise ValueError("T is required when n is given")
         if int(n) < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        if not (np.isfinite(T) and T > 0):
+            raise ValueError(f"T must be positive and finite, got {T!r}")
         from .timedisc import TimeGrid
 
         problem.grid = TimeGrid(n=int(n), dt=float(T) / int(n))

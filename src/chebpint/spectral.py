@@ -311,8 +311,8 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     populated unless `with_residual=False` (the residual costs two dense
     matrix products, which dominates everything else at large n).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     roots = find_roots(n, tol=tol, max_iter=max_iter)
     V = build_V(roots)
     Vinv = build_Vinv_fast(roots)

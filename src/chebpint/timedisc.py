@@ -54,8 +54,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidGridError("n must be >= 1")
-        if self.dt <= 0:
-            raise InvalidGridError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise InvalidGridError(f"dt must be positive and finite, got {self.dt!r}")
 
     @property
     def T(self):
@@ -77,10 +77,12 @@ class GeometricGrid:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidGridError("n must be >= 1")
-        if self.tau <= 1.0:
-            raise InvalidGridError("tau must be > 1")
-        if self.dt_last <= 0:
-            raise InvalidGridError("dt_last must be positive")
+        if not (np.isfinite(self.tau) and self.tau > 1.0):
+            raise InvalidGridError(f"tau must be > 1 and finite, got {self.tau!r}")
+        if not (np.isfinite(self.dt_last) and self.dt_last > 0):
+            raise InvalidGridError(
+                f"dt_last must be positive and finite, got {self.dt_last!r}"
+            )
 
     @property
     def steps(self):
@@ -127,8 +129,8 @@ def assemble_B(n, dt):
     n = int(n)
     if n < 1:
         raise InvalidGridError("n must be >= 1")
-    if dt <= 0:
-        raise InvalidGridError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise InvalidGridError(f"dt must be positive and finite, got {dt!r}")
     if n == 1:
         return sparse.csr_matrix(np.array([[1.0 / dt]]))
     half = 1.0 / (2.0 * dt)

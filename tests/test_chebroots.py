@@ -205,6 +205,8 @@ def test_find_roots_rejects_bad_args():
         find_roots(0)
     with pytest.raises(ValueError):
         find_roots(4, tol=-1.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        find_roots(4, tol=float("nan"))
     with pytest.raises(ValueError):
         find_roots(4, max_iter=0)
 

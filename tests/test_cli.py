@@ -189,6 +189,16 @@ def test_exit_code_empty_budget_or_grid(argv):
     assert main(argv) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "8", "--dt", "nan", "--skip-reference"],
+    ["convergence", "--kind", "heat", "--m", "16", "--n-list", "4", "--T", "inf"],
+    ["convergence", "--kind", "semilinear", "--m", "16", "--n-list", "4",
+     "--tol", "nan"],
+])
+def test_exit_code_non_finite_input(argv):
+    assert main(argv) == 1
+
+
 def test_exit_code_numerical_failure():
     # unreachable tolerance forces the simplified Newton loop over budget
     code = main(["convergence", "--kind", "semilinear", "--m", "16",

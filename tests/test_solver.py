@@ -16,7 +16,12 @@ from chebpint.solver import (
     solve_semilinear_sni,
     timestep_trapezoidal,
 )
-from chebpint.spatial import SemilinearProblem, make_dense_operator
+from chebpint.spatial import (
+    SemilinearProblem,
+    SpatialOperator,
+    make_benchmark,
+    make_dense_operator,
+)
 from chebpint.spectral import decompose
 from chebpint.timedisc import (
     BlockVector,
@@ -258,6 +263,79 @@ def test_sni_rejects_empty_budget(max_iter):
     prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)
     with pytest.raises(ValueError, match="max_iter must be >= 1"):
         solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=max_iter)
+
+
+def test_sni_rejects_nan_tol():
+    m, n, dt = 2, 4, 0.2
+    prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_semilinear_sni(prob, decompose(n, dt), tol=float("nan"), max_iter=5)
+
+
+class _CountingOperator(SpatialOperator):
+    """Delegates to an operator and counts its exact diagonal solves."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.m = inner.m
+        self.diag_solves = 0
+
+    def apply(self, v):
+        return self.inner.apply(v)
+
+    def shifted_solve(self, sigma, g):
+        return self.inner.shifted_solve(sigma, g)
+
+    def shifted_diag_solve(self, sigma, diag, g):
+        self.diag_solves += 1
+        return self.inner.shifted_diag_solve(sigma, diag, g)
+
+
+def test_sni_worker_count_does_not_change_results():
+    bench = make_benchmark("semilinear", 15, n=16, T=2.0)
+    dec = decompose(16, bench.grid.dt)
+    base = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40,
+                                workers=1)
+    got = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40,
+                               workers=2)
+    assert np.array_equal(got.solution.values, base.solution.values)
+    assert got.residual_history == base.residual_history
+
+
+def test_sni_spatially_varying_jacobian_falls_back_exactly():
+    # f(u) = s*u with s spread over [-3, 8]: the fixed point around the
+    # midrange of s cannot contract for the shifts of small modulus, which
+    # must take the exact diagonal solve; the others converge spectrally
+    rng = np.random.default_rng(53)
+    m, n, dt = 2, 8, 0.05
+    M = rng.normal(size=(m, m))
+    A = M @ M.T + np.eye(m)
+    s = np.array([-3.0, 8.0])
+    u0 = rng.normal(size=m)
+    g = rng.normal(size=(n, m))
+    prob = _linear_semilinear_problem(A, u0, g, dt)
+    op = _CountingOperator(prob.operator)
+    prob.operator = op
+    prob.f = lambda u: s * u
+    prob.jac_diag = lambda u: np.broadcast_to(s, u.shape).copy()
+    dec = decompose(n, dt)
+    rep = solve_semilinear_sni(prob, dec, tol=1e-11, max_iter=10)
+    assert 0 < op.diag_solves < n
+    expected = solve_first_order_linear(dec, make_dense_operator(A + np.diag(s)),
+                                        rhs_first_order(u0, g, dt))
+    assert np.abs(rep.solution.values - expected.solution.values).max() < 1e-9
+
+
+def test_sni_benchmark_needs_no_exact_diagonal_solve():
+    # a silent fallback to the sparse LU would be correct but ~40x slower
+    bench = make_benchmark("semilinear", 31, n=16, T=2.0)
+    prob = bench.semilinear()
+    op = _CountingOperator(prob.operator)
+    prob.operator = op
+    rep = solve_semilinear_sni(prob, decompose(16, bench.grid.dt), tol=1e-8,
+                               max_iter=40)
+    assert rep.residual_history[-1] <= 1e-8
+    assert op.diag_solves == 0
 
 
 # --------------------------------------------------------------- trapezoidal

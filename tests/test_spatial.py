@@ -310,3 +310,9 @@ def test_benchmark_grid_attachment():
 def test_benchmark_rejects_empty_grid():
     with pytest.raises(ValueError, match="n must be >= 1"):
         make_benchmark("heat", 4, n=0, T=2.0)
+
+
+@pytest.mark.parametrize("T", [0.0, -2.0, float("nan"), float("inf")])
+def test_benchmark_rejects_bad_horizon(T):
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        make_benchmark("heat", 4, n=4, T=T)

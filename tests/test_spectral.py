@@ -227,6 +227,12 @@ def test_decompose_scales_with_dt():
     assert d2.residual < 1e-10
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_decompose_rejects_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        decompose(4, dt)
+
+
 def test_decompose_eigen_residual_against_independent_B():
     for n in (8, 120):
         dec = decompose(n, 0.1)

@@ -256,6 +256,22 @@ def test_time_grid_points():
     assert grid.t_points == pytest.approx([0.25, 0.5, 0.75, 1.0])
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, float("nan"), float("inf")])
+def test_grids_reject_bad_steps(bad):
+    with pytest.raises(InvalidGridError, match="dt must be positive and finite"):
+        TimeGrid(4, bad)
+    with pytest.raises(InvalidGridError, match="dt must be positive and finite"):
+        assemble_B(4, bad)
+    with pytest.raises(InvalidGridError, match="dt_last must be positive and finite"):
+        geometric_grid(4, 1.2, bad)
+
+
+@pytest.mark.parametrize("tau", [1.0, float("nan"), float("inf")])
+def test_geometric_grid_rejects_bad_ratio(tau):
+    with pytest.raises(InvalidGridError, match="tau must be > 1 and finite"):
+        geometric_grid(4, tau, 0.1)
+
+
 def test_block_vector_shape_and_flat_view():
     bv = BlockVector(np.arange(6.0).reshape(3, 2))
     assert bv.n == 3 and bv.m == 2
