@@ -57,14 +57,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _default_workers():
-    env = os.environ.get("CHEBPINT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _workers(text):
+    """--workers value; argparse also converts the string default, so a bad
+    CHEBPINT_WORKERS fails only the subcommands that read --workers."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0                       # reported as any value below 1
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            f"workers must be an integer >= 1 (from --workers or "
+            f"CHEBPINT_WORKERS), got {text!r}"
+        )
+    return workers
 
 
 def _fmt(value):
@@ -147,7 +152,7 @@ def cmd_decompose(args):
 
         (vals, vecs, vecs_inv), ref_seconds = _median_time(reference_path, reps=1)
         row.update(
-            omega_ref=spectral.decomposition_residual(vals, vecs, vecs_inv, n, dt),
+            omega_ref=spectral.decomposition_residual(vals, vecs, vecs_inv, B),
             eta=spectral.eigenvalue_agreement(dec.eigenvalues, vals),
             ref_seconds=ref_seconds,
         )
@@ -362,7 +367,8 @@ def build_parser():
 
     p = sub.add_parser("convergence", help="temporal order study")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=_default_workers(),
+    p.add_argument("--workers", type=_workers,
+                   default=os.environ.get("CHEBPINT_WORKERS") or "1",
                    help="worker threads for step (b) (env CHEBPINT_WORKERS)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=50)
@@ -377,7 +383,8 @@ def build_parser():
     p = sub.add_parser("compare-geometric",
                        help="geometric-step baseline comparison (1D wave)")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=_default_workers(),
+    p.add_argument("--workers", type=_workers,
+                   default=os.environ.get("CHEBPINT_WORKERS") or "1",
                    help="worker threads for step (b) (env CHEBPINT_WORKERS)")
     p.add_argument("--tau", type=float, default=1.15)
     p.add_argument("--dt-last", dest="dt_last", type=float, default=1e-2)

@@ -44,7 +44,7 @@ class ZeroPivotError(ChebPintError):
 
 
 class SingularMatrixError(ChebPintError):
-    """Dense factorization or SVD failed: matrix is numerically singular."""
+    """Dense factorization failed, or cond2 met a zero or non-finite matrix."""
 
 
 class DimensionMismatchError(ChebPintError):

@@ -122,24 +122,12 @@ def _project_real(U):
     return U.real.copy(), residue
 
 
-def _each_shift(solve_shift, workers):
-    """Step (b) block solver that overwrites every g_j by solve_shift(j, g_j)
-    on the thread pool: one n x m block fewer alive through step (c)."""
-
-    def solve_block(G):
-        def solve_one(j):
-            G[j] = solve_shift(j, G[j])
-
-        _run_shifts(solve_one, len(G), workers)
-
-    return solve_block
-
-
-def _three_step(decomp, b, solve_block, times):
+def _three_step(decomp, b, solve_shift, workers, times):
     """Steps (a)-(c) for the complex (n, m) blocks b.
 
-    solve_block(G) overwrites the blocks G of step (b) by W in place.  The
-    seconds of each step are added to times["step_a"], times["step_b"] and
+    Step (b) overwrites each block g_j by solve_shift(j, g_j) on the thread
+    pool, so one n x m block fewer is alive through step (c).  The seconds
+    of each step are added to times["step_a"], times["step_b"] and
     times["step_c"].  Returns the real solution blocks and the imaginary
     residue that the projection onto the reals dropped.
     """
@@ -147,8 +135,11 @@ def _three_step(decomp, b, solve_block, times):
     G = decomp.Vinv @ b
     times["step_a"] += time.perf_counter() - t0
 
+    def solve_one(j):
+        G[j] = solve_shift(j, G[j])
+
     t0 = time.perf_counter()
-    solve_block(G)
+    _run_shifts(solve_one, len(G), workers)
     times["step_b"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -159,6 +150,8 @@ def _three_step(decomp, b, solve_block, times):
 
 def _solve_linear(decomp, op, rhs, workers, order):
     """Direct solve of (B^order (x) I + I (x) A) u = b, order 1 or 2."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     _check_shapes(decomp, op, rhs)
     if decomp.n < order:
         raise DimensionMismatchError(f"order-{order} solves need n >= {order}")
@@ -168,8 +161,9 @@ def _solve_linear(decomp, op, rhs, workers, order):
     bmat = np.ascontiguousarray(rhs.values, dtype=complex)
     times["assembly"] = time.perf_counter() - t0
 
-    solve_block = _each_shift(lambda j, gj: op.shifted_solve(shifts[j], gj), workers)
-    U, residue = _three_step(decomp, bmat, solve_block, times)
+    U, residue = _three_step(
+        decomp, bmat, lambda j, gj: op.shifted_solve(shifts[j], gj), workers, times
+    )
 
     BU = U
     for _ in range(order):
@@ -257,6 +251,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     op = problem.operator
     n, m = decomp.n, op.m
     lam = decomp.eigenvalues
@@ -296,8 +292,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
             warm[j] = _diag_fixed_point(op, lam[j], avg_jac, c, gj, warm[j])
             return warm[j]
 
-        solve_block = _each_shift(solve_shift, workers)
-        U, residue = _three_step(decomp, rhs_k, solve_block, times)
+        U, residue = _three_step(decomp, rhs_k, solve_shift, workers, times)
 
     raise MaxIterationsError(max_iter, history[-1], tol)
 

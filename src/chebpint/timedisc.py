@@ -26,7 +26,7 @@ from .errors import (
     GeometricOverflowError,
     InvalidGridError,
 )
-from .spectral import SpectralDecomposition, cond2_estimate
+from .spectral import SpectralDecomposition, cond2_estimate, decomposition_residual
 
 __all__ = [
     "TimeGrid",
@@ -255,7 +255,8 @@ def geometric_decomposition(grid: GeometricGrid):
     lower-triangular Toeplitz of the p_j products, column-normalized by
     D_scale = 1/sqrt(1 + sum |p_l|^2); its inverse comes from forward
     substitution on the Toeplitz factor (exact, O(n^2)) rather than any
-    closed-form coefficient formula.
+    closed-form coefficient formula.  cond2 and the residual against the
+    trapezoidal-rule B come from the same diagnostics as `decompose`.
     """
     n = grid.n
     p = _toeplitz_column(grid)
@@ -264,7 +265,7 @@ def geometric_decomposition(grid: GeometricGrid):
     Vt = np.zeros((n, n))
     for j in range(n):
         Vt[j:, j] = p[: n - j]
-    V = Vt * scale[None, :]
+    V = (Vt * scale[None, :]).astype(complex)
     # inverse Toeplitz coefficients: q_0 = 1, q_k = -sum_{l=1..k} p_l q_{k-l}
     q = np.zeros(n)
     q[0] = 1.0
@@ -275,20 +276,17 @@ def geometric_decomposition(grid: GeometricGrid):
     Vt_inv = np.zeros((n, n))
     for j in range(n):
         Vt_inv[j:, j] = q[: n - j]
-    Vinv = (1.0 / scale)[:, None] * Vt_inv
+    Vinv = ((1.0 / scale)[:, None] * Vt_inv).astype(complex)
     eigenvalues = (2.0 / grid.steps).astype(complex)
 
     B, _, _ = assemble_TR_system(grid)
-    M = (V * eigenvalues.real[None, :]) @ Vinv
-    residual = float(np.linalg.norm(B - M) / np.linalg.norm(B))
-    cond2 = cond2_estimate(V.astype(complex))
     return SpectralDecomposition(
         n=n,
         dt=float(grid.steps[-1]),
         eigenvalues=eigenvalues,
-        V=V.astype(complex),
-        Vinv=Vinv.astype(complex),
-        cond2=cond2,
-        residual=residual,
+        V=V,
+        Vinv=Vinv,
+        cond2=cond2_estimate(V, Vinv),
+        residual=decomposition_residual(eigenvalues, V, Vinv, B),
         roots=None,
     )

@@ -214,3 +214,27 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
     assert code == 0
     rows = json.loads(out.read_text())["rows"]
     assert rows[0]["workers"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--kind", "heat", "--m", "16", "--n-list", "4"],
+    ["compare-geometric", "--n-max", "4", "--m", "8"],
+])
+@pytest.mark.parametrize("flag, env", [
+    ("0", None), ("-3", None), (None, "abc"), (None, "0"), (None, "-2"),
+])
+def test_exit_code_bad_workers(argv, flag, env, monkeypatch, capsys):
+    bad = flag if flag is not None else env
+    if env is None:
+        monkeypatch.delenv("CHEBPINT_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("CHEBPINT_WORKERS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--workers", flag] if flag is not None else []))
+    assert exc.value.code == 1
+    assert f"got '{bad}'" in capsys.readouterr().err
+
+
+def test_decompose_ignores_workers_env(monkeypatch):
+    monkeypatch.setenv("CHEBPINT_WORKERS", "abc")
+    assert main(["decompose", "--n", "4", "--skip-reference"]) == 0

@@ -168,6 +168,16 @@ def test_worker_count_does_not_change_results():
         assert np.array_equal(got, base)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_linear_drivers_reject_bad_worker_count(workers):
+    op = make_dense_operator(np.eye(2))
+    dec = decompose(4, 0.1)
+    rhs = rhs_first_order(np.ones(2), np.ones((4, 2)), 0.1)
+    for solve in (solve_first_order_linear, solve_second_order_linear):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            solve(dec, op, rhs, workers=workers)
+
+
 # ------------------------------------------------------------------- SNI
 
 def _linear_semilinear_problem(A, u0, g_blocks, dt, slope=0.0):
@@ -270,6 +280,15 @@ def test_sni_rejects_nan_tol():
     prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)
     with pytest.raises(ValueError, match="tol must be positive"):
         solve_semilinear_sni(prob, decompose(n, dt), tol=float("nan"), max_iter=5)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sni_rejects_bad_worker_count(workers):
+    m, n, dt = 2, 4, 0.2
+    prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=5,
+                             workers=workers)
 
 
 class _CountingOperator(SpatialOperator):

@@ -1,10 +1,11 @@
 """Tests for the eigenvector matrix, its fast inverse, and decompositions."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-import chebpint.spectral as spectral
 from chebpint.chebroots import find_roots
 from chebpint.errors import SingularMatrixError, ZeroPivotError
 from chebpint.spectral import (
@@ -183,23 +184,31 @@ def test_reference_inverse_singular():
 # ------------------------------------------------------------------- cond2
 
 def test_cond2_known_values():
-    assert cond2_estimate(np.eye(4)) == pytest.approx(1.0)
-    assert cond2_estimate(np.diag([1.0, 10.0])) == pytest.approx(10.0)
+    assert cond2_estimate(np.eye(4), np.eye(4)) == pytest.approx(1.0)
+    assert cond2_estimate(np.diag([1.0, 10.0]),
+                          np.diag([1.0, 0.1])) == pytest.approx(10.0)
 
 
-def test_cond2_power_iteration_matches_svd(monkeypatch):
+def test_cond2_power_iteration_matches_svd():
     roots = find_roots(160, tol=1e-11)
     V = build_V(roots)
     Vinv = build_Vinv_fast(roots)
-    exact = cond2_estimate(V)
-    monkeypatch.setattr(spectral, "_SVD_CUTOFF", 100)
+    s = np.linalg.svd(V, compute_uv=False)
+    exact = s[0] / s[-1]
     estimated = cond2_estimate(V, Vinv)
     assert abs(estimated - exact) / exact < 0.01
 
 
 def test_cond2_singular():
-    with pytest.raises(SingularMatrixError):
-        cond2_estimate(np.zeros((4, 4)))
+    # a zero V or a non-finite V^{-1} raises, and warns of nothing
+    cases = [(np.zeros((4, 4)), np.eye(4)),
+             (np.eye(4), np.full((4, 4), np.nan)),
+             (np.eye(4), np.full((4, 4), np.inf))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for V, Vinv in cases:
+            with pytest.raises(SingularMatrixError):
+                cond2_estimate(V, Vinv)
 
 
 # --------------------------------------------------------------- decompose
