@@ -183,6 +183,15 @@ def _solve_benchmark(problem, dec, g, tol, max_iter, workers):
     )
 
 
+def _sweep_totals(report):
+    """Fixed-point updates and exact fallbacks over all SNI sweeps (0 for the
+    linear drivers, which record no sweeps)."""
+    return {
+        "inner_updates": sum(s["updates_total"] for s in report.sweeps),
+        "fallbacks": sum(s["fallbacks"] for s in report.sweeps),
+    }
+
+
 def cmd_convergence(args):
     side = _square_side(args.m)
     n_list = args.n_list
@@ -205,6 +214,7 @@ def cmd_convergence(args):
             "kind": args.kind, "n": n, "m": args.m,
             "error": err, "order": order,
             "iterations": report.iterations,
+            **_sweep_totals(report),
             "residual": report.residual_history[-1],
             "wall_seconds": seconds, "workers": workers,
         })
@@ -320,6 +330,7 @@ def cmd_bench(args):
         rows.append({
             "kind": args.kind, "workers": s, "n": args.n, "m": args.m,
             "error": err, "iterations": report.iterations,
+            **_sweep_totals(report),
             "wall_seconds": seconds,
             "speedup": speedup,
             # scaling numbers are hardware-dependent: regressions are flagged

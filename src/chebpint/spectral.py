@@ -21,6 +21,7 @@ as the independent cross-check path.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .chebroots import RootSet, find_roots, p_prime
-from .errors import SingularMatrixError, ZeroPivotError
+from .errors import ChebPintError, SingularMatrixError, ZeroPivotError
 
 __all__ = [
     "SpectralDecomposition",
@@ -292,12 +293,33 @@ class SpectralDecomposition:
 
 def decomposition_residual(eigenvalues, V, Vinv, B):
     """||B - V diag(eigenvalues) V^{-1}||_F / ||B||_F for the real stencil
-    matrix B, sparse or dense; only its nonzero entries are touched."""
+    matrix B, sparse or dense; only its nonzero entries are touched.
+
+    B and the eigenvalues are divided by s = max|B| first: the ratio does
+    not change, and the norms neither overflow nor underflow for any dt.
+    """
     B = scipy.sparse.coo_array(B)
-    M = (V * np.asarray(eigenvalues)[None, :]) @ Vinv
-    M[B.row, B.col] -= B.data
-    bnorm = np.sqrt((B.data**2).sum())
-    return float(np.linalg.norm(M) / bnorm)
+    s = np.abs(B.data).max()
+    data = B.data / s
+    M = (V * (np.asarray(eigenvalues) / s)[None, :]) @ Vinv
+    M[B.row, B.col] -= data
+    return float(np.linalg.norm(M) / np.linalg.norm(data))
+
+
+def _check_memory(n):
+    """Raise ChebPintError when the 32 n^2 bytes of the complex V and V^{-1}
+    exceed physical memory (skipped where os.sysconf cannot tell)."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    need = 32 * int(n) ** 2
+    physical = page * pages
+    if page > 0 and pages > 0 and need > physical:
+        raise ChebPintError(
+            f"n={n} needs {need} bytes for V and V^-1, more than the "
+            f"{physical} bytes of physical memory"
+        )
 
 
 def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
@@ -306,12 +328,15 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     Roots come from `find_roots`, V from the Chebyshev column formula, V^{-1}
     from the fast O(n^2) path, cond2 from `cond2_estimate`.  The residual
     against `assemble_B(n, dt)` is skipped (nan) with `with_residual=False`:
-    its dense n x n product dominates everything else at large n.
+    its dense n x n product dominates everything else at large n.  An n
+    whose factors cannot fit in physical memory raises ChebPintError before
+    anything is allocated.
     """
     from .timedisc import assemble_B
 
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _check_memory(n)
     roots = find_roots(n, tol=tol, max_iter=max_iter)
     V = build_V(roots)
     Vinv = build_Vinv_fast(roots)

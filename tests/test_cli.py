@@ -101,6 +101,9 @@ def test_convergence_semilinear_reports_iterations(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert all(2 <= r["iterations"] <= 12 for r in rows)
     assert abs(rows[0]["iterations"] - rows[1]["iterations"]) <= 2
+    # every sweep takes at least one fixed-point update per shift
+    assert all(r["inner_updates"] >= r["iterations"] * r["n"] for r in rows)
+    assert all(r["fallbacks"] == 0 for r in rows)
 
 
 def test_convergence_rejects_non_square_m(capsys):
@@ -138,6 +141,7 @@ def test_bench_reports_speedup_columns(tmp_path):
     assert rows[0]["strong_eff"] == pytest.approx(100.0)
     assert rows[0]["weak_eff"] == pytest.approx(100.0)
     assert {"step_a_seconds", "step_b_seconds", "step_c_seconds"} <= set(rows[0])
+    assert rows[0]["inner_updates"] == rows[0]["fallbacks"] == 0
 
 
 def test_bench_rejects_bad_worker_list():

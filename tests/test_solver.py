@@ -1,5 +1,7 @@
 """Tests for the time-parallel solve drivers."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,88 @@ def test_sni_benchmark_needs_no_exact_diagonal_solve():
                                max_iter=40)
     assert rep.residual_history[-1] <= 1e-8
     assert op.diag_solves == 0
+
+
+def _dense_newton_oracle(A, u0, g, dt, f, jac_diag):
+    """All-at-once full Newton on the dense n*m semilinear system."""
+    n, m = g.shape
+    B = assemble_B(n, dt).toarray()
+    L = np.kron(B, np.eye(m)) + np.kron(np.eye(n), A)
+    b = rhs_first_order(u0, g, dt).data
+    u = np.zeros(n * m)
+    for _ in range(50):
+        U = u.reshape(n, m)
+        du = np.linalg.solve(L + np.diag(jac_diag(U).ravel()),
+                             L @ u + f(U).ravel() - b)
+        u = u - du
+        if np.linalg.norm(du) <= 1e-15 * np.linalg.norm(u):
+            break
+    return u.reshape(n, m)
+
+
+def test_sni_forcing_term_matches_full_newton_oracle():
+    # a spatially varying Jacobian: some shifts fall back to the exact solve,
+    # and sweeps after the first stop their fixed points at 0.1 * rel_k
+    rng = np.random.default_rng(53)
+    m, n, dt = 6, 16, 0.05
+    M = rng.normal(size=(m, m))
+    A = M @ M.T + np.eye(m)
+    s = np.linspace(-3.0, 8.0, m)
+    u0 = rng.normal(size=m)
+    g = rng.normal(size=(n, m))
+    prob = _linear_semilinear_problem(A, u0, g, dt)
+    prob.f = lambda u: s * u + 0.3 * u**3
+    prob.jac_diag = lambda u: s + 0.9 * u**2
+    rep = solve_semilinear_sni(prob, decompose(n, dt), tol=1e-11, max_iter=30)
+    expected = _dense_newton_oracle(A, u0, g, dt, prob.f, prob.jac_diag)
+    assert np.abs(rep.solution.values - expected).max() < 1e-9
+    assert rep.residual_history[-1] <= 1e-11
+    sweeps = rep.sweeps
+    assert len(sweeps) == rep.iterations
+    assert [r["residual"] for r in sweeps] == rep.residual_history[:-1]
+    assert sweeps[0]["inner_rtol"] == 1e-13
+    assert all(r["inner_rtol"] == max(1e-13, 0.1 * r["residual"])
+               for r in sweeps[1:])
+    assert sum(r["fallbacks"] for r in sweeps) > 0
+
+
+def test_sni_benchmark_sweeps_unchanged_by_forcing_term():
+    # the sni-semilinear workload: 8 sweeps with or without the forcing term
+    bench = make_benchmark("semilinear", 63, n=32, T=2.0)
+    rep = solve_semilinear_sni(bench.semilinear(), decompose(32, bench.grid.dt),
+                               tol=1e-8, max_iter=50)
+    assert rep.residual_history[-1] <= 1e-8
+    assert len(rep.sweeps) == rep.iterations == 8
+    assert all(r["fallbacks"] == 0 for r in rep.sweeps)
+    assert all(1 <= r["updates_max"] <= r["updates_total"] for r in rep.sweeps)
+    # solved to 1e-13 on every sweep, the shifts took 1420 updates in all
+    assert sum(r["updates_total"] for r in rep.sweeps) < 3 * 32 * 8
+
+
+def test_sni_sweep_records_do_not_depend_on_worker_count():
+    # each worker writes the counts of its own shifts; five workers on 16
+    # shifts with frequent thread switches would expose a lost update
+    bench = make_benchmark("semilinear", 15, n=16, T=2.0)
+    dec = decompose(16, bench.grid.dt)
+    base = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40,
+                                workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 5):
+            got = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8,
+                                       max_iter=40, workers=workers)
+            assert base.sweeps and got.sweeps == base.sweeps, workers
+            assert np.array_equal(got.solution.values, base.solution.values)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_linear_drivers_record_no_sweeps():
+    dec = decompose(4, 0.25)
+    op = make_dense_operator(np.eye(2))
+    rhs = rhs_first_order(np.ones(2), np.ones((4, 2)), 0.25)
+    assert solve_first_order_linear(dec, op, rhs).sweeps == []
 
 
 # --------------------------------------------------------------- trapezoidal

@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sparse
 
 from chebpint.chebroots import find_roots
-from chebpint.errors import SingularMatrixError, ZeroPivotError
+from chebpint import spectral
+from chebpint.errors import ChebPintError, SingularMatrixError, ZeroPivotError
 from chebpint.spectral import (
     build_V,
     build_Vinv_fast,
@@ -240,6 +241,27 @@ def test_decompose_scales_with_dt():
 def test_decompose_rejects_bad_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         decompose(4, dt)
+
+
+@pytest.mark.parametrize("dt", [1e-160, 1e-200, 1e300])
+def test_decompose_residual_finite_at_extreme_dt(dt):
+    # unscaled, ||B||_F overflows or underflows here: a false 0.0 or a nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = decompose(8, dt).residual
+    assert np.isfinite(residual)
+    assert residual <= 1e-12
+
+
+def test_decompose_rejects_n_beyond_physical_memory(monkeypatch):
+    # the guard must fire before anything is computed or allocated
+    def no_roots(*args, **kwargs):
+        raise AssertionError("find_roots reached")
+
+    monkeypatch.setattr(spectral, "find_roots", no_roots)
+    n = 2**20
+    with pytest.raises(ChebPintError, match=f"n={n} needs {32 * n * n} bytes"):
+        decompose(n, 1.0)
 
 
 def test_decompose_eigen_residual_against_independent_B():
