@@ -127,6 +127,8 @@ def _square_side(m):
 
 def cmd_decompose(args):
     n, tol = args.n, args.tol
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     dt = 1.0 / n if args.dt is None else args.dt
     reps = 3 if n <= 1024 else 1
 

@@ -188,6 +188,8 @@ def test_exit_code_bad_n_list():
     ["convergence", "--kind", "semilinear", "--m", "16", "--n-list", "4",
      "--max-iter", "0"],
     ["convergence", "--kind", "heat", "--m", "16", "--n-list", "0"],
+    ["decompose", "--n", "0", "--skip-reference"],
+    ["decompose", "--n", "-3", "--skip-reference"],
 ])
 def test_exit_code_empty_budget_or_grid(argv):
     assert main(argv) == 1

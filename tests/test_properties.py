@@ -1,5 +1,6 @@
 """Property tests of the decomposition: dump round-trip, the mirror symmetry
-of V^{-1}, and the cond2 estimate against the SVD.
+of V^{-1}, and the cond2 estimate against the SVD; and of the batched sine
+Laplacian solve against its per-row solve.
 
 Examples are derandomized and few, so the suite stays deterministic and
 adds only a few seconds.
@@ -7,11 +8,13 @@ adds only a few seconds.
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebpint import spatial
 from chebpint.chebroots import find_roots
 from chebpint.spectral import (
     build_V,
@@ -58,3 +61,19 @@ def test_cond2_estimate_matches_svd(n):
     s = np.linalg.svd(V, compute_uv=False)
     exact = s[0] / s[-1]
     assert abs(cond2_estimate(V, build_Vinv_fast(roots)) - exact) <= 1e-2 * exact
+
+
+@_SETTINGS
+@given(side=st.integers(1, 40), k=st.integers(1, 70), rows=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_sine_solve_is_the_per_row_solve(side, k, rows, seed):
+    # chunks of `rows` rows, so most batches cross chunk boundaries
+    op = spatial.SineLaplacian2D(side, 1.0 / (side + 1))
+    rng = np.random.default_rng(seed)
+    sigmas = rng.uniform(0.1, 1e3, size=k) + 1j * rng.normal(scale=1e3, size=k)
+    G0 = rng.normal(size=(k, op.m)) + 1j * rng.normal(size=(k, op.m))
+    G = G0.copy()
+    with mock.patch.object(spatial, "_BATCH_ELEMS", rows * op.m):
+        op.shifted_solve_batch(sigmas, G)
+    for j in range(k):
+        assert np.array_equal(G[j], op.shifted_solve(sigmas[j], G0[j])), j

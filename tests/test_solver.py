@@ -11,6 +11,8 @@ from chebpint.errors import (
     NonRealSolutionError,
 )
 from chebpint.solver import (
+    _FP_MAX_SWEEPS,
+    _fixed_point_chunk,
     global_error,
     recover_velocity,
     solve_first_order_linear,
@@ -23,6 +25,7 @@ from chebpint.spatial import (
     SpatialOperator,
     make_benchmark,
     make_dense_operator,
+    make_laplacian_2d_dirichlet,
 )
 from chebpint.spectral import decompose
 from chebpint.timedisc import (
@@ -154,20 +157,23 @@ def test_recover_velocity_linear_ramp():
     assert v.values[-1, 0] == pytest.approx(1.0)
 
 
-# ------------------------------------------------------------ worker pool
+# ------------------------------------------------------- worker slices
 
 def test_worker_count_does_not_change_results():
+    # the dense operator takes the per-shift loop of the base class; the
+    # sine Laplacian's batched solve gets uneven slices from odd n = 33
     rng = np.random.default_rng(5)
     m = 6
     M = rng.normal(size=(m, m))
-    A = M @ M.T + m * np.eye(m)
-    op = make_dense_operator(A)
-    dec = decompose(16, 0.1)
-    rhs = rhs_first_order(rng.normal(size=m), rng.normal(size=(16, m)), 0.1)
-    base = solve_first_order_linear(dec, op, rhs, workers=1).solution.values
-    for workers in (2, 4, 8):
-        got = solve_first_order_linear(dec, op, rhs, workers=workers).solution.values
-        assert np.array_equal(got, base)
+    dense = make_dense_operator(M @ M.T + m * np.eye(m))
+    lap = make_laplacian_2d_dirichlet(7, 1.0 / 8.0)
+    for op, n, worker_counts in ((dense, 16, (2, 4, 8)), (lap, 33, (2, 3, 5, 8))):
+        dec = decompose(n, 0.1)
+        rhs = rhs_first_order(rng.normal(size=op.m), rng.normal(size=(n, op.m)), 0.1)
+        base = solve_first_order_linear(dec, op, rhs, workers=1).solution.values
+        for workers in worker_counts:
+            got = solve_first_order_linear(dec, op, rhs, workers=workers).solution.values
+            assert np.array_equal(got, base), (n, workers)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -317,10 +323,11 @@ def test_sni_worker_count_does_not_change_results():
     dec = decompose(16, bench.grid.dt)
     base = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40,
                                 workers=1)
-    got = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40,
-                               workers=2)
-    assert np.array_equal(got.solution.values, base.solution.values)
-    assert got.residual_history == base.residual_history
+    for workers in (2, 3):
+        got = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8,
+                                   max_iter=40, workers=workers)
+        assert np.array_equal(got.solution.values, base.solution.values), workers
+        assert got.residual_history == base.residual_history, workers
 
 
 def test_sni_spatially_varying_jacobian_falls_back_exactly():
@@ -345,6 +352,53 @@ def test_sni_spatially_varying_jacobian_falls_back_exactly():
     expected = solve_first_order_linear(dec, make_dense_operator(A + np.diag(s)),
                                         rhs_first_order(u0, g, dt))
     assert np.abs(rep.solution.values - expected.solution.values).max() < 1e-9
+
+
+def _per_shift_fixed_point(op, sigma, d, c, g, w, rtol):
+    """Reference: one shift's fixed point on the per-shift solve.
+    Returns (w, updates, fell_back)."""
+    shift, e = sigma + c, d - c
+    if w is None:
+        w = op.shifted_solve(shift, g)
+    last = np.inf
+    for updates in range(1, _FP_MAX_SWEEPS + 1):
+        w_new = op.shifted_solve(shift, g - e * w)
+        step = np.linalg.norm(w_new - w)
+        if step <= rtol * np.linalg.norm(w_new):
+            return w_new, updates, False
+        if not step < last:
+            break
+        w, last = w_new, step
+    return op.shifted_diag_solve(sigma, d, g), updates, True
+
+
+def test_fixed_point_chunk_matches_the_per_shift_loop():
+    # Jacobians spread over [-3, 8] and [-20, 8]: rows converge after varied
+    # update counts, stall (an update stops shrinking) or hit the update cap
+    rng = np.random.default_rng(53)
+    m, n = 6, 16
+    M = rng.normal(size=(m, m))
+    op = make_dense_operator(M @ M.T + np.eye(m))
+    sigmas = decompose(n, 0.05).eigenvalues
+    G0 = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    W0 = G0[::-1].copy()
+    seen = set()
+    for low, cold, rtol in ((-3.0, True, 1e-13), (-3.0, False, 1e-8),
+                            (-20.0, True, 1e-13)):
+        d = np.linspace(low, 8.0, m)
+        c = 0.5 * (d.min() + d.max())
+        G, W = G0.copy(), W0.copy()
+        updates = np.zeros(n, dtype=int)
+        fell_back = np.ones(n, dtype=bool)   # stale flags of a last sweep
+        _fixed_point_chunk(op, sigmas, d, c, G, W, cold, rtol, updates, fell_back)
+        for j in range(n):
+            w, count, fell = _per_shift_fixed_point(
+                op, sigmas[j], d, c, G0[j], None if cold else W0[j], rtol)
+            assert np.array_equal(G[j], w) and np.array_equal(W[j], w), (low, cold, j)
+            assert (updates[j], fell_back[j]) == (count, fell), (low, cold, j)
+            seen.add("capped" if count == _FP_MAX_SWEEPS else
+                     "stalled" if fell else "converged")
+    assert seen == {"converged", "stalled", "capped"}
 
 
 def test_sni_benchmark_needs_no_exact_diagonal_solve():

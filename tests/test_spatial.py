@@ -91,6 +91,10 @@ def test_laplacian2d_singular_shift():
     mu_min = op.modes2d.min()
     with pytest.raises(SingularShiftError):
         op.shifted_solve(-mu_min, np.ones(p * p, dtype=complex))
+    # the batched solve raises too, rather than writing inf or nan rows
+    G = np.ones((3, p * p), dtype=complex)
+    with pytest.raises(SingularShiftError, match=r"mode \(1, 1\)"):
+        op.shifted_solve_batch(np.array([1.0, -mu_min, 2.0j]), G)
 
 
 def test_laplacian2d_diag_solve_matches_dense():
@@ -173,6 +177,34 @@ def test_shifted_solve_round_trip(any_operator):
 def test_shifted_solve_dimension_check(any_operator):
     with pytest.raises(DimensionMismatchError):
         any_operator.shifted_solve(1.0, np.ones(any_operator.m + 1))
+
+
+def test_shifted_solve_batch_is_the_per_row_solve_in_place(any_operator):
+    rng = np.random.default_rng(21)
+    k, m = 7, any_operator.m
+    sigmas = rng.uniform(0.5, 3.0, size=k) + 1j * rng.normal(size=k)
+    G0 = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    # the rows are a view into a larger array, whose other rows stay zero
+    buffer = np.zeros((k + 2, m), dtype=complex)
+    buffer[1:-1] = G0
+    assert any_operator.shifted_solve_batch(sigmas, buffer[1:-1]) is None
+    assert not buffer[0].any() and not buffer[-1].any()
+    for j in range(k):
+        w = any_operator.shifted_solve(sigmas[j], G0[j])
+        assert np.array_equal(buffer[1 + j], w), j
+
+
+def test_shifted_solve_batch_rejects_bad_rows(any_operator):
+    m = any_operator.m
+    sigmas = np.array([1.0, 2.0])
+    with pytest.raises(DimensionMismatchError):
+        any_operator.shifted_solve_batch(sigmas, np.ones((2, m + 1), dtype=complex))
+    with pytest.raises(DimensionMismatchError):
+        any_operator.shifted_solve_batch(sigmas, np.ones((3, m), dtype=complex))
+    with pytest.raises(ValueError, match="complex128"):
+        any_operator.shifted_solve_batch(sigmas, np.ones((2, m)))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        any_operator.shifted_solve_batch(sigmas, np.ones((m, 2), dtype=complex).T)
 
 
 # -------------------------------------------------------------- benchmarks
