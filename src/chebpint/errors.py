@@ -67,7 +67,8 @@ class SingularShiftError(ChebPintError):
 
 
 class NonRealSolutionError(ChebPintError):
-    """Recovered solution carries an implausibly large imaginary residue."""
+    """A right-hand side is not real, or the recovered solution carries an
+    implausibly large imaginary residue."""
 
 
 class MaxIterationsError(ChebPintError):

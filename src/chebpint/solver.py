@@ -2,9 +2,24 @@
 
 Every driver runs one three-step kernel once B = V D V^{-1} is known:
 
-    (a)  g = (V^{-1} (x) I) b          -- one dense n x n by n x m product
+    (a)  g = (V^{-1} (x) I) b          -- one real product over the pairs
     (b)  (sigma_j I + A) w_j = g_j     -- n independent shifted solves
-    (c)  u = (V (x) I) w               -- one dense product
+    (c)  u = (V (x) I) w               -- two real products over the pairs
+
+The right-hand side b is real: a nonzero imaginary part raises
+NonRealSolutionError before step (a).  The decomposition pairs index j < q
+with n-1-j, whose V column and V^{-1} row are the exact conjugates, and
+every other index with itself (SpectralDecomposition).  Step (a) is then
+one real product of the (2h, n) factor [Re V^{-1}[:h]; Im V^{-1}[:h]],
+h = n - q, with b, and g_{n-1-j} = conj(g_j): 2n^2 m flops instead of the
+complex product's 8n^2 m.  Step (c) overwrites each pair of rows by
+w_j + w_p and w_j - w_p, and takes V w as Re V[:, :h] times the first and
+i Im V[:, :h] times the second, each a real product on the (re, im) float
+view of the rows: 4n^2 m flops instead of 8n^2 m.  Both the real and the
+imaginary part are exact for any w, so the imaginary residue
+||Im(V w)||/||V w|| still measures how far the n shifted solves are from
+conjugate-symmetric; above _IMAG_HARD it raises NonRealSolutionError, and
+the real part is the solution.
 
 Linear first-order systems (B (x) I + I (x) A) u = b use the shifts
 sigma_j = lambda_j, second-order systems (B^2 (x) I + I (x) A) u = b the
@@ -38,8 +53,8 @@ solves each slice by batched shifted solves (op.shifted_solve_batch), the
 slices in parallel on a shared-memory thread pool.  Each worker overwrites
 its own blocks g_j by w_j in place, each row of a batched solve depends on
 that row and its shift alone, every shift's iteration and stop depend on
-that shift and the shared rel_k alone, and steps (a)/(c) are single matrix
-products, so numerical output is identical for any worker count.
+that shift and the shared rel_k alone, and steps (a)/(c) run outside the
+pool, so numerical output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -110,31 +125,98 @@ def _check_shapes(decomp: SpectralDecomposition, op: SpatialOperator, rhs: Block
         )
 
 
-def _project_real(U):
-    unorm = np.linalg.norm(U)
-    residue = float(np.linalg.norm(U.imag) / unorm) if unorm > 0 else 0.0
-    if residue > _IMAG_HARD:
-        raise NonRealSolutionError(
-            f"imaginary residue {residue:.3e} of the recovered solution "
-            f"exceeds {_IMAG_HARD:.0e}"
-        )
-    return U.real.copy(), residue
+def _real_rhs(values):
+    """The right-hand side blocks as a C-contiguous float64 array.
+
+    A complex dtype is accepted if its imaginary part is zero; otherwise
+    NonRealSolutionError is raised, since steps (a) and (c) assume real data.
+    """
+    if np.iscomplexobj(values):
+        if np.any(values.imag):
+            raise NonRealSolutionError(
+                "the right-hand side has a nonzero imaginary part; "
+                "the drivers solve real problems only"
+            )
+        values = values.real
+    return np.ascontiguousarray(values, dtype=float)
+
+
+#: columns of the (n, m) blocks per chunk of step (c): its temporaries are
+#: two n x 256 complex products (4 MiB each at n=1024); a whole-block step
+#: (c) raised the peak RSS of 1024 shifts on a 31^2 grid by 24%, and
+#: chunks of 128 columns or fewer slow the products down
+_STEP_C_COLUMNS = 256
+
+
+def _step_a(decomp, b):
+    """g = V^{-1} b for the real (n, m) blocks b, by one real product.
+
+    Rows j < h = n - q come from [Re V^{-1}[:h]; Im V^{-1}[:h]] @ b, and
+    row n-1-j is the conjugate of row j < q.  Returns a C-contiguous
+    complex (n, m) array.
+    """
+    n, q = decomp.n, decomp.q
+    h = n - q
+    P = decomp.Ainv @ b
+    G = np.empty((n, b.shape[1]), dtype=complex)
+    G.real[:h] = P[:h]
+    G.imag[:h] = P[h:]
+    np.conj(G[:q][::-1], out=G[h:])
+    return G
+
+
+def _step_c(decomp, G):
+    """Re(V w) and ||Im(V w)||_F for the complex (n, m) blocks w in G,
+    which it overwrites.
+
+    With p = n-1-j, V[:, p] = conj(V[:, j]) gives, for every pair j < q,
+    V_j w_j + V_p w_p = Re V_j (w_j + w_p) + i Im V_j (w_j - w_p), and a
+    self-paired index k contributes Re V_k w_k + i Im V_k w_k.  So once
+    row j < q of G holds w_j + w_p and row p holds w_j - w_p,
+
+        V w = Re V[:, :h] @ G[:h] + i [Im V[:, q:h] | Im V[:, q-1::-1]] @ G[q:]
+
+    exactly; these are the two halves of Mc, and each product of a real
+    factor with complex rows is one real product on their (re, im)
+    float view.  Summing the Re V and the Im V halves in two products, not
+    one over all of Mc, keeps the stencil residual of the complex product
+    (one product left it 14% larger on the 255^2 heat problem).
+    """
+    n, q = decomp.n, decomp.q
+    h = n - q
+    re, im = decomp.Mc[:, :h], decomp.Mc[:, h:]
+    m = G.shape[1]
+    U = np.empty((n, m))
+    im_sq = 0.0
+    for lo in range(0, m, _STEP_C_COLUMNS):
+        hi = min(lo + _STEP_C_COLUMNS, m)
+        Gc = G[:, lo:hi]
+        wj = Gc[:q].copy()
+        Gp = Gc[h:][::-1]                    # row j of Gp is w_{n-1-j}
+        Gc[:q] += Gp
+        np.subtract(wj, Gp, out=Gp)
+        C1 = (re @ Gc[:h].view(float)).view(complex)     # Re V (w_j + w_p)
+        C2 = (im @ Gc[q:].view(float)).view(complex)     # Im V (w_j - w_p)
+        np.subtract(C1.real, C2.imag, out=U[:, lo:hi])
+        Im = np.add(C1.imag, C2.real)
+        im_sq += np.vdot(Im, Im)
+    return U, float(np.sqrt(im_sq))
 
 
 def _three_step(decomp, b, solve_block, workers, times):
-    """Steps (a)-(c) for the complex (n, m) blocks b.
+    """Steps (a)-(c) for the real (n, m) blocks b.
 
-    Step (b) splits the n blocks g_j into min(workers, n) contiguous slices
-    [n*i/w, n*(i+1)/w) and calls solve_block(lo, hi, G[lo:hi]) once per
-    slice, on a thread pool when there is more than one; each call
-    overwrites its rows g_j by w_j in place, so one n x m block fewer is
-    alive through step (c).  The seconds of each step are added to
-    times["step_a"], times["step_b"] and times["step_c"].  Returns the real
-    solution blocks and the imaginary residue that the projection onto the
-    reals dropped.
+    Step (b) splits the n complex blocks g_j into min(workers, n)
+    contiguous slices [n*i/w, n*(i+1)/w) and calls solve_block(lo, hi,
+    G[lo:hi]) once per slice, on a thread pool when there is more than one;
+    each call overwrites its rows g_j by w_j in place.  The seconds of each
+    step are added to times["step_a"], times["step_b"] and times["step_c"].
+    Returns the real solution blocks Re(V w) and the imaginary residue
+    ||Im(V w)||/||V w||; a residue above _IMAG_HARD raises
+    NonRealSolutionError.
     """
     t0 = time.perf_counter()
-    G = decomp.Vinv @ b
+    G = _step_a(decomp, b)
     times["step_a"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -150,9 +232,16 @@ def _three_step(decomp, b, solve_block, workers, times):
     times["step_b"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    U = decomp.V @ G
+    U, im = _step_c(decomp, G)
+    unorm = np.hypot(np.linalg.norm(U), im)
+    residue = float(im / unorm) if unorm > 0 else 0.0
     times["step_c"] += time.perf_counter() - t0
-    return _project_real(U)
+    if residue > _IMAG_HARD:
+        raise NonRealSolutionError(
+            f"imaginary residue {residue:.3e} of the recovered solution "
+            f"exceeds {_IMAG_HARD:.0e}"
+        )
+    return U, residue
 
 
 def _solve_linear(decomp, op, rhs, workers, order):
@@ -165,18 +254,17 @@ def _solve_linear(decomp, op, rhs, workers, order):
     shifts = decomp.eigenvalues**order
     times = {"assembly": 0.0, "step_a": 0.0, "step_b": 0.0, "step_c": 0.0}
     t0 = time.perf_counter()
-    bmat = np.ascontiguousarray(rhs.values, dtype=complex)
+    b = _real_rhs(rhs.values)
     times["assembly"] = time.perf_counter() - t0
 
     U, residue = _three_step(
-        decomp, bmat, lambda lo, hi, Gs: op.shifted_solve_batch(shifts[lo:hi], Gs),
+        decomp, b, lambda lo, hi, Gs: op.shifted_solve_batch(shifts[lo:hi], Gs),
         workers, times,
     )
 
     BU = U
     for _ in range(order):
         BU = apply_B(BU, decomp.dt)
-    b = rhs.values
     r = BU + op.apply(U) - b
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(r) / bnorm) if bnorm > 0 else float(np.linalg.norm(r))
@@ -287,6 +375,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     yet and, for an affine f, is the whole solve.  Iteration starts from
     u = 0 and stops once the exact 2-norm residual of the nonlinear system
     drops under tol * ||b||.  report.sweeps holds one record per sweep.
+    The source, f and jac_diag must be real: a sweep whose right-hand side
+    has a nonzero imaginary part raises NonRealSolutionError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -302,7 +392,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     g = np.stack([problem.source(float(tj)) for tj in t])
     from .timedisc import rhs_first_order
 
-    b = rhs_first_order(problem.u0, g, decomp.dt).values.astype(complex)
+    b = _real_rhs(rhs_first_order(problem.u0, g, decomp.dt).values)
     bnorm = np.linalg.norm(b)
 
     U = np.zeros((n, m))
@@ -316,7 +406,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     residue = 0.0
     for k in range(max_iter):
         t0 = time.perf_counter()
-        res = apply_B(U, decomp.dt) + op.apply(U) + problem.f(U) - b.real
+        res = apply_B(U, decomp.dt) + op.apply(U) + problem.f(U) - b
         rel = float(np.linalg.norm(res) / bnorm)
         history.append(rel)
         if rel <= tol:
@@ -332,7 +422,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
         rtol = _FP_RTOL if k == 0 else max(_FP_RTOL, _ETA * rel)
         avg_jac = problem.jac_diag(U).mean(axis=0)
         c = 0.5 * (avg_jac.min() + avg_jac.max())
-        rhs_k = b + U * avg_jac[None, :] - problem.f(U)
+        rhs_k = _real_rhs(b + U * avg_jac[None, :] - problem.f(U))
         times["assembly"] += time.perf_counter() - t0
 
         def solve_block(lo, hi, Gs):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -50,16 +50,38 @@ _PIVOT_FLOOR = 1e-300
 
 
 def build_V(roots: RootSet):
-    """Dense eigenvector matrix; column j is (i^k U_k(x_j))_{k=0..n-1}."""
+    """Dense eigenvector matrix with columns mirrored exactly.
+
+    The recurrence gives v_j = (i^k U_k(x_j))_{k=0..n-1}.  Since
+    x_{n-1-j} = -conj(x_j), v_{n-1-j} = conj(v_j) in exact arithmetic, but
+    the recurrence misses it by 9e-13 (n=1024) to 7e-12 (n=2048) relative.
+    Column j is therefore the average V[:, j] = (v_j + conj(v_{n-1-j}))/2,
+    so that V[:, n-1-j] == conj(V[:, j]) holds bitwise, which the real
+    steps (a)/(c) of the solver rely on.  The average keeps the accuracy of
+    the recurrence; mirroring the first half of the columns instead raised
+    the stencil residual of the 31^2, n=1024 wave solve from 3.5e-11 to
+    8.8e-10.
+    """
     x = roots.xs
     n = roots.n
-    U = np.empty((n, n), dtype=complex)
-    U[0] = 1.0
+    V = np.empty((n, n), dtype=complex)
+    V[0] = 1.0
+    x2 = 2.0 * x
     if n > 1:
-        U[1] = 2.0 * x
+        V[1] = x2
     for k in range(2, n):
-        U[k] = 2.0 * x * U[k - 1] - U[k - 2]
-    return (1j ** np.arange(n))[:, None] * U
+        np.multiply(x2, V[k - 1], out=V[k])
+        V[k] -= V[k - 2]
+    V *= (1j ** np.arange(n))[:, None]
+    q = n // 2
+    left, right = V[:, :q], V[:, n - q:][:, ::-1]
+    left.real += right.real                 # in place, no n x q temporary
+    left.imag -= right.imag
+    left *= 0.5
+    np.conj(left, out=right)
+    if n % 2:
+        V.imag[:, q] = 0.0                  # (v + conj(v))/2 is real
+    return V
 
 
 def thomas_tridiagonal(lower, diag, upper, rhs):
@@ -274,6 +296,17 @@ class SpectralDecomposition:
 
     eigenvalues[j] = i*x_j/dt; V and Vinv are dense complex matrices;
     cond2 estimates Cond_2(V); residual is ||B - V D V^{-1}||_F / ||B||_F.
+
+    q counts the conjugate pairs: for j < q, column n-1-j of V and row
+    n-1-j of Vinv are bitwise the conjugates of column j and row j; every
+    other index pairs with itself.  `decompose` has q = n//2, the real
+    geometric baseline q = 0 (always valid, it just saves nothing).  With
+    h = n - q, the real factors of the solver's steps (a) and (c) are built
+    once here:
+
+        Ainv = [Re Vinv[:h]; Im Vinv[:h]]                        (2h, n)
+        Mc   = [Re V[:, :h] | Im V[:, q:h] | Im V[:, q-1::-1]]    (n, 2h)
+
     Instances are treated as immutable and may be shared across workers.
     """
 
@@ -285,6 +318,22 @@ class SpectralDecomposition:
     cond2: float
     residual: float
     roots: RootSet | None = None
+    q: int = 0
+    Ainv: np.ndarray = field(init=False, repr=False)
+    Mc: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, q = self.n, self.q
+        if not 0 <= q <= n // 2:
+            raise ValueError(f"pair count q={q} is not in [0, n//2] for n={n}")
+        h = n - q
+        self.Ainv = np.empty((2 * h, n))
+        self.Ainv[:h] = self.Vinv[:h].real
+        self.Ainv[h:] = self.Vinv[:h].imag
+        self.Mc = np.empty((n, 2 * h))
+        self.Mc[:, :h] = self.V[:, :h].real
+        self.Mc[:, h:2 * h - q] = self.V[:, q:h].imag
+        self.Mc[:, 2 * h - q:] = self.V[:, :q][:, ::-1].imag
 
     @property
     def newton_iters_max(self):
@@ -307,18 +356,19 @@ def decomposition_residual(eigenvalues, V, Vinv, B):
 
 
 def _check_memory(n):
-    """Raise ChebPintError when the 32 n^2 bytes of the complex V and V^{-1}
-    exceed physical memory (skipped where os.sysconf cannot tell)."""
+    """Raise ChebPintError when the 48 n^2 bytes of the complex V and V^{-1}
+    (32 n^2) and their real factors Ainv and Mc (16 n^2) exceed physical
+    memory (skipped where os.sysconf cannot tell)."""
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = 32 * int(n) ** 2
+    need = 48 * int(n) ** 2
     physical = page * pages
     if page > 0 and pages > 0 and need > physical:
         raise ChebPintError(
-            f"n={n} needs {need} bytes for V and V^-1, more than the "
-            f"{physical} bytes of physical memory"
+            f"n={n} needs {need} bytes for V, V^-1 and their real factors, "
+            f"more than the {physical} bytes of physical memory"
         )
 
 
@@ -326,11 +376,12 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     """Full spectral decomposition of the n-point stencil matrix B.
 
     Roots come from `find_roots`, V from the Chebyshev column formula, V^{-1}
-    from the fast O(n^2) path, cond2 from `cond2_estimate`.  The residual
-    against `assemble_B(n, dt)` is skipped (nan) with `with_residual=False`:
-    its dense n x n product dominates everything else at large n.  An n
-    whose factors cannot fit in physical memory raises ChebPintError before
-    anything is allocated.
+    from the fast O(n^2) path, cond2 from `cond2_estimate`.  Both factors
+    mirror exactly, so all n//2 conjugate pairs are used (q = n//2).  The
+    residual against `assemble_B(n, dt)` is skipped (nan) with
+    `with_residual=False`: its dense n x n product dominates everything else
+    at large n.  An n whose factors cannot fit in physical memory raises
+    ChebPintError before anything is allocated.
     """
     from .timedisc import assemble_B
 
@@ -356,6 +407,7 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
         cond2=cond2,
         residual=residual,
         roots=roots,
+        q=n // 2,
     )
 
 
@@ -367,7 +419,8 @@ def save_decomposition(dec, path):
     """Dump (n, dt, eigenvalues, V, V^{-1}) to a versioned binary file.
 
     One ASCII header line, then IEEE-754 little-endian doubles: eigenvalues,
-    V, V^{-1}, each as row-major (re, im) pairs.
+    V, V^{-1}, each as row-major (re, im) pairs.  The pair count q is not
+    stored: `load_decomposition` derives it from V and V^{-1}.
     """
     header = (
         f"{_DUMP_MAGIC} {_DUMP_VERSION} n={dec.n} dt={dec.dt!r} "
@@ -383,7 +436,9 @@ def save_decomposition(dec, path):
 def load_decomposition(path):
     """Read a decomposition dump written by `save_decomposition`.
 
-    Raises ValueError for anything that is not a complete dump.
+    q is n//2 if the pairs of V columns and V^{-1} rows are bitwise
+    conjugate, and 0 otherwise.  Raises ValueError for anything that is not
+    a complete dump.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -420,7 +475,12 @@ def load_decomposition(path):
     eigenvalues = payload[:n].copy()
     V = payload[n:n + n * n].reshape(n, n).copy()
     Vinv = payload[n + n * n:].reshape(n, n).copy()
+    # the pairs are used only where the data mirror exactly, so a dump of
+    # any V (an older build_V, the geometric baseline) still loads exactly
+    q = n // 2
+    mirrored = (np.array_equal(V[:, n - q:][:, ::-1], np.conj(V[:, :q]))
+                and np.array_equal(Vinv[n - q:][::-1], np.conj(Vinv[:q])))
     return SpectralDecomposition(
         n=n, dt=dt, eigenvalues=eigenvalues, V=V, Vinv=Vinv,
-        cond2=cond2, residual=residual, roots=None,
+        cond2=cond2, residual=residual, roots=None, q=q if mirrored else 0,
     )

@@ -256,7 +256,8 @@ def geometric_decomposition(grid: GeometricGrid):
     D_scale = 1/sqrt(1 + sum |p_l|^2); its inverse comes from forward
     substitution on the Toeplitz factor (exact, O(n^2)) rather than any
     closed-form coefficient formula.  cond2 and the residual against the
-    trapezoidal-rule B come from the same diagnostics as `decompose`.
+    trapezoidal-rule B come from the same diagnostics as `decompose`.  The
+    factors are real and every index pairs with itself (q = 0).
     """
     n = grid.n
     p = _toeplitz_column(grid)
@@ -289,4 +290,5 @@ def geometric_decomposition(grid: GeometricGrid):
         cond2=cond2_estimate(V, Vinv),
         residual=decomposition_residual(eigenvalues, V, Vinv, B),
         roots=None,
+        q=0,
     )

@@ -1,11 +1,13 @@
 """Property tests of the decomposition: dump round-trip, the mirror symmetry
-of V^{-1}, and the cond2 estimate against the SVD; and of the batched sine
-Laplacian solve against its per-row solve.
+of V and V^{-1}, and the cond2 estimate against the SVD; of the solver's
+real steps (a) and (c) against the complex products; and of the batched
+sine Laplacian solve against its per-row solve.
 
 Examples are derandomized and few, so the suite stays deterministic and
 adds only a few seconds.
 """
 
+import dataclasses
 import os
 import tempfile
 from unittest import mock
@@ -14,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpint import spatial
+from chebpint import solver, spatial
 from chebpint.chebroots import find_roots
 from chebpint.spectral import (
     build_V,
@@ -24,6 +26,7 @@ from chebpint.spectral import (
     load_decomposition,
     save_decomposition,
 )
+from chebpint.timedisc import rhs_first_order
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -51,6 +54,61 @@ def test_vinv_rows_mirror_exactly(n):
     Vinv = build_Vinv_fast(find_roots(n))
     for j in range(n // 2):
         assert np.array_equal(Vinv[n - 1 - j], np.conj(Vinv[j])), j
+
+
+@_SETTINGS
+@given(n=st.integers(1, 300))
+def test_v_columns_mirror_exactly(n):
+    V = build_V(find_roots(n))
+    for j in range(n // 2):
+        assert np.array_equal(V[:, n - 1 - j], np.conj(V[:, j])), j
+    if n % 2:
+        assert not V[:, n // 2].imag.any()
+
+
+@_SETTINGS
+@given(n=st.integers(1, 70), m=st.integers(1, 5), paired=st.booleans(),
+       cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
+    dec = decompose(n, 0.1, with_residual=False)
+    if not paired:
+        dec = dataclasses.replace(dec, q=0)
+    assert dec.q == (n // 2 if paired else 0)
+    rng = np.random.default_rng(seed)
+    # W is not mirrored: step (c) must give both parts of V W for any W
+    W = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    VW = dec.V @ W
+    scale = np.abs(VW).max()
+    # chunks of `cols` columns, so most blocks cross chunk boundaries
+    with mock.patch.object(solver, "_STEP_C_COLUMNS", cols):
+        U, im = solver._step_c(dec, W.copy())      # it overwrites its input
+        # Re(V (-i W)) = Im(V W)
+        U_imag, _ = solver._step_c(dec, -1j * W)
+    assert np.abs(U - VW.real).max() <= 1e-13 * scale
+    assert np.abs(U_imag - VW.imag).max() <= 1e-13 * scale
+    assert abs(im - np.linalg.norm(VW.imag)) <= 1e-13 * np.linalg.norm(VW)
+    b = rng.normal(size=(n, m))
+    G = solver._step_a(dec, b)
+    assert (np.abs(G - dec.Vinv @ b) <= 1e-13 * (np.abs(dec.Vinv) @ np.abs(b))).all()
+
+
+@_SETTINGS
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_dump_keeps_pairs_and_solve(n, seed):
+    dec = decompose(n, 0.1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dec.bin")
+        save_decomposition(dec, path)
+        got = load_decomposition(path)
+    assert got.q == dec.q == n // 2
+    rng = np.random.default_rng(seed)
+    m = 3
+    M = rng.normal(size=(m, m))
+    op = spatial.make_dense_operator(M @ M.T + m * np.eye(m))
+    rhs = rhs_first_order(rng.normal(size=m), rng.normal(size=(n, m)), 0.1)
+    want = solver.solve_first_order_linear(dec, op, rhs)
+    have = solver.solve_first_order_linear(got, op, rhs)
+    assert np.array_equal(have.solution.values, want.solution.values)
 
 
 @_SETTINGS

@@ -32,6 +32,8 @@ from chebpint.timedisc import (
     BlockVector,
     TimeGrid,
     assemble_B,
+    assemble_TR_system,
+    geometric_decomposition,
     geometric_grid,
     rhs_first_order,
     rhs_second_order,
@@ -136,6 +138,83 @@ def test_nonreal_solution_rejected():
     rhs = BlockVector(np.array([[1.0 + 1.0j], [0.0], [0.0], [0.0]]))
     with pytest.raises(NonRealSolutionError):
         solve_first_order_linear(dec, op, rhs)
+
+
+class _ShiftSpy(SpatialOperator):
+    """Delegates to an operator, counts its shifted solves and scales the
+    solution of the shift `sigma` by `factor`."""
+
+    def __init__(self, inner, sigma=None, factor=1.0):
+        self.inner = inner
+        self.m = inner.m
+        self.sigma = sigma
+        self.factor = factor
+        self.calls = 0
+
+    def apply(self, v):
+        return self.inner.apply(v)
+
+    def shifted_solve(self, sigma, g):
+        self.calls += 1
+        w = self.inner.shifted_solve(sigma, g)
+        return w * self.factor if sigma == self.sigma else w
+
+
+def _small_first_order_case(n=12, m=3, seed=61):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(m, m))
+    op = make_dense_operator(M @ M.T + m * np.eye(m))
+    dec = decompose(n, 0.1)
+    rhs = rhs_first_order(rng.normal(size=m), rng.normal(size=(n, m)), 0.1)
+    return dec, op, rhs
+
+
+def test_one_doubled_shift_raises_nonreal():
+    # the imaginary residue is still computed over all n shifted solves, so
+    # a solve that breaks the conjugate symmetry of one pair is caught
+    dec, op, rhs = _small_first_order_case()
+    spy = _ShiftSpy(op, sigma=dec.eigenvalues[2], factor=2.0)
+    with pytest.raises(NonRealSolutionError, match="imaginary residue"):
+        solve_first_order_linear(dec, spy, rhs)
+    assert spy.calls == dec.n
+
+
+def test_complex_rhs_rejected_before_any_shifted_solve():
+    dec, op, rhs = _small_first_order_case()
+    values = rhs.values.astype(complex)
+    values[3, 1] += 1e-30j
+    spy = _ShiftSpy(op)
+    for solve in (solve_first_order_linear, solve_second_order_linear):
+        with pytest.raises(NonRealSolutionError, match="right-hand side"):
+            solve(dec, spy, BlockVector(values))
+    assert spy.calls == 0
+
+
+def test_complex_dtype_rhs_with_zero_imaginary_part_is_its_real_part():
+    dec, op, rhs = _small_first_order_case()
+    real = solve_first_order_linear(dec, op, rhs)
+    cplx = solve_first_order_linear(dec, op, BlockVector(rhs.values.astype(complex)))
+    assert cplx.solution.values.dtype == np.float64
+    assert np.array_equal(cplx.solution.values, real.solution.values)
+    assert cplx.residual_history == real.residual_history
+    assert cplx.imag_residue == real.imag_residue
+
+
+def test_geometric_baseline_matches_dense_trapezoidal_oracle():
+    rng = np.random.default_rng(67)
+    n, m = 10, 3
+    grid = geometric_grid(n, 1.15, 0.1)
+    gdec = geometric_decomposition(grid)
+    assert gdec.q == 0
+    M = rng.normal(size=(m, m))
+    A = M @ M.T + m * np.eye(m)
+    b = rng.normal(size=(n, m))
+    B, _, _ = assemble_TR_system(grid)
+    expected = np.linalg.solve(np.kron(B, np.eye(m)) + np.kron(np.eye(n), A),
+                               b.ravel()).reshape(n, m)
+    rep = solve_first_order_linear(gdec, make_dense_operator(A), BlockVector(b))
+    err = np.abs(rep.solution.values - expected).max()
+    assert err <= 1e-9 * np.abs(expected).max()
 
 
 # --------------------------------------------------------- recover_velocity

@@ -1,5 +1,6 @@
 """Tests for the eigenvector matrix, its fast inverse, and decompositions."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -260,7 +261,7 @@ def test_decompose_rejects_n_beyond_physical_memory(monkeypatch):
 
     monkeypatch.setattr(spectral, "find_roots", no_roots)
     n = 2**20
-    with pytest.raises(ChebPintError, match=f"n={n} needs {32 * n * n} bytes"):
+    with pytest.raises(ChebPintError, match=f"n={n} needs {48 * n * n} bytes"):
         decompose(n, 1.0)
 
 
@@ -301,6 +302,25 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.eigenvalues, dec.eigenvalues)
     assert np.array_equal(back.V, dec.V)
     assert np.array_equal(back.Vinv, dec.Vinv)
+
+
+def test_load_uses_pairs_only_where_the_dump_mirrors(tmp_path):
+    # a V column off its mirror by one ulp, as the recurrence alone leaves
+    # it, loads with q = 0: every index then pairs with itself
+    dec = decompose(13, 0.5)
+    dec.V[4, 2] = np.nextafter(dec.V[4, 2].real, 2.0) + 1j * dec.V[4, 2].imag
+    path = tmp_path / "dec.bin"
+    save_decomposition(dec, path)
+    back = load_decomposition(path)
+    assert (dec.q, back.q) == (6, 0)
+    assert back.Mc.shape == (13, 26) and back.Ainv.shape == (26, 13)
+
+
+@pytest.mark.parametrize("q", [-1, 7])
+def test_decomposition_rejects_pair_count_out_of_range(q):
+    dec = decompose(13, 0.5)
+    with pytest.raises(ValueError, match="pair count"):
+        dataclasses.replace(dec, q=q)
 
 
 def test_load_rejects_garbage(tmp_path):
