@@ -194,6 +194,22 @@ def _sweep_totals(report):
     }
 
 
+def _bench_once(args, side, n, workers, reps):
+    """Decompose and solve the benchmark problem of the CLI arguments at n
+    time points; returns the report, the median seconds of `reps` solves
+    and the global error against the discrete reference."""
+    problem = make_benchmark(args.kind, side, n=n, T=args.T)
+    grid = problem.grid
+    dec = spectral.decompose(n, grid.dt, with_residual=False)
+    g = problem.sample_source(grid.t_points)
+    report, seconds = _median_time(
+        lambda: _solve_benchmark(problem, dec, g, args.tol, args.max_iter, workers),
+        reps=reps,
+    )
+    ref = BlockVector(problem.discrete_reference(grid.t_points))
+    return report, seconds, global_error(report.solution, ref)
+
+
 def cmd_convergence(args):
     side = _square_side(args.m)
     n_list = args.n_list
@@ -201,15 +217,7 @@ def cmd_convergence(args):
     rows = []
     prev_err = None
     for n in n_list:
-        problem = make_benchmark(args.kind, side, n=n, T=args.T)
-        grid = problem.grid
-        dec = spectral.decompose(n, grid.dt, with_residual=False)
-        g = problem.sample_source(grid.t_points)
-        t0 = time.perf_counter()
-        report = _solve_benchmark(problem, dec, g, args.tol, args.max_iter, workers)
-        seconds = time.perf_counter() - t0
-        ref = BlockVector(problem.discrete_reference(grid.t_points))
-        err = global_error(report.solution, ref)
+        report, seconds, err = _bench_once(args, side, n, workers, reps=1)
         order = float(np.log2(prev_err / err)) if prev_err else float("nan")
         prev_err = err
         rows.append({
@@ -298,19 +306,6 @@ def cmd_compare_geometric(args):
 
 # ------------------------------------------------------------------- bench
 
-def _bench_once(args, side, n, workers):
-    problem = make_benchmark(args.kind, side, n=n, T=args.T)
-    grid = problem.grid
-    dec = spectral.decompose(n, grid.dt, with_residual=False)
-    g = problem.sample_source(grid.t_points)
-    report, seconds = _median_time(
-        lambda: _solve_benchmark(problem, dec, g, args.tol, args.max_iter, workers),
-        reps=3,
-    )
-    ref = BlockVector(problem.discrete_reference(grid.t_points))
-    return report, seconds, global_error(report.solution, ref)
-
-
 def cmd_bench(args):
     side = _square_side(args.m)
     workers_list = args.workers_list
@@ -321,12 +316,12 @@ def cmd_bench(args):
     weak_base = None
     prev_speedup = 0.0
     for s in workers_list:
-        report, seconds, err = _bench_once(args, side, args.n, s)
+        report, seconds, err = _bench_once(args, side, args.n, s, reps=3)
         if strong_base is None:
             strong_base = seconds
         speedup = strong_base / seconds
         n_weak = 2 * s
-        rep_w, sec_w, err_w = _bench_once(args, side, n_weak, s)
+        rep_w, sec_w, err_w = _bench_once(args, side, n_weak, s, reps=3)
         if weak_base is None:
             weak_base = sec_w
         rows.append({
@@ -361,6 +356,11 @@ def _add_common(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _add_workers(p):
+    p.add_argument("--workers", type=_workers,
+                   default=os.environ.get("CHEBPINT_WORKERS") or "1",
+                   help="worker threads for step (b) (env CHEBPINT_WORKERS)")
+
 
 def build_parser():
     parser = _Parser(prog="chebpint",
@@ -380,9 +380,7 @@ def build_parser():
 
     p = sub.add_parser("convergence", help="temporal order study")
     _add_common(p)
-    p.add_argument("--workers", type=_workers,
-                   default=os.environ.get("CHEBPINT_WORKERS") or "1",
-                   help="worker threads for step (b) (env CHEBPINT_WORKERS)")
+    _add_workers(p)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=50)
     p.add_argument("--kind", choices=("heat", "wave", "semilinear"), required=True)
@@ -396,9 +394,7 @@ def build_parser():
     p = sub.add_parser("compare-geometric",
                        help="geometric-step baseline comparison (1D wave)")
     _add_common(p)
-    p.add_argument("--workers", type=_workers,
-                   default=os.environ.get("CHEBPINT_WORKERS") or "1",
-                   help="worker threads for step (b) (env CHEBPINT_WORKERS)")
+    _add_workers(p)
     p.add_argument("--tau", type=float, default=1.15)
     p.add_argument("--dt-last", dest="dt_last", type=float, default=1e-2)
     p.add_argument("--n-max", dest="n_max", type=int, default=50)

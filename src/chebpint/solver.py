@@ -4,22 +4,24 @@ Every driver runs one three-step kernel once B = V D V^{-1} is known:
 
     (a)  g = (V^{-1} (x) I) b          -- one real product over the pairs
     (b)  (sigma_j I + A) w_j = g_j     -- n independent shifted solves
-    (c)  u = (V (x) I) w               -- two real products over the pairs
+    (c)  u = (V (x) I) w               -- one real product over the pairs
 
 The right-hand side b is real: a nonzero imaginary part raises
 NonRealSolutionError before step (a).  The decomposition pairs index j < q
 with n-1-j, whose V column and V^{-1} row are the exact conjugates, and
-every other index with itself (SpectralDecomposition).  Step (a) is then
-one real product of the (2h, n) factor [Re V^{-1}[:h]; Im V^{-1}[:h]],
-h = n - q, with b, and g_{n-1-j} = conj(g_j): 2n^2 m flops instead of the
-complex product's 8n^2 m.  Step (c) overwrites each pair of rows by
-w_j + w_p and w_j - w_p, and takes V w as Re V[:, :h] times the first and
-i Im V[:, :h] times the second, each a real product on the (re, im) float
-view of the rows: 4n^2 m flops instead of 8n^2 m.  Both the real and the
-imaginary part are exact for any w, so the imaginary residue
-||Im(V w)||/||V w|| still measures how far the n shifted solves are from
-conjugate-symmetric; above _IMAG_HARD it raises NonRealSolutionError, and
-the real part is the solution.
+every other index with itself (SpectralDecomposition).  Both steps read
+the stored V and V^{-1} through float views, without a copy; h = n - q.
+Step (a) is one real product of the (2h, n) float view of V^{-1}[:h],
+whose rows alternate Re V^{-1}[k] and Im V^{-1}[k], with b, and
+g_{n-1-j} = conj(g_j): 2n^2 m flops instead of the complex product's
+8n^2 m.  Step (c) interleaves the rows w_j + w_p and i(w_j - w_p) of each
+pair (w_k and i w_k of a self-paired index) and multiplies them by the
+(n, 2h) float view of V[:, :h], whose columns alternate Re V_k and Im V_k:
+one real product on the (re, im) float view of those rows, 4n^2 m flops
+instead of 8n^2 m.  Both the real and the imaginary part of V w are exact
+for any w, so the imaginary residue ||Im(V w)||/||V w|| still measures how
+far the n shifted solves are from conjugate-symmetric; above _IMAG_HARD it
+raises NonRealSolutionError, and the real part is the solution.
 
 Linear first-order systems (B (x) I + I (x) A) u = b use the shifts
 sigma_j = lambda_j, second-order systems (B^2 (x) I + I (x) A) u = b the
@@ -106,7 +108,6 @@ class SolveReport:
     iterations: int
     residual_history: list
     phase_times: dict
-    worker_count: int
     imag_residue: float = 0.0
     #: one dict per SNI sweep: the outer residual it starts from, the inner
     #: tolerance of its fixed points, their updates per shift (max and
@@ -142,64 +143,69 @@ def _real_rhs(values):
 
 
 #: columns of the (n, m) blocks per chunk of step (c): its temporaries are
-#: two n x 256 complex products (4 MiB each at n=1024); a whole-block step
-#: (c) raised the peak RSS of 1024 shifts on a 31^2 grid by 24%, and
-#: chunks of 128 columns or fewer slow the products down
+#: the (2h, 256) interleaved rows and their n x 256 complex product (4 MiB
+#: each at n=1024); a whole-block step (c) raised the peak RSS of 1024
+#: shifts on a 31^2 grid by 24%, and chunks of 128 columns or fewer slow
+#: the products down
 _STEP_C_COLUMNS = 256
 
 
 def _step_a(decomp, b):
     """g = V^{-1} b for the real (n, m) blocks b, by one real product.
 
-    Rows j < h = n - q come from [Re V^{-1}[:h]; Im V^{-1}[:h]] @ b, and
-    row n-1-j is the conjugate of row j < q.  Returns a C-contiguous
-    complex (n, m) array.
+    With h = n - q, the Fortran-ordered V^{-1} gives Vinv[:h].T.view(float).T,
+    a strided (2h, n) operand whose rows 2k and 2k+1 are Re V^{-1}[k] and
+    Im V^{-1}[k], without a copy; its product with b holds Re g_k and Im g_k
+    in rows 2k and 2k+1.  Row n-1-j of g is the conjugate of row j < q.
+    Returns a C-contiguous complex (n, m) array.
     """
     n, q = decomp.n, decomp.q
     h = n - q
-    P = decomp.Ainv @ b
+    P = decomp.Vinv[:h].T.view(float).T @ b
     G = np.empty((n, b.shape[1]), dtype=complex)
-    G.real[:h] = P[:h]
-    G.imag[:h] = P[h:]
+    G.real[:h] = P[0::2]
+    G.imag[:h] = P[1::2]
     np.conj(G[:q][::-1], out=G[h:])
     return G
 
 
 def _step_c(decomp, G):
-    """Re(V w) and ||Im(V w)||_F for the complex (n, m) blocks w in G,
-    which it overwrites.
+    """Re(V w) and ||Im(V w)||_F for the complex (n, m) blocks w in G.
 
     With p = n-1-j, V[:, p] = conj(V[:, j]) gives, for every pair j < q,
-    V_j w_j + V_p w_p = Re V_j (w_j + w_p) + i Im V_j (w_j - w_p), and a
-    self-paired index k contributes Re V_k w_k + i Im V_k w_k.  So once
-    row j < q of G holds w_j + w_p and row p holds w_j - w_p,
+    V_j w_j + V_p w_p = Re V_j (w_j + w_p) + Im V_j i(w_j - w_p), and a
+    self-paired index k contributes Re V_k w_k + Im V_k (i w_k).  The float
+    view Vf = V[:, :h].view(float) has the columns Re V_k and Im V_k at 2k
+    and 2k+1, so with the complex rows
 
-        V w = Re V[:, :h] @ G[:h] + i [Im V[:, q:h] | Im V[:, q-1::-1]] @ G[q:]
+        X[2j] = w_j + w_p,  X[2j+1] = i(w_j - w_p)     (j < q)
+        X[2k] = w_k,        X[2k+1] = i w_k            (q <= k < h)
 
-    exactly; these are the two halves of Mc, and each product of a real
-    factor with complex rows is one real product on their (re, im)
-    float view.  Summing the Re V and the Im V halves in two products, not
-    one over all of Mc, keeps the stencil residual of the complex product
-    (one product left it 14% larger on the 255^2 heat problem).
+    V w = Vf @ X exactly, for any w: one real product on the (re, im) float
+    view of X.  G is not changed.  With this interleaved order one product
+    suffices: the stencil residual of the 255^2 heat problem is 2.2% above
+    that of the complex product (2.333e-12 against 2.282e-12), where one
+    product that sums all Re V terms before all Im V terms left it 14%
+    above.
     """
     n, q = decomp.n, decomp.q
     h = n - q
-    re, im = decomp.Mc[:, :h], decomp.Mc[:, h:]
+    Vf = decomp.V[:, :h].view(float)
     m = G.shape[1]
     U = np.empty((n, m))
     im_sq = 0.0
     for lo in range(0, m, _STEP_C_COLUMNS):
         hi = min(lo + _STEP_C_COLUMNS, m)
-        Gc = G[:, lo:hi]
-        wj = Gc[:q].copy()
-        Gp = Gc[h:][::-1]                    # row j of Gp is w_{n-1-j}
-        Gc[:q] += Gp
-        np.subtract(wj, Gp, out=Gp)
-        C1 = (re @ Gc[:h].view(float)).view(complex)     # Re V (w_j + w_p)
-        C2 = (im @ Gc[q:].view(float)).view(complex)     # Im V (w_j - w_p)
-        np.subtract(C1.real, C2.imag, out=U[:, lo:hi])
-        Im = np.add(C1.imag, C2.real)
-        im_sq += np.vdot(Im, Im)
+        wj, wp, ws = G[:q, lo:hi], G[h:, lo:hi][::-1], G[q:h, lo:hi]
+        X = np.empty((2 * h, hi - lo), dtype=complex)
+        np.add(wj, wp, out=X[0:2 * q:2])
+        np.subtract(wj, wp, out=X[1:2 * q:2])
+        X[1:2 * q:2] *= 1j
+        X[2 * q::2] = ws
+        np.multiply(ws, 1j, out=X[2 * q + 1::2])
+        Y = (Vf @ X.view(float)).view(complex)
+        U[:, lo:hi] = Y.real
+        im_sq += np.vdot(Y.imag, Y.imag)
     return U, float(np.sqrt(im_sq))
 
 
@@ -273,7 +279,6 @@ def _solve_linear(decomp, op, rhs, workers, order):
         iterations=1,
         residual_history=[res],
         phase_times=times,
-        worker_count=workers,
         imag_residue=residue,
     )
 
@@ -415,7 +420,6 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
                 iterations=k,
                 residual_history=history,
                 phase_times=times,
-                worker_count=workers,
                 imag_residue=residue,
                 sweeps=sweeps,
             )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -186,7 +186,11 @@ def _vectorized_thomas_constant(x_vals, rhs, check_pivots=False):
 
 
 def build_Vinv_fast(roots: RootSet):
-    """V^{-1} in O(n^2) via the pentadiagonal/tridiagonal factor structure."""
+    """V^{-1} in O(n^2) via the pentadiagonal/tridiagonal factor structure.
+
+    The result is Fortran-ordered, the layout SpectralDecomposition stores
+    V^{-1} in, so `decompose` hands it over without a copy.
+    """
     n = roots.n
     x = roots.xs
     b = solve_pentadiagonal_S(n)
@@ -209,10 +213,10 @@ def build_Vinv_fast(roots: RootSet):
         Y[:-2] += phi[2:]
         Y[2:] += phi[:-2]
 
-    W = np.empty((n, n), dtype=complex)                  # rows indexed by j
+    W = np.empty((n, n), dtype=complex, order="F")       # rows indexed by j
     W[:nhalf] = Y.T
     if n > nhalf:
-        W[nhalf:] = np.conj(W[: n - nhalf][::-1])
+        np.conj(W[: n - nhalf][::-1], out=W[nhalf:])    # no n x n/2 temporary
     return W
 
 
@@ -300,14 +304,15 @@ class SpectralDecomposition:
     q counts the conjugate pairs: for j < q, column n-1-j of V and row
     n-1-j of Vinv are bitwise the conjugates of column j and row j; every
     other index pairs with itself.  `decompose` has q = n//2, the real
-    geometric baseline q = 0 (always valid, it just saves nothing).  With
-    h = n - q, the real factors of the solver's steps (a) and (c) are built
-    once here:
+    geometric baseline q = 0 (always valid, it just saves nothing).
 
-        Ainv = [Re Vinv[:h]; Im Vinv[:h]]                        (2h, n)
-        Mc   = [Re V[:, :h] | Im V[:, q:h] | Im V[:, q-1::-1]]    (n, 2h)
-
-    Instances are treated as immutable and may be shared across workers.
+    V and Vinv are the only copy of the factors: the solver's real steps
+    (a) and (c) read them through float views.  V is C-ordered, so
+    V[:, :h].view(float) interleaves Re V_k and Im V_k as columns; Vinv is
+    stored Fortran-ordered, so Vinv[:h].T.view(float).T interleaves
+    Re Vinv[k] and Im Vinv[k] as rows of a strided BLAS operand.  Neither
+    view copies.  Instances are treated as immutable and may be shared
+    across workers.
     """
 
     n: int
@@ -319,21 +324,17 @@ class SpectralDecomposition:
     residual: float
     roots: RootSet | None = None
     q: int = 0
-    Ainv: np.ndarray = field(init=False, repr=False)
-    Mc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, q = self.n, self.q
+        for name, shape in (("eigenvalues", (n,)), ("V", (n, n)), ("Vinv", (n, n))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape} for n={n}")
         if not 0 <= q <= n // 2:
             raise ValueError(f"pair count q={q} is not in [0, n//2] for n={n}")
-        h = n - q
-        self.Ainv = np.empty((2 * h, n))
-        self.Ainv[:h] = self.Vinv[:h].real
-        self.Ainv[h:] = self.Vinv[:h].imag
-        self.Mc = np.empty((n, 2 * h))
-        self.Mc[:, :h] = self.V[:, :h].real
-        self.Mc[:, h:2 * h - q] = self.V[:, q:h].imag
-        self.Mc[:, 2 * h - q:] = self.V[:, :q][:, ::-1].imag
+        self.V = np.ascontiguousarray(self.V, dtype=complex)
+        self.Vinv = np.asfortranarray(self.Vinv, dtype=complex)
 
     @property
     def newton_iters_max(self):
@@ -355,20 +356,27 @@ def decomposition_residual(eigenvalues, V, Vinv, B):
     return float(np.linalg.norm(M) / np.linalg.norm(data))
 
 
-def _check_memory(n):
-    """Raise ChebPintError when the 48 n^2 bytes of the complex V and V^{-1}
-    (32 n^2) and their real factors Ainv and Mc (16 n^2) exceed physical
-    memory (skipped where os.sysconf cannot tell)."""
+def _check_memory(n, with_residual):
+    """Raise ChebPintError when the peak of `decompose` exceeds physical
+    memory (skipped where os.sysconf cannot tell).
+
+    The peak is measured (tracemalloc, n = 256 to 1024): 48 n^2 bytes while
+    `build_Vinv_fast` runs next to V (V and V^{-1} at 16 n^2 each, two
+    n x n/2 work arrays), and 64 n^2 with the residual, whose V D and
+    V D V^{-1} add two n x n complex arrays to V and V^{-1}.  Afterwards
+    the decomposition holds 32 n^2.
+    """
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = 48 * int(n) ** 2
+    need = (64 if with_residual else 48) * int(n) ** 2
     physical = page * pages
     if page > 0 and pages > 0 and need > physical:
         raise ChebPintError(
-            f"n={n} needs {need} bytes for V, V^-1 and their real factors, "
-            f"more than the {physical} bytes of physical memory"
+            f"n={n} needs {need} bytes at the peak of decompose "
+            f"(with_residual={with_residual}), more than the {physical} bytes "
+            f"of physical memory"
         )
 
 
@@ -380,14 +388,14 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     mirror exactly, so all n//2 conjugate pairs are used (q = n//2).  The
     residual against `assemble_B(n, dt)` is skipped (nan) with
     `with_residual=False`: its dense n x n product dominates everything else
-    at large n.  An n whose factors cannot fit in physical memory raises
-    ChebPintError before anything is allocated.
+    at large n.  An n whose peak memory (`_check_memory`) cannot fit in
+    physical memory raises ChebPintError before anything is allocated.
     """
     from .timedisc import assemble_B
 
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    _check_memory(n)
+    _check_memory(n, with_residual)
     roots = find_roots(n, tol=tol, max_iter=max_iter)
     V = build_V(roots)
     Vinv = build_Vinv_fast(roots)
@@ -474,7 +482,7 @@ def load_decomposition(path):
         )
     eigenvalues = payload[:n].copy()
     V = payload[n:n + n * n].reshape(n, n).copy()
-    Vinv = payload[n + n * n:].reshape(n, n).copy()
+    Vinv = np.array(payload[n + n * n:].reshape(n, n), order="F")
     # the pairs are used only where the data mirror exactly, so a dump of
     # any V (an older build_V, the geometric baseline) still loads exactly
     q = n // 2

@@ -77,13 +77,15 @@ def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
     rng = np.random.default_rng(seed)
     # W is not mirrored: step (c) must give both parts of V W for any W
     W = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    W0 = W.copy()
     VW = dec.V @ W
     scale = np.abs(VW).max()
     # chunks of `cols` columns, so most blocks cross chunk boundaries
     with mock.patch.object(solver, "_STEP_C_COLUMNS", cols):
-        U, im = solver._step_c(dec, W.copy())      # it overwrites its input
+        U, im = solver._step_c(dec, W)
         # Re(V (-i W)) = Im(V W)
         U_imag, _ = solver._step_c(dec, -1j * W)
+    assert np.array_equal(W, W0)                   # the input is not changed
     assert np.abs(U - VW.real).max() <= 1e-13 * scale
     assert np.abs(U_imag - VW.imag).max() <= 1e-13 * scale
     assert abs(im - np.linalg.norm(VW.imag)) <= 1e-13 * np.linalg.norm(VW)

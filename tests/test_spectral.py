@@ -1,6 +1,8 @@
 """Tests for the eigenvector matrix, its fast inverse, and decompositions."""
 
 import dataclasses
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +24,14 @@ from chebpint.spectral import (
     solve_pentadiagonal_S,
     thomas_tridiagonal,
 )
-from chebpint.timedisc import assemble_B
+from chebpint.solver import solve_first_order_linear
+from chebpint.spatial import make_dense_operator
+from chebpint.timedisc import (
+    assemble_B,
+    geometric_decomposition,
+    geometric_grid,
+    rhs_first_order,
+)
 
 
 # ----------------------------------------------------------------- build_V
@@ -261,8 +270,40 @@ def test_decompose_rejects_n_beyond_physical_memory(monkeypatch):
 
     monkeypatch.setattr(spectral, "find_roots", no_roots)
     n = 2**20
-    with pytest.raises(ChebPintError, match=f"n={n} needs {48 * n * n} bytes"):
+    with pytest.raises(ChebPintError, match=f"n={n} needs {64 * n * n} bytes"):
         decompose(n, 1.0)
+
+
+@pytest.mark.parametrize("with_residual, per_n2", [(False, 48), (True, 64)])
+def test_memory_guard_counts_the_peak_of_decompose(with_residual, per_n2):
+    n = 512
+    decompose(n, 1.0 / n, with_residual=with_residual)    # warm up the imports
+    tracemalloc.start()
+    try:
+        decompose(n, 1.0 / n, with_residual=with_residual)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_n2 * n * n + 2**20
+
+
+def test_memory_guard_refuses_only_the_mode_that_does_not_fit(monkeypatch):
+    n = 64
+    physical = 56 * n * n                   # between 48 n^2 and 64 n^2
+    real_sysconf = os.sysconf
+
+    def sysconf(name):
+        return {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get(name) or real_sysconf(name)
+
+    monkeypatch.setattr(spectral.os, "sysconf", sysconf)
+    assert decompose(n, 1.0, with_residual=False).n == n
+
+    def no_roots(*args, **kwargs):
+        raise AssertionError("find_roots reached")
+
+    monkeypatch.setattr(spectral, "find_roots", no_roots)
+    with pytest.raises(ChebPintError, match=f"n={n} needs {64 * n * n} bytes"):
+        decompose(n, 1.0, with_residual=True)
 
 
 def test_decompose_eigen_residual_against_independent_B():
@@ -313,7 +354,35 @@ def test_load_uses_pairs_only_where_the_dump_mirrors(tmp_path):
     save_decomposition(dec, path)
     back = load_decomposition(path)
     assert (dec.q, back.q) == (6, 0)
-    assert back.Mc.shape == (13, 26) and back.Ainv.shape == (26, 13)
+    # q = 0 runs every index through the self-paired rows of steps (a)/(c)
+    rng = np.random.default_rng(3)
+    m = 4
+    M = rng.normal(size=(m, m))
+    op = make_dense_operator(M @ M.T + m * np.eye(m))
+    rhs = rhs_first_order(rng.normal(size=m), rng.normal(size=(13, m)), 0.5)
+    want = solve_first_order_linear(dec, op, rhs).solution.values
+    have = solve_first_order_linear(back, op, rhs).solution.values
+    assert np.abs(have - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_vinv_is_stored_fortran_ordered(tmp_path):
+    dec = decompose(13, 0.5)
+    path = tmp_path / "dec.bin"
+    save_decomposition(dec, path)
+    for d in (dec, load_decomposition(path),
+              geometric_decomposition(geometric_grid(9, 1.15, 1e-2)),
+              dataclasses.replace(dec, q=0)):
+        assert d.Vinv.flags.f_contiguous
+        assert d.V.flags.c_contiguous
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("eigenvalues", (3,)), ("V", (3, 3)), ("Vinv", (4, 3)),
+])
+def test_decomposition_rejects_bad_shapes(field, shape):
+    dec = decompose(4, 0.5)
+    with pytest.raises(ValueError, match=f"{field} has shape"):
+        dataclasses.replace(dec, **{field: np.zeros(shape, dtype=complex)})
 
 
 @pytest.mark.parametrize("q", [-1, 7])
