@@ -21,6 +21,10 @@ Note that ``rho`` factors as ``sin(theta) * p_n(cos(theta))`` with
 ``theta = 0, pi`` that do not correspond to roots of ``p_n``.  Newton is
 therefore run on the deflated residual ``rho(theta)/sin(theta)``, which
 removes those traps.
+
+Only the first ceil(n/2) roots are iterated; the others are set to their
+mirrors, so ``x_{n+1-j} = -conj(x_j)`` holds bitwise rather than to the
+Newton tolerance.  `spectral` builds V and V^{-1} from that symmetry.
 """
 
 from __future__ import annotations
@@ -182,13 +186,20 @@ class RootSet:
 def find_roots(n, tol=1e-10, max_iter=50):
     """Compute all n roots of U_{n-1}(x) - i*T_n(x) = 0 by Newton iteration.
 
-    Newton runs simultaneously on all indices in the theta variable, on the
-    deflated residual rho(theta)/sin(theta).  A root is accepted once
-    |rho| <= tol and the last update satisfied |dtheta| <= tol*max(1,|theta|),
-    or once updates stagnate at the floating-point floor (for large n the
-    evaluated residual cannot reach arbitrarily small tolerances even at the
-    correctly rounded root; stagnation detection keeps such roots instead of
-    mislabeling them divergent).  Seeds come from :func:`refined_guesses`.
+    Newton runs simultaneously on the h = ceil(n/2) representatives
+    j < h in the theta variable, on the deflated residual
+    rho(theta)/sin(theta).  The other indices are their mirrors,
+    theta_{n-1-j} = pi - conj(theta_j) and x_{n-1-j} = -conj(x_j), with the
+    Newton counts and residuals copied, so the symmetry holds bitwise; for
+    odd n the middle root has Re theta = pi/2 and Re x = 0 exactly.  The
+    eigenvalues i*x_j then satisfy lambda_{n-1-j} = conj(lambda_j) bitwise.
+
+    A root is accepted once |rho| <= tol and the last update satisfied
+    |dtheta| <= tol*max(1,|theta|), or once updates stagnate at the
+    floating-point floor (for large n the evaluated residual cannot reach
+    arbitrarily small tolerances even at the correctly rounded root;
+    stagnation detection keeps such roots instead of mislabeling them
+    divergent).  Seeds come from :func:`refined_guesses`.
 
     Parameters
     ----------
@@ -209,12 +220,13 @@ def find_roots(n, tol=1e-10, max_iter=50):
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    theta = refined_guesses(n).astype(complex)
+    h = (n + 1) // 2
+    theta = refined_guesses(n)[:h].astype(complex)
 
-    iters = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
-    last_step = np.full(n, np.inf)
-    stag_count = np.zeros(n, dtype=int)
+    iters = np.zeros(h, dtype=int)
+    active = np.ones(h, dtype=bool)
+    last_step = np.full(h, np.inf)
+    stag_count = np.zeros(h, dtype=int)
 
     for sweep in range(max_iter + 1):
         rho, rho_p = rho_and_derivative(theta, n)
@@ -241,6 +253,8 @@ def find_roots(n, tol=1e-10, max_iter=50):
         last_step = np.where(active, mag, last_step)
         iters[active] += 1
 
+    if n % 2:
+        theta.real[-1] = 0.5 * np.pi        # the self-mirrored root
     rho, _ = rho_and_derivative(theta, n)
     rho = np.atleast_1d(rho)
     resid = np.abs(rho)
@@ -250,6 +264,13 @@ def find_roots(n, tol=1e-10, max_iter=50):
         raise NonConvergenceError(idx.tolist(), resid[still_bad].tolist(), max_iter)
 
     x = np.cos(theta)
+    if n % 2:
+        x.real[-1] = 0.0
+    q = n // 2
+    thetas = np.concatenate([theta, (np.pi - np.conj(theta[:q]))[::-1]])
+    x = np.concatenate([x, -np.conj(x[:q])[::-1]])
+    iters = np.concatenate([iters, iters[:q][::-1]])
+    resid = np.concatenate([resid, resid[:q][::-1]])
     if n > 1:
         order = np.lexsort((x.imag, x.real))
         xs = x[order]
@@ -259,7 +280,7 @@ def find_roots(n, tol=1e-10, max_iter=50):
             pair = (int(order[k]) + 1, int(order[k + 1]) + 1)
             raise DuplicateRootsError(pair, float(gaps[k]))
 
-    return RootSet(n=n, thetas=theta, xs=x, newton_iters=iters, residuals=resid)
+    return RootSet(n=n, thetas=thetas, xs=x, newton_iters=iters, residuals=resid)
 
 
 def p_prime(theta, n):

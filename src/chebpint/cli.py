@@ -142,6 +142,8 @@ def cmd_decompose(args):
         "cond2": dec.cond2,
         "omega_fast": dec.residual,
         "fast_seconds": fast_seconds,
+        # the layers of the last repetition
+        **{f"{phase}_seconds": t for phase, t in dec.phase_times.items()},
     }
 
     if not args.skip_reference:

@@ -22,8 +22,9 @@ as the independent cross-check path.
 from __future__ import annotations
 
 import os
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -50,37 +51,29 @@ _PIVOT_FLOOR = 1e-300
 
 
 def build_V(roots: RootSet):
-    """Dense eigenvector matrix with columns mirrored exactly.
+    """Dense eigenvector matrix V[k, j] = i^k U_k(x_j), columns mirrored
+    exactly.
 
-    The recurrence gives v_j = (i^k U_k(x_j))_{k=0..n-1}.  Since
-    x_{n-1-j} = -conj(x_j), v_{n-1-j} = conj(v_j) in exact arithmetic, but
-    the recurrence misses it by 9e-13 (n=1024) to 7e-12 (n=2048) relative.
-    Column j is therefore the average V[:, j] = (v_j + conj(v_{n-1-j}))/2,
-    so that V[:, n-1-j] == conj(V[:, j]) holds bitwise, which the real
-    steps (a)/(c) of the solver rely on.  The average keeps the accuracy of
-    the recurrence; mirroring the first half of the columns instead raised
-    the stencil residual of the 31^2, n=1024 wave solve from 3.5e-11 to
-    8.8e-10.
+    Times i^k, the recurrence U_k = 2x U_{k-1} - U_{k-2} reads
+    P_k = 2ix P_{k-1} + P_{k-2}, which gives i^k U_k with no scaling pass.
+    It runs on the h = ceil(n/2) representative columns only: `find_roots`
+    makes x_{n-1-j} = -conj(x_j) bitwise, so v_{n-1-j} = conj(v_j) exactly,
+    and the other columns are filled as those conjugates.  For odd n the
+    middle root has Re x = 0, so 2ix and its column are real.  The real
+    steps (a)/(c) of the solver rely on V[:, n-1-j] == conj(V[:, j]).
     """
-    x = roots.xs
     n = roots.n
-    V = np.empty((n, n), dtype=complex)
-    V[0] = 1.0
-    x2 = 2.0 * x
-    if n > 1:
-        V[1] = x2
-    for k in range(2, n):
-        np.multiply(x2, V[k - 1], out=V[k])
-        V[k] -= V[k - 2]
-    V *= (1j ** np.arange(n))[:, None]
     q = n // 2
-    left, right = V[:, :q], V[:, n - q:][:, ::-1]
-    left.real += right.real                 # in place, no n x q temporary
-    left.imag -= right.imag
-    left *= 0.5
-    np.conj(left, out=right)
-    if n % 2:
-        V.imag[:, q] = 0.0                  # (v + conj(v))/2 is real
+    V = np.empty((n, n), dtype=complex)
+    P = V[:, :n - q]
+    P[0] = 1.0
+    x2i = 2j * roots.xs[:n - q]
+    if n > 1:
+        P[1] = x2i
+    for k in range(2, n):
+        np.multiply(x2i, P[k - 1], out=P[k])
+        P[k] += P[k - 2]
+    np.conj(V[:, :q][:, ::-1], out=V[:, n - q:])
     return V
 
 
@@ -185,6 +178,12 @@ def _vectorized_thomas_constant(x_vals, rhs, check_pivots=False):
     return phi
 
 
+def _powers_of_minus_i(n):
+    """(-i)^k for k = 0..n-1, exactly on the axes.  `(-1j) ** k` is not
+    exact past k = 100 (off by up to 1.7e-13 at n = 1024)."""
+    return np.array([1, -1j, -1, 1j])[np.arange(n) % 4]
+
+
 def build_Vinv_fast(roots: RootSet):
     """V^{-1} in O(n^2) via the pentadiagonal/tridiagonal factor structure.
 
@@ -204,7 +203,7 @@ def build_Vinv_fast(roots: RootSet):
     # off-band entries become +1 after the fold, and the mirror relation
     # psi_{n+1-j,k} = (-1)^(k+1) conj(psi_{j,k}) collapses to a plain
     # conjugation of whole rows of the result.
-    phi *= (0.5 * (-1j) ** np.arange(n))[:, None]
+    phi *= (0.5 * _powers_of_minus_i(n))[:, None]
     dcoef = np.full(n, 2.0)
     dcoef[0] = 3.0
     dcoef[-1] = 3.0
@@ -301,10 +300,16 @@ class SpectralDecomposition:
     eigenvalues[j] = i*x_j/dt; V and Vinv are dense complex matrices;
     cond2 estimates Cond_2(V); residual is ||B - V D V^{-1}||_F / ||B||_F.
 
-    q counts the conjugate pairs: for j < q, column n-1-j of V and row
-    n-1-j of Vinv are bitwise the conjugates of column j and row j; every
-    other index pairs with itself.  `decompose` has q = n//2, the real
-    geometric baseline q = 0 (always valid, it just saves nothing).
+    q counts the conjugate pairs: for j < q, eigenvalue n-1-j, column n-1-j
+    of V and row n-1-j of Vinv are bitwise the conjugates of eigenvalue j,
+    column j and row j; every other index pairs with itself.  `decompose`
+    has q = n//2, the real geometric baseline q = 0 (always valid, it just
+    saves nothing).  The solver's steps (a)/(c) and `decomposition_residual`
+    use the pairs.
+
+    phase_times holds the seconds of each layer of `decompose` (find_roots,
+    build_V, build_Vinv_fast, cond2 and, when computed, residual); it is
+    empty for a loaded or geometric decomposition.
 
     V and Vinv are the only copy of the factors: the solver's real steps
     (a) and (c) read them through float views.  V is C-ordered, so
@@ -324,6 +329,7 @@ class SpectralDecomposition:
     residual: float
     roots: RootSet | None = None
     q: int = 0
+    phase_times: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n, q = self.n, self.q
@@ -341,71 +347,132 @@ class SpectralDecomposition:
         return int(self.roots.newton_iters.max()) if self.roots is not None else -1
 
 
-def decomposition_residual(eigenvalues, V, Vinv, B):
+#: Columns of V^{-1} per chunk of the paired residual product.
+_RESIDUAL_COLUMNS = 256
+
+
+def decomposition_residual(eigenvalues, V, Vinv, B, q=0):
     """||B - V diag(eigenvalues) V^{-1}||_F / ||B||_F for the real stencil
     matrix B, sparse or dense; only its nonzero entries are touched.
 
     B and the eigenvalues are divided by s = max|B| first: the ratio does
     not change, and the norms neither overflow nor underflow for any dt.
+
+    q is the pair count of `SpectralDecomposition`.  With q = 0 (the
+    default, which assumes no structure) V D V^{-1} is the full complex
+    product.  Otherwise, with h = n - q, column v_k of V, row w_k of V^{-1}
+    and y_k = lambda_k w_k, each pair j < q adds 2 Re(v_j y_j) and each
+    self-paired index k in [q, h) adds v_k y_k.  As in the solver's step
+    (c), the float view Vf = V[:, :h].view(float) has the columns Re v_k and
+    Im v_k, so the real part of V D V^{-1} is the real product Vf @ X with
+    the rows X[2k] = c_k Re y_k and X[2k+1] = -c_k Im y_k (c_k = 2 for a
+    pair, 1 otherwise): 2n^3 flops instead of 8n^3.  The imaginary part
+    comes from the self-paired indices alone, Vf[:, 2q:] @ Z with the rows
+    Z[2(k-q)] = Im y_k and Z[2(k-q)+1] = Re y_k (rank n % 2 for
+    `decompose`).  V must be C-ordered.  The product runs in chunks of _RESIDUAL_COLUMNS
+    columns of V^{-1}, each minus the entries of B (in CSC form) in its
+    columns, so no n x n temporary is formed.
     """
-    B = scipy.sparse.coo_array(B)
+    B = scipy.sparse.csc_array(B) if q else scipy.sparse.coo_array(B)
     s = np.abs(B.data).max()
     data = B.data / s
-    M = (V * (np.asarray(eigenvalues) / s)[None, :]) @ Vinv
-    M[B.row, B.col] -= data
-    return float(np.linalg.norm(M) / np.linalg.norm(data))
+    lam = np.asarray(eigenvalues) / s
+    if q == 0:
+        M = (V * lam[None, :]) @ Vinv
+        M[B.row, B.col] -= data
+        return float(np.linalg.norm(M) / np.linalg.norm(data))
+    n = len(lam)
+    h = n - q
+    Vf = V[:, :h].view(float)
+    c_lam = lam[:h, None].copy()
+    c_lam[:q] *= 2.0
+    ptr = B.indptr
+    sq = 0.0
+    for lo in range(0, n, _RESIDUAL_COLUMNS):
+        hi = min(lo + _RESIDUAL_COLUMNS, n)
+        Y = c_lam * Vinv[:h, lo:hi]
+        X = np.empty((2 * h, hi - lo))
+        X[0::2] = Y.real
+        np.negative(Y.imag, out=X[1::2])
+        Z = np.empty((2 * (h - q), hi - lo))
+        Z[0::2] = Y.imag[q:]
+        Z[1::2] = Y.real[q:]
+        # at most two n x chunk arrays live at a time within a chunk
+        del Y
+        M = Vf @ X
+        del X
+        if h > q:
+            T = Vf[:, 2 * q:] @ Z
+            sq += np.vdot(T, T)
+            del T
+        a, b = ptr[lo], ptr[hi]
+        cols = np.repeat(np.arange(hi - lo), np.diff(ptr[lo:hi + 1]))
+        M[B.indices[a:b], cols] -= data[a:b]
+        sq += np.vdot(M, M)
+    return float(np.sqrt(sq) / np.linalg.norm(data))
 
 
-def _check_memory(n, with_residual):
+def _check_memory(n):
     """Raise ChebPintError when the peak of `decompose` exceeds physical
     memory (skipped where os.sysconf cannot tell).
 
-    The peak is measured (tracemalloc, n = 256 to 1024): 48 n^2 bytes while
-    `build_Vinv_fast` runs next to V (V and V^{-1} at 16 n^2 each, two
-    n x n/2 work arrays), and 64 n^2 with the residual, whose V D and
-    V D V^{-1} add two n x n complex arrays to V and V^{-1}.  Afterwards
-    the decomposition holds 32 n^2.
+    The peak is measured (tracemalloc, n = 512 and 1024): 48 n^2 bytes
+    while `build_Vinv_fast` runs next to V (V and V^{-1} at 16 n^2 each,
+    two n x n/2 work arrays).  The residual stays within it: next to V and
+    V^{-1}, a chunk of c columns holds at most two n x c float arrays, plus
+    the previous chunk's product while the next one starts.  With c = 256
+    that is 16 n^2 for the single chunk of an n <= 256 and 12 n^2 at
+    n = 512.  Afterwards the decomposition holds 32 n^2.
     """
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = (64 if with_residual else 48) * int(n) ** 2
+    need = 48 * int(n) ** 2
     physical = page * pages
     if page > 0 and pages > 0 and need > physical:
         raise ChebPintError(
-            f"n={n} needs {need} bytes at the peak of decompose "
-            f"(with_residual={with_residual}), more than the {physical} bytes "
-            f"of physical memory"
+            f"n={n} needs {need} bytes at the peak of decompose, more than the "
+            f"{physical} bytes of physical memory"
         )
+
+
+def _timed(times, name, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its seconds stored as times[name]."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    times[name] = time.perf_counter() - t0
+    return out
 
 
 def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     """Full spectral decomposition of the n-point stencil matrix B.
 
     Roots come from `find_roots`, V from the Chebyshev column formula, V^{-1}
-    from the fast O(n^2) path, cond2 from `cond2_estimate`.  Both factors
-    mirror exactly, so all n//2 conjugate pairs are used (q = n//2).  The
-    residual against `assemble_B(n, dt)` is skipped (nan) with
-    `with_residual=False`: its dense n x n product dominates everything else
-    at large n.  An n whose peak memory (`_check_memory`) cannot fit in
+    from the fast O(n^2) path, cond2 from `cond2_estimate`.  The roots,
+    and with them the eigenvalues and both factors, mirror exactly, so all
+    n//2 conjugate pairs are used (q = n//2), by the residual against
+    `assemble_B(n, dt)` too.  The residual is skipped (nan) with
+    `with_residual=False`.  The seconds of each layer are kept in
+    `phase_times`.  An n whose peak memory (`_check_memory`) cannot fit in
     physical memory raises ChebPintError before anything is allocated.
     """
     from .timedisc import assemble_B
 
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    _check_memory(n, with_residual)
-    roots = find_roots(n, tol=tol, max_iter=max_iter)
-    V = build_V(roots)
-    Vinv = build_Vinv_fast(roots)
+    _check_memory(n)
+    times = {}
+    q = n // 2
+    roots = _timed(times, "find_roots", find_roots, n, tol=tol, max_iter=max_iter)
+    V = _timed(times, "build_V", build_V, roots)
+    Vinv = _timed(times, "build_Vinv_fast", build_Vinv_fast, roots)
     eigenvalues = roots.lambdas_unit / dt
-    cond2 = cond2_estimate(V, Vinv)
-    residual = (
-        decomposition_residual(eigenvalues, V, Vinv, assemble_B(n, dt))
-        if with_residual
-        else float("nan")
-    )
+    cond2 = _timed(times, "cond2", cond2_estimate, V, Vinv)
+    residual = float("nan")
+    if with_residual:
+        residual = _timed(times, "residual", decomposition_residual,
+                          eigenvalues, V, Vinv, assemble_B(n, dt), q=q)
     return SpectralDecomposition(
         n=n,
         dt=float(dt),
@@ -415,7 +482,8 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
         cond2=cond2,
         residual=residual,
         roots=roots,
-        q=n // 2,
+        q=q,
+        phase_times=times,
     )
 
 
@@ -444,9 +512,9 @@ def save_decomposition(dec, path):
 def load_decomposition(path):
     """Read a decomposition dump written by `save_decomposition`.
 
-    q is n//2 if the pairs of V columns and V^{-1} rows are bitwise
-    conjugate, and 0 otherwise.  Raises ValueError for anything that is not
-    a complete dump.
+    q is n//2 if the pairs of eigenvalues, V columns and V^{-1} rows are
+    bitwise conjugate, and 0 otherwise.  Raises ValueError for anything
+    that is not a complete dump.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -486,7 +554,8 @@ def load_decomposition(path):
     # the pairs are used only where the data mirror exactly, so a dump of
     # any V (an older build_V, the geometric baseline) still loads exactly
     q = n // 2
-    mirrored = (np.array_equal(V[:, n - q:][:, ::-1], np.conj(V[:, :q]))
+    mirrored = (np.array_equal(eigenvalues[n - q:][::-1], np.conj(eigenvalues[:q]))
+                and np.array_equal(V[:, n - q:][:, ::-1], np.conj(V[:, :q]))
                 and np.array_equal(Vinv[n - q:][::-1], np.conj(Vinv[:q])))
     return SpectralDecomposition(
         n=n, dt=dt, eigenvalues=eigenvalues, V=V, Vinv=Vinv,

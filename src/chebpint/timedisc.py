@@ -134,14 +134,11 @@ def assemble_B(n, dt):
     if n == 1:
         return sparse.csr_matrix(np.array([[1.0 / dt]]))
     half = 1.0 / (2.0 * dt)
-    B = sparse.lil_matrix((n, n))
-    for j in range(n - 1):
-        B[j, j + 1] = half
-        if j > 0:
-            B[j, j - 1] = -half
-    B[n - 1, n - 2] = -1.0 / dt
-    B[n - 1, n - 1] = 1.0 / dt
-    return B.tocsr()
+    sub = np.full(n - 1, -half)
+    sub[-1] = -1.0 / dt
+    diag = np.zeros(n)
+    diag[-1] = 1.0 / dt
+    return sparse.diags([sub, diag, np.full(n - 1, half)], [-1, 0, 1], format="csr")
 
 
 def apply_B(values, dt):

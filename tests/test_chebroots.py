@@ -163,6 +163,23 @@ def test_rootset_structure(n):
         assert (th.imag > 1.0 / n**2).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 1024])
+def test_find_roots_mirrors_bitwise(n):
+    # Newton runs on the first ceil(n/2) indices; the rest are exact mirrors
+    rs = find_roots(n)
+    for arr in (rs.thetas, rs.xs, rs.newton_iters, rs.residuals):
+        assert arr.shape == (n,)
+    q = n // 2
+    assert np.array_equal(rs.xs[n - q:][::-1], -np.conj(rs.xs[:q]))
+    assert np.array_equal(rs.thetas[n - q:][::-1], np.pi - np.conj(rs.thetas[:q]))
+    assert np.array_equal(rs.newton_iters[::-1], rs.newton_iters)
+    assert np.array_equal(rs.residuals[::-1], rs.residuals)
+    lam = rs.lambdas_unit
+    assert np.array_equal(lam[::-1], np.conj(lam))
+    if n % 2:
+        assert rs.xs[q].real == 0.0 and rs.thetas[q].real == np.pi / 2
+
+
 def test_eigenvalue_conjugate_pairing():
     for n in (6, 7, 33):
         lam = find_roots(n, tol=1e-11).lambdas_unit

@@ -38,6 +38,16 @@ def test_decompose_n64_table_scale(tmp_path):
     assert float(row["eta"]) <= 1e-12
 
 
+def test_decompose_row_reports_layer_times(tmp_path):
+    out = tmp_path / "d.json"
+    code = main(["decompose", "--n", "16", "--skip-reference", "--format", "json",
+                 "--out", str(out)])
+    assert code == 0
+    row = json.loads(out.read_text())["rows"][0]
+    for phase in ("find_roots", "build_V", "build_Vinv_fast", "cond2", "residual"):
+        assert row[f"{phase}_seconds"] >= 0.0
+
+
 def test_decompose_dump_round_trip(tmp_path):
     from chebpint.spectral import load_decomposition
 

@@ -270,11 +270,11 @@ def test_decompose_rejects_n_beyond_physical_memory(monkeypatch):
 
     monkeypatch.setattr(spectral, "find_roots", no_roots)
     n = 2**20
-    with pytest.raises(ChebPintError, match=f"n={n} needs {64 * n * n} bytes"):
+    with pytest.raises(ChebPintError, match=f"n={n} needs {48 * n * n} bytes"):
         decompose(n, 1.0)
 
 
-@pytest.mark.parametrize("with_residual, per_n2", [(False, 48), (True, 64)])
+@pytest.mark.parametrize("with_residual, per_n2", [(False, 48), (True, 48)])
 def test_memory_guard_counts_the_peak_of_decompose(with_residual, per_n2):
     n = 512
     decompose(n, 1.0 / n, with_residual=with_residual)    # warm up the imports
@@ -287,23 +287,94 @@ def test_memory_guard_counts_the_peak_of_decompose(with_residual, per_n2):
     assert peak <= per_n2 * n * n + 2**20
 
 
-def test_memory_guard_refuses_only_the_mode_that_does_not_fit(monkeypatch):
+def test_memory_guard_counts_the_residual_of_an_odd_n():
+    # the self-paired middle index must not add an n x n/2 complex block
+    n = 511
+    decompose(n, 1.0 / n)
+    tracemalloc.start()
+    try:
+        decompose(n, 1.0 / n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n * n + 2**20
+
+
+def test_memory_guard_counts_both_modes_alike(monkeypatch):
+    # the chunked residual stays under the build's peak: one count, 48 n^2
     n = 64
-    physical = 56 * n * n                   # between 48 n^2 and 64 n^2
+    physical = [48 * n * n]
     real_sysconf = os.sysconf
 
     def sysconf(name):
-        return {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get(name) or real_sysconf(name)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical[0]}
+        return pages.get(name) or real_sysconf(name)
 
     monkeypatch.setattr(spectral.os, "sysconf", sysconf)
-    assert decompose(n, 1.0, with_residual=False).n == n
+    for with_residual in (False, True):
+        assert decompose(n, 1.0, with_residual=with_residual).n == n
 
     def no_roots(*args, **kwargs):
         raise AssertionError("find_roots reached")
 
     monkeypatch.setattr(spectral, "find_roots", no_roots)
-    with pytest.raises(ChebPintError, match=f"n={n} needs {64 * n * n} bytes"):
-        decompose(n, 1.0, with_residual=True)
+    physical[0] -= 1
+    for with_residual in (False, True):
+        with pytest.raises(ChebPintError, match=f"n={n} needs {48 * n * n} bytes"):
+            decompose(n, 1.0, with_residual=with_residual)
+
+
+def test_decompose_reports_layer_times():
+    phases = {"find_roots", "build_V", "build_Vinv_fast", "cond2"}
+    dec = decompose(16, 0.1)
+    assert set(dec.phase_times) == phases | {"residual"}
+    assert all(t >= 0.0 for t in dec.phase_times.values())
+    assert set(decompose(16, 0.1, with_residual=False).phase_times) == phases
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 64, 257])
+def test_decompose_mirrors_bitwise(n):
+    dec = decompose(n, 0.1, with_residual=False)
+    q = n // 2
+    assert dec.q == q
+    assert np.array_equal(dec.eigenvalues[n - q:][::-1], np.conj(dec.eigenvalues[:q]))
+    assert np.array_equal(dec.V[:, n - q:][:, ::-1], np.conj(dec.V[:, :q]))
+    assert np.array_equal(dec.Vinv[n - q:][::-1], np.conj(dec.Vinv[:q]))
+
+
+def _full_residual(dec, B):
+    M = dec.V @ np.diag(dec.eigenvalues) @ dec.Vinv
+    return np.linalg.norm(M - B) / np.linalg.norm(B)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_paired_residual_is_the_full_product(n):
+    # the pairs' real product against the complex n x n x n product
+    dec = decompose(n, 0.1)
+    full = _full_residual(dec, assemble_B(n, 0.1).toarray())
+    assert abs(dec.residual - full) <= 1e-6 * full + 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 300])
+def test_paired_residual_over_chunks_and_pair_counts(n, monkeypatch):
+    # 7-column chunks cross the stencil's diagonals; every q <= n//2 is valid
+    monkeypatch.setattr(spectral, "_RESIDUAL_COLUMNS", 7)
+    dec = decompose(n, 0.1, with_residual=False)
+    B = assemble_B(n, 0.1)
+    full = _full_residual(dec, B.toarray())
+    for q in sorted({0, 1, n // 3, n // 2}):
+        if q <= n // 2:
+            got = spectral.decomposition_residual(dec.eigenvalues, dec.V, dec.Vinv, B, q=q)
+            assert abs(got - full) <= 1e-6 * full + 4 * np.finfo(float).eps, q
+
+
+def test_fold_factors_are_exact():
+    # (-i)^k from a table: (-1j) ** k leaves the axes past k = 100
+    k = np.arange(1024)
+    fold = 0.5 * spectral._powers_of_minus_i(len(k))
+    assert set(fold.tolist()) <= {0.5, -0.5j, -0.5, 0.5j}
+    assert np.array_equal(fold[k % 4 == 0], np.full(256, 0.5 + 0j))
+    assert np.array_equal(fold[2:], -fold[:-2])       # exactly -1 from k to k+2
 
 
 def test_decompose_eigen_residual_against_independent_B():
@@ -363,6 +434,22 @@ def test_load_uses_pairs_only_where_the_dump_mirrors(tmp_path):
     want = solve_first_order_linear(dec, op, rhs).solution.values
     have = solve_first_order_linear(back, op, rhs).solution.values
     assert np.abs(have - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_load_pairs_only_mirrored_eigenvalues(tmp_path):
+    # one eigenvalue off its mirror by one ulp: the dump loads with q = 0,
+    # and the residual over it is the full product
+    n = 13
+    dec = decompose(n, 0.5)
+    dec.eigenvalues.real[2] = np.nextafter(dec.eigenvalues[2].real, 2.0)
+    path = tmp_path / "dec.bin"
+    save_decomposition(dec, path)
+    back = load_decomposition(path)
+    assert back.q == 0
+    B = assemble_B(n, 0.5)
+    got = spectral.decomposition_residual(back.eigenvalues, back.V, back.Vinv, B, q=back.q)
+    full = _full_residual(back, B.toarray())
+    assert abs(got - full) <= 1e-6 * full + 4 * np.finfo(float).eps
 
 
 def test_vinv_is_stored_fortran_ordered(tmp_path):

@@ -52,6 +52,23 @@ def test_assemble_B_dt_scaling_exact(n):
     assert np.array_equal(Bdt, B1 / 0.125)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 17, 1024])
+@pytest.mark.parametrize("dt", [1.0, 0.1, 3e-7])
+def test_assemble_B_equals_the_entrywise_build(n, dt):
+    # the row-by-row construction the diagonal build replaced
+    half = 1.0 / (2.0 * dt)
+    ref = np.zeros((n, n))
+    for j in range(n - 1):
+        ref[j, j + 1] = half
+        if j > 0:
+            ref[j, j - 1] = -half
+    ref[n - 1, n - 2] = -1.0 / dt
+    ref[n - 1, n - 1] = 1.0 / dt
+    B = assemble_B(n, dt)
+    assert B.format == "csr" and B.nnz == 2 * n - 1
+    assert np.array_equal(B.toarray(), ref)
+
+
 def test_apply_B_matches_matrix():
     rng = np.random.default_rng(0)
     for n in (1, 2, 3, 9):
