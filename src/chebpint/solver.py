@@ -15,13 +15,16 @@ Step (a) is one real product of the (2h, n) float view of V^{-1}[:h],
 whose rows alternate Re V^{-1}[k] and Im V^{-1}[k], with b, and
 g_{n-1-j} = conj(g_j): 2n^2 m flops instead of the complex product's
 8n^2 m.  Step (c) interleaves the rows w_j + w_p and i(w_j - w_p) of each
-pair (w_k and i w_k of a self-paired index) and multiplies them by the
-(n, 2h) float view of V[:, :h], whose columns alternate Re V_k and Im V_k:
-one real product on the (re, im) float view of those rows, 4n^2 m flops
-instead of 8n^2 m.  Both the real and the imaginary part of V w are exact
-for any w, so the imaginary residue ||Im(V w)||/||V w|| still measures how
-far the n shifted solves are from conjugate-symmetric; above _IMAG_HARD it
-raises NonRealSolutionError, and the real part is the solution.
+pair (w_k and i w_k of a self-paired index) and multiplies their real parts
+by the (n, 2h) float view of V[:, :h], whose columns alternate Re V_k and
+Im V_k: one real product giving Re(V w), 2n^2 m flops instead of 8n^2 m.
+Their imaginary parts give Im(V w) by the same view.  On the pair rows
+they are exactly 0 when the solves mirror, w_{n-1-j} = conj(w_j), so then
+only the self-paired rows are multiplied; all of them are when the mirror
+breaks.  Both parts of V w are thus exact for any w: the imaginary residue
+||Im(V w)||/||V w|| still measures how far the n shifted solves are from
+conjugate-symmetric; above _IMAG_HARD it raises NonRealSolutionError, and
+the real part is the solution.
 
 Linear first-order systems (B (x) I + I (x) A) u = b use the shifts
 sigma_j = lambda_j, second-order systems (B^2 (x) I + I (x) A) u = b the
@@ -143,11 +146,12 @@ def _real_rhs(values):
 
 
 #: columns of the (n, m) blocks per chunk of step (c): its temporaries are
-#: the (2h, 256) interleaved rows and their n x 256 complex product (4 MiB
-#: each at n=1024); a whole-block step (c) raised the peak RSS of 1024
-#: shifts on a 31^2 grid by 24%, and chunks of 128 columns or fewer slow
-#: the products down
-_STEP_C_COLUMNS = 256
+#: the real (2h, 512) interleaved rows (4 MiB at n=1024) and the n x 512
+#: product of the imaginary rows it multiplies (none for even n when the
+#: solves mirror); Re(V w) is written straight into U.  A whole-block
+#: complex step (c) raised the peak RSS of 1024 shifts on a 31^2 grid by
+#: 24%, and chunks of 128 columns or fewer slow the products down
+_STEP_C_COLUMNS = 512
 
 
 def _step_a(decomp, b):
@@ -181,31 +185,48 @@ def _step_c(decomp, G):
         X[2j] = w_j + w_p,  X[2j+1] = i(w_j - w_p)     (j < q)
         X[2k] = w_k,        X[2k+1] = i w_k            (q <= k < h)
 
-    V w = Vf @ X exactly, for any w: one real product on the (re, im) float
-    view of X.  G is not changed.  With this interleaved order one product
-    suffices: the stencil residual of the 255^2 heat problem is 2.2% above
-    that of the complex product (2.333e-12 against 2.282e-12), where one
-    product that sums all Re V terms before all Im V terms left it 14%
-    above.
+    V w = Vf @ X exactly, for any w, and since Vf is real,
+    Re(V w) = Vf @ Re X and Im(V w) = Vf @ Im X.  U = Re(V w) is one real
+    product on the real rows Re X: 2n^2 m flops.  The pair rows of Im X,
+    Im(w_j + w_p) and Re(w_j - w_p), are exactly 0 when every w_p equals
+    conj(w_j), as the solves of mirrored shifts give; then only the
+    self-paired rows of Im X are multiplied (n % 2 of them for decompose,
+    all n for q = 0), else all of Im X is.  Skipping a product of exact
+    zeros changes no value, so ||Im(V w)|| is exact for any w all the same.
+    G is not changed.  With this interleaved order the stencil residual of
+    the 255^2 heat problem is 2.2% above that of the complex product
+    (2.333e-12 against 2.282e-12), where a product that sums all Re V terms
+    before all Im V terms left it 14% above.
     """
     n, q = decomp.n, decomp.q
     h = n - q
     Vf = decomp.V[:, :h].view(float)
     m = G.shape[1]
+    mirrored = np.array_equal(G[:q], np.conj(G[h:][::-1]))
+    first = 2 * q if mirrored else 0     # the first row of Im X to multiply
     U = np.empty((n, m))
     im_sq = 0.0
     for lo in range(0, m, _STEP_C_COLUMNS):
         hi = min(lo + _STEP_C_COLUMNS, m)
         wj, wp, ws = G[:q, lo:hi], G[h:, lo:hi][::-1], G[q:h, lo:hi]
-        X = np.empty((2 * h, hi - lo), dtype=complex)
-        np.add(wj, wp, out=X[0:2 * q:2])
-        np.subtract(wj, wp, out=X[1:2 * q:2])
-        X[1:2 * q:2] *= 1j
-        X[2 * q::2] = ws
-        np.multiply(ws, 1j, out=X[2 * q + 1::2])
-        Y = (Vf @ X.view(float)).view(complex)
-        U[:, lo:hi] = Y.real
-        im_sq += np.vdot(Y.imag, Y.imag)
+        X = np.empty((2 * h, hi - lo))
+        np.add(wj.real, wp.real, out=X[0:2 * q:2])
+        np.subtract(wp.imag, wj.imag, out=X[1:2 * q:2])
+        X[2 * q::2] = ws.real
+        # np.multiply by -1.0, not np.negative: numpy 2.4.6 on AVX-512
+        # miscomputes np.negative(a, out=o) for one column a with a 64-byte
+        # row stride into an o with a 16-byte row stride
+        np.multiply(ws.imag, -1.0, out=X[2 * q + 1::2])
+        np.matmul(Vf, X, out=U[:, lo:hi])
+        if first == 2 * h:
+            continue
+        if not mirrored:
+            np.add(wj.imag, wp.imag, out=X[0:2 * q:2])
+            np.subtract(wj.real, wp.real, out=X[1:2 * q:2])
+        X[2 * q::2] = ws.imag
+        X[2 * q + 1::2] = ws.real
+        Y = Vf[:, first:] @ X[first:]
+        im_sq += np.vdot(Y, Y)
     return U, float(np.sqrt(im_sq))
 
 

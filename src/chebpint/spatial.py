@@ -197,14 +197,21 @@ class SineLaplacian2D(SpatialOperator):
 
     def _check_shifts(self, sigmas, denom):
         """Raise SingularShiftError for the first sigmas[r] whose denominators
-        denom[r] = sigmas[r] + modes2d come within _SHIFT_FLOOR of zero."""
-        small = np.abs(denom).reshape(len(denom), -1)
+        denom[r] = sigmas[r] + modes2d come within _SHIFT_FLOOR of zero.
+
+        The modes are real, so |denom[r]| >= |Im sigmas[r]|: only the shifts
+        within _SHIFT_FLOOR of the real axis are scanned."""
+        near = np.flatnonzero(np.abs(np.imag(sigmas)) < _SHIFT_FLOOR)
+        if not near.size:
+            return
+        small = np.abs(denom[near]).reshape(near.size, -1)
         hits = np.flatnonzero(small.min(axis=1) < _SHIFT_FLOOR)
         if hits.size:
             r = hits[0]
             k = np.unravel_index(np.argmin(small[r]), self.modes2d.shape)
             raise SingularShiftError(
-                sigmas[r], f"collides with mode {tuple(int(i) + 1 for i in k)}"
+                sigmas[near[r]],
+                f"collides with mode {tuple(int(i) + 1 for i in k)}",
             )
 
     def shifted_solve(self, sigma, g):

@@ -197,9 +197,13 @@ def rhs_second_order(u0, u0dot, g, dt):
         raise DimensionMismatchError("u0 / u0dot dimensions do not match source")
     out = np.array(g, dtype=np.result_type(g, u0, u0dot, float))
     out[0] += u0dot / (2.0 * dt)
-    b1 = np.zeros((n, m))
+    # b1 is zero past block 1 and each row of B reaches one block to either
+    # side, so B b1 is zero past block 2; B applied to the first min(n, 3)
+    # blocks still gives block 2 its centred row, and blocks 1 and 2 exactly
+    k = min(n, 3)
+    b1 = np.zeros((k, m))
     b1[0] = u0 / (2.0 * dt)
-    out += apply_B(b1, dt)
+    out[:k] += apply_B(b1, dt)
     return BlockVector(out)
 
 

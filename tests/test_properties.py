@@ -1,7 +1,9 @@
 """Property tests of the decomposition: dump round-trip, the mirror symmetry
 of V and V^{-1}, and the cond2 estimate against the SVD; of the solver's
-real steps (a) and (c) against the complex products; and of the batched
-sine Laplacian solve against its per-row solve.
+real steps (a) and (c) against the complex products, and of step (c)'s
+skip of the imaginary rows that mirrored solves make exactly 0; and of the
+batched sine Laplacian solve against its per-row solve, and of its shift
+check against the scan of every denominator.
 
 Examples are derandomized and few, so the suite stays deterministic and
 adds only a few seconds.
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from chebpint import solver, spatial
 from chebpint.chebroots import find_roots
+from chebpint.errors import SingularShiftError
 from chebpint.spectral import (
     build_V,
     build_Vinv_fast,
@@ -95,6 +98,38 @@ def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
 
 
 @_SETTINGS
+@given(n=st.integers(2, 70), m=st.integers(1, 5), cols=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_c_skips_only_exact_zeros(n, m, cols, seed):
+    dec = decompose(n, 0.1, with_residual=False)
+    q, h = dec.q, n - dec.q
+    rng = np.random.default_rng(seed)
+    # mirrored, as the solves of mirrored shifts give: w_{n-1-j} = conj(w_j)
+    # and the self-paired row real
+    W = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    W[q:h] = W[q:h].real
+    W[h:] = np.conj(W[:q][::-1])
+    with mock.patch.object(solver, "_STEP_C_COLUMNS", cols):
+        U, im = solver._step_c(dec, W)
+        VW = dec.V @ W
+        assert im == 0.0
+        assert np.abs(U - VW.real).max() <= 1e-13 * np.abs(VW).max()
+        # one ulp in one entry of one mirrored row breaks the mirror, and
+        # the imaginary part is computed in full again
+        r = rng.choice(np.r_[0:q, h:n])
+        c = rng.integers(m)
+        re, imag = W[r, c].real, W[r, c].imag
+        if rng.integers(2):
+            W[r, c] = complex(np.nextafter(re, np.inf), imag)
+        else:
+            W[r, c] = complex(re, np.nextafter(imag, np.inf))
+        _, im = solver._step_c(dec, W)
+    VW = dec.V @ W
+    assert abs(im - np.linalg.norm(VW.imag)) <= 1e-13 * np.linalg.norm(VW)
+    assert im > 0.0
+
+
+@_SETTINGS
 @given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_dump_keeps_pairs_and_solve(n, seed):
     dec = decompose(n, 0.1)
@@ -137,3 +172,48 @@ def test_batched_sine_solve_is_the_per_row_solve(side, k, rows, seed):
         op.shifted_solve_batch(sigmas, G)
     for j in range(k):
         assert np.array_equal(G[j], op.shifted_solve(sigmas[j], G0[j])), j
+
+
+#: offsets from a mode -mu of the sine Laplacian: on it, next to it on the
+#: real axis and 1e-13 off it, all rejected; 2e-12 and more away, accepted
+_NEAR_MODE = (0.0, 1e-13, -1e-13, 1e-13j, -1e-13j, 1e-13 + 1e-13j, 2e-12,
+              1e-11j, -0.5j, 3.0)
+
+
+def _full_scan(op, sigma):
+    """The message of the shift check that scans every denominator, or None."""
+    small = np.abs(sigma + op.modes2d)
+    if not small.min() < spatial._SHIFT_FLOOR:
+        return None
+    k = np.unravel_index(np.argmin(small), small.shape)
+    return str(SingularShiftError(
+        sigma, f"collides with mode {tuple(int(i) + 1 for i in k)}"))
+
+
+@_SETTINGS
+@given(side=st.integers(1, 6), real=st.booleans(), rows=st.integers(1, 4),
+       picks=st.lists(st.tuples(st.integers(0, 35), st.sampled_from(_NEAR_MODE)),
+                      min_size=1, max_size=6))
+def test_shift_check_rejects_what_the_full_scan_rejects(side, real, rows, picks):
+    op = spatial.SineLaplacian2D(side, 1.0 / (side + 1))
+    modes = op.modes2d.ravel()
+    sigmas = np.array([-modes[i % modes.size] + d for i, d in picks])
+    if real:
+        sigmas = sigmas.real
+    want = [_full_scan(op, sigma) for sigma in sigmas]
+    for sigma, msg in zip(sigmas, want):
+        try:
+            op.shifted_solve(sigma, np.ones(op.m))
+            got = None
+        except SingularShiftError as e:
+            got = str(e)
+        assert got == msg
+    G = np.ones((len(sigmas), op.m), dtype=complex)
+    with mock.patch.object(spatial, "_BATCH_ELEMS", rows * op.m):
+        try:
+            op.shifted_solve_batch(sigmas, G)
+            got = None
+        except SingularShiftError as e:
+            got = str(e)
+    # the batch raises for its first rejected shift
+    assert got == next((msg for msg in want if msg), None)

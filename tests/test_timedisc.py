@@ -125,6 +125,21 @@ def test_rhs_second_order_n2_consistent_with_stencil():
     assert out.values == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 1024])
+def test_rhs_second_order_equals_B_on_all_blocks(n):
+    # B is applied to the first min(n, 3) blocks of b1 only; the result
+    # equals B applied to all n blocks, bit for bit
+    rng = np.random.default_rng(n)
+    m, dt = 7, 0.37
+    u0, u0dot, g = rng.normal(size=m), rng.normal(size=m), rng.normal(size=(n, m))
+    b1 = np.zeros((n, m))
+    b1[0] = u0 / (2.0 * dt)
+    expected = g.copy()
+    expected[0] += u0dot / (2.0 * dt)
+    expected += apply_B(b1, dt)
+    assert np.array_equal(rhs_second_order(u0, u0dot, g, dt).values, expected)
+
+
 def test_first_order_all_at_once_reproduces_difference_equations():
     # solving the dense Kronecker system must satisfy the defining stencil
     # rows: centered interior rows plus the backward-Euler closure
