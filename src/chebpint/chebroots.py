@@ -128,13 +128,15 @@ def refined_guesses(n):
     if n < 1:
         raise ValueError("n must be >= 1")
 
+    # each bisection stops once a halving leaves its bracket unchanged: the
+    # state is then a fixed point, so the seeds are those of the full count
     lo, hi = 0.0, float(np.arcsinh(float(n))) + 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if np.sinh(mid) * np.sinh(mid / n) < 1.0:
-            lo = mid
-        else:
-            hi = mid
+        state = (mid, hi) if np.sinh(mid) * np.sinh(mid / n) < 1.0 else (lo, mid)
+        if state == (lo, hi):
+            break
+        lo, hi = state
     b_max = 0.5 * (lo + hi)
 
     half = (n + 1) // 2
@@ -150,8 +152,10 @@ def refined_guesses(n):
     for _ in range(90):
         mid = 0.5 * (blo + bhi)
         below = angle_sum(mid) < target
-        blo = np.where(below, mid, blo)
-        bhi = np.where(below, bhi, mid)
+        nlo, nhi = np.where(below, mid, blo), np.where(below, bhi, mid)
+        if np.array_equal(nlo, blo) and np.array_equal(nhi, bhi):
+            break
+        blo, bhi = nlo, nhi
     b = 0.5 * (blo + bhi)
 
     beta = b / n

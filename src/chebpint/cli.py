@@ -57,19 +57,25 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _workers(text):
-    """--workers value; argparse also converts the string default, so a bad
-    CHEBPINT_WORKERS fails only the subcommands that read --workers."""
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0                       # reported as any value below 1
-    if workers < 1:
-        raise argparse.ArgumentTypeError(
-            f"workers must be an integer >= 1 (from --workers or "
-            f"CHEBPINT_WORKERS), got {text!r}"
-        )
-    return workers
+def _checked(convert, ok, what):
+    """An argparse type: convert(text), rejected unless ok() holds for it.
+    argparse also converts string defaults, so a bad CHEBPINT_WORKERS fails
+    only the subcommands that read --workers."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+_workers = _checked(int, lambda w: w >= 1,
+                    "an integer >= 1 (from --workers or CHEBPINT_WORKERS)")
+_int_list = _checked(lambda text: [int(v) for v in text.split(",")],
+                     lambda v: True, "comma-separated integers")
 
 
 def _fmt(value):
@@ -388,7 +394,8 @@ def build_parser():
     p.add_argument("--kind", choices=("heat", "wave", "semilinear"), required=True)
     p.add_argument("--m", type=int, default=64**2,
                    help="total spatial dimension (perfect square)")
-    p.add_argument("--n-list", dest="n_list", default="16,32,64,128,256",
+    p.add_argument("--n-list", dest="n_list", type=_int_list,
+                   default="16,32,64,128,256",
                    help="comma-separated time point counts")
     p.add_argument("--T", type=float, default=2.0)
     p.set_defaults(func=cmd_convergence)
@@ -397,9 +404,12 @@ def build_parser():
                        help="geometric-step baseline comparison (1D wave)")
     _add_common(p)
     _add_workers(p)
-    p.add_argument("--tau", type=float, default=1.15)
-    p.add_argument("--dt-last", dest="dt_last", type=float, default=1e-2)
-    p.add_argument("--n-max", dest="n_max", type=int, default=50)
+    p.add_argument("--tau", default=1.15, type=_checked(
+        float, lambda t: np.isfinite(t) and t > 1.0, "finite and > 1"))
+    p.add_argument("--dt-last", dest="dt_last", default=1e-2, type=_checked(
+        float, lambda d: np.isfinite(d) and d > 0.0, "positive and finite"))
+    p.add_argument("--n-max", dest="n_max", default=50,
+                   type=_checked(int, lambda k: k >= 4, "an integer >= 4"))
     p.add_argument("--m", type=int, default=128, help="1D periodic grid size")
     p.set_defaults(func=cmd_compare_geometric)
 
@@ -411,7 +421,8 @@ def build_parser():
     p.add_argument("--m", type=int, default=64**2)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--workers-list", dest="workers_list", default="1,2,4",
+    p.add_argument("--workers-list", dest="workers_list", type=_int_list,
+                   default="1,2,4",
                    help="ascending comma-separated worker counts starting at 1")
     p.set_defaults(func=cmd_bench)
     return parser
@@ -420,14 +431,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tau", 1.5) <= 1.0:
-        parser.error("--tau must be > 1")
-    for attr in ("n_list", "workers_list"):
-        if hasattr(args, attr):
-            try:
-                setattr(args, attr, [int(v) for v in getattr(args, attr).split(",")])
-            except ValueError:
-                parser.error(f"--{attr.replace('_', '-')} must be comma-separated integers")
     try:
         return args.func(args)
     except (ValueError, TypeError) as exc:

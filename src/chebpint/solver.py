@@ -2,27 +2,15 @@
 
 Every driver runs one three-step kernel once B = V D V^{-1} is known:
 
-    (a)  g = (V^{-1} (x) I) b          -- one real product over the pairs
+    (a)  g = (V^{-1} (x) I) b          -- SpectralDecomposition.apply_Vinv
     (b)  (sigma_j I + A) w_j = g_j     -- n independent shifted solves
-    (c)  u = (V (x) I) w               -- one real product over the pairs
+    (c)  u = (V (x) I) w               -- SpectralDecomposition.apply_V
 
 The right-hand side b is real: a nonzero imaginary part raises
-NonRealSolutionError before step (a).  The decomposition pairs index j < q
-with n-1-j, whose V column and V^{-1} row are the exact conjugates, and
-every other index with itself (SpectralDecomposition).  Both steps read
-the stored V and V^{-1} through float views, without a copy; h = n - q.
-Step (a) is one real product of the (2h, n) float view of V^{-1}[:h],
-whose rows alternate Re V^{-1}[k] and Im V^{-1}[k], with b, and
-g_{n-1-j} = conj(g_j): 2n^2 m flops instead of the complex product's
-8n^2 m.  Step (c) interleaves the rows w_j + w_p and i(w_j - w_p) of each
-pair (w_k and i w_k of a self-paired index) and multiplies their real parts
-by the (n, 2h) float view of V[:, :h], whose columns alternate Re V_k and
-Im V_k: one real product giving Re(V w), 2n^2 m flops instead of 8n^2 m.
-Their imaginary parts give Im(V w) by the same view.  On the pair rows
-they are exactly 0 when the solves mirror, w_{n-1-j} = conj(w_j), so then
-only the self-paired rows are multiplied; all of them are when the mirror
-breaks.  Both parts of V w are thus exact for any w: the imaginary residue
-||Im(V w)||/||V w|| still measures how far the n shifted solves are from
+NonRealSolutionError before step (a).  Steps (a) and (c) are real products
+over the decomposition's conjugate pairs, owned by `spectral`.  Step (c)
+returns Re(V w) and ||Im(V w)||, both exact for any w: the imaginary
+residue ||Im(V w)||/||V w|| measures how far the n shifted solves are from
 conjugate-symmetric; above _IMAG_HARD it raises NonRealSolutionError, and
 the real part is the solution.
 
@@ -145,91 +133,6 @@ def _real_rhs(values):
     return np.ascontiguousarray(values, dtype=float)
 
 
-#: columns of the (n, m) blocks per chunk of step (c): its temporaries are
-#: the real (2h, 512) interleaved rows (4 MiB at n=1024) and the n x 512
-#: product of the imaginary rows it multiplies (none for even n when the
-#: solves mirror); Re(V w) is written straight into U.  A whole-block
-#: complex step (c) raised the peak RSS of 1024 shifts on a 31^2 grid by
-#: 24%, and chunks of 128 columns or fewer slow the products down
-_STEP_C_COLUMNS = 512
-
-
-def _step_a(decomp, b):
-    """g = V^{-1} b for the real (n, m) blocks b, by one real product.
-
-    With h = n - q, the Fortran-ordered V^{-1} gives Vinv[:h].T.view(float).T,
-    a strided (2h, n) operand whose rows 2k and 2k+1 are Re V^{-1}[k] and
-    Im V^{-1}[k], without a copy; its product with b holds Re g_k and Im g_k
-    in rows 2k and 2k+1.  Row n-1-j of g is the conjugate of row j < q.
-    Returns a C-contiguous complex (n, m) array.
-    """
-    n, q = decomp.n, decomp.q
-    h = n - q
-    P = decomp.Vinv[:h].T.view(float).T @ b
-    G = np.empty((n, b.shape[1]), dtype=complex)
-    G.real[:h] = P[0::2]
-    G.imag[:h] = P[1::2]
-    np.conj(G[:q][::-1], out=G[h:])
-    return G
-
-
-def _step_c(decomp, G):
-    """Re(V w) and ||Im(V w)||_F for the complex (n, m) blocks w in G.
-
-    With p = n-1-j, V[:, p] = conj(V[:, j]) gives, for every pair j < q,
-    V_j w_j + V_p w_p = Re V_j (w_j + w_p) + Im V_j i(w_j - w_p), and a
-    self-paired index k contributes Re V_k w_k + Im V_k (i w_k).  The float
-    view Vf = V[:, :h].view(float) has the columns Re V_k and Im V_k at 2k
-    and 2k+1, so with the complex rows
-
-        X[2j] = w_j + w_p,  X[2j+1] = i(w_j - w_p)     (j < q)
-        X[2k] = w_k,        X[2k+1] = i w_k            (q <= k < h)
-
-    V w = Vf @ X exactly, for any w, and since Vf is real,
-    Re(V w) = Vf @ Re X and Im(V w) = Vf @ Im X.  U = Re(V w) is one real
-    product on the real rows Re X: 2n^2 m flops.  The pair rows of Im X,
-    Im(w_j + w_p) and Re(w_j - w_p), are exactly 0 when every w_p equals
-    conj(w_j), as the solves of mirrored shifts give; then only the
-    self-paired rows of Im X are multiplied (n % 2 of them for decompose,
-    all n for q = 0), else all of Im X is.  Skipping a product of exact
-    zeros changes no value, so ||Im(V w)|| is exact for any w all the same.
-    G is not changed.  With this interleaved order the stencil residual of
-    the 255^2 heat problem is 2.2% above that of the complex product
-    (2.333e-12 against 2.282e-12), where a product that sums all Re V terms
-    before all Im V terms left it 14% above.
-    """
-    n, q = decomp.n, decomp.q
-    h = n - q
-    Vf = decomp.V[:, :h].view(float)
-    m = G.shape[1]
-    mirrored = np.array_equal(G[:q], np.conj(G[h:][::-1]))
-    first = 2 * q if mirrored else 0     # the first row of Im X to multiply
-    U = np.empty((n, m))
-    im_sq = 0.0
-    for lo in range(0, m, _STEP_C_COLUMNS):
-        hi = min(lo + _STEP_C_COLUMNS, m)
-        wj, wp, ws = G[:q, lo:hi], G[h:, lo:hi][::-1], G[q:h, lo:hi]
-        X = np.empty((2 * h, hi - lo))
-        np.add(wj.real, wp.real, out=X[0:2 * q:2])
-        np.subtract(wp.imag, wj.imag, out=X[1:2 * q:2])
-        X[2 * q::2] = ws.real
-        # np.multiply by -1.0, not np.negative: numpy 2.4.6 on AVX-512
-        # miscomputes np.negative(a, out=o) for one column a with a 64-byte
-        # row stride into an o with a 16-byte row stride
-        np.multiply(ws.imag, -1.0, out=X[2 * q + 1::2])
-        np.matmul(Vf, X, out=U[:, lo:hi])
-        if first == 2 * h:
-            continue
-        if not mirrored:
-            np.add(wj.imag, wp.imag, out=X[0:2 * q:2])
-            np.subtract(wj.real, wp.real, out=X[1:2 * q:2])
-        X[2 * q::2] = ws.imag
-        X[2 * q + 1::2] = ws.real
-        Y = Vf[:, first:] @ X[first:]
-        im_sq += np.vdot(Y, Y)
-    return U, float(np.sqrt(im_sq))
-
-
 def _three_step(decomp, b, solve_block, workers, times):
     """Steps (a)-(c) for the real (n, m) blocks b.
 
@@ -243,7 +146,7 @@ def _three_step(decomp, b, solve_block, workers, times):
     NonRealSolutionError.
     """
     t0 = time.perf_counter()
-    G = _step_a(decomp, b)
+    G = decomp.apply_Vinv(b)
     times["step_a"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -259,7 +162,7 @@ def _three_step(decomp, b, solve_block, workers, times):
     times["step_b"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    U, im = _step_c(decomp, G)
+    U, im = decomp.apply_V(G)
     unorm = np.hypot(np.linalg.norm(U), im)
     residue = float(im / unorm) if unorm > 0 else 0.0
     times["step_c"] += time.perf_counter() - t0

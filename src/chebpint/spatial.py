@@ -9,7 +9,8 @@ Every operator implements the contract used by the time-parallel driver:
   (sigmas[j]*I + A) w = G[j], bitwise equal to ``shifted_solve`` of that
   row whatever else the batch holds.  The base class loops over
   ``shifted_solve``, so an operator that defines only the per-shift solve
-  works unchanged; ``SineLaplacian2D`` transforms chunks of rows in place.
+  works unchanged; ``SineLaplacian2D`` transforms chunks of rows in place,
+  and its ``shifted_solve`` is the one-row batch.
 - ``shifted_diag_solve(sigma, diag, g)``: solve (sigma*I + A + diag(d)) w = g
   exactly.  The simplified Newton iteration, where an averaged pointwise
   Jacobian rides on top of the stiff linear part, solves these systems by a
@@ -145,11 +146,6 @@ class DenseOperator(SpatialOperator):
         return _dense_solve(M, sigma, g)
 
 
-def _dst2(a, scale):
-    """Orthonormalized 2D type-I DST (its own inverse up to `scale`)."""
-    return scipy.fft.dstn(a, type=1) * scale
-
-
 class SineLaplacian2D(SpatialOperator):
     """Minus the 5-point Laplacian on the interior of a square, Dirichlet BC.
 
@@ -215,13 +211,11 @@ class SineLaplacian2D(SpatialOperator):
             )
 
     def shifted_solve(self, sigma, g):
+        """The one-row `shifted_solve_batch`: a complex128 result for any g."""
         g = self._check_dim(g)
-        denom = sigma + self.modes2d
-        self._check_shifts([sigma], denom[None])
-        p = self.points_per_dim
-        ghat = _dst2(g.reshape(p, p), 1.0)
-        what = ghat / denom
-        return (_dst2(what, self._dst_scale)).reshape(g.shape)
+        G = np.array(g, dtype=complex).reshape(1, self.m)
+        self.shifted_solve_batch(np.array([sigma]), G)
+        return G.reshape(g.shape)
 
     def shifted_solve_batch(self, sigmas, G):
         sigmas = self._check_batch(sigmas, G)
@@ -233,7 +227,7 @@ class SineLaplacian2D(SpatialOperator):
             self._check_shifts(sigmas[s:e], denom)
             W = G[s:e].reshape(e - s, p, p)
             # overwrite_x makes dstn transform the real and imaginary parts
-            # of W in place, one line at a time as shifted_solve does
+            # of W in place, one line at a time
             scipy.fft.dstn(W, type=1, axes=(1, 2), overwrite_x=True)
             W /= denom
             scipy.fft.dstn(W, type=1, axes=(1, 2), overwrite_x=True)
@@ -334,7 +328,6 @@ class BenchmarkProblem:
 
     kind: str
     operator: SpatialOperator
-    domain: tuple
     u0: np.ndarray
     source: Callable
     exact_solution: Callable
@@ -384,7 +377,7 @@ def _heat_benchmark(points_per_dim):
         return coef[:, None] * R[None, :]
 
     return BenchmarkProblem(
-        kind="heat", operator=op, domain=(0.0, L), u0=R.copy(),
+        kind="heat", operator=op, u0=R.copy(),
         source=source, exact_solution=exact,
         discrete_reference=discrete_reference,
     )
@@ -409,7 +402,7 @@ def _wave_benchmark(points_per_dim):
         return np.sin(2.0 * np.pi * t)[:, None] * P[None, :]
 
     return BenchmarkProblem(
-        kind="wave", operator=op, domain=(0.0, L), u0=np.zeros(op.m),
+        kind="wave", operator=op, u0=np.zeros(op.m),
         u0dot=2.0 * np.pi * P, source=source, exact_solution=exact,
         discrete_reference=discrete_reference,
     )
@@ -443,7 +436,7 @@ def _semilinear_benchmark(points_per_dim):
         return np.exp(-t)[:, None] * P[None, :]
 
     return BenchmarkProblem(
-        kind="semilinear", operator=op, domain=(-1.0, 1.0), u0=P.copy(),
+        kind="semilinear", operator=op, u0=P.copy(),
         source=source, exact_solution=exact,
         discrete_reference=discrete_reference, f=f, jac_diag=jac_diag,
     )

@@ -293,6 +293,37 @@ def eigenvalue_agreement(computed, reference):
     return float(np.linalg.norm(dists) / np.linalg.norm(r))
 
 
+#: columns of y per chunk of `_paired_product`, each chunk one real GEMM
+_COLUMNS = 256
+
+
+def _paired_product(V, q, Y):
+    """Re(V y) as a real (n, m) array, for the y whose h = len(Y)
+    representative rows are Y: y_j = Y[j] and y_{n-1-j} = conj(Y[j]) for
+    each pair j < q, y_k = Y[k] for each self-paired k in [q, h).
+
+    Only V[:, :h] is read, through its float view (SpectralDecomposition):
+    one real GEMM with the rows 2 Re y_j, -2 Im y_j and Re y_k, -Im y_k per
+    chunk of _COLUMNS columns.  V[:, :h] must have a contiguous last axis.
+    """
+    h, m = Y.shape
+    Vf = V[:, :h].view(float)
+    out = np.empty((len(V), m))
+    for lo in range(0, m, _COLUMNS):
+        hi = min(lo + _COLUMNS, m)
+        Yc = Y[:, lo:hi]
+        X = np.empty((2 * h, hi - lo))
+        np.multiply(Yc.real[:q], 2.0, out=X[0:2 * q:2])
+        np.multiply(Yc.imag[:q], -2.0, out=X[1:2 * q:2])
+        X[2 * q::2] = Yc.real[q:]
+        # np.multiply by -1.0, not np.negative: numpy 2.4.6 on AVX-512
+        # miscomputes np.negative(a, out=o) for one column a with a 64-byte
+        # row stride into an o with a 16-byte row stride
+        np.multiply(Yc.imag[q:], -1.0, out=X[2 * q + 1::2])
+        np.matmul(Vf, X, out=out[:, lo:hi])
+    return out
+
+
 @dataclass(eq=False)
 class SpectralDecomposition:
     """B = V D V^{-1} for the n-point stencil with step dt.
@@ -304,20 +335,34 @@ class SpectralDecomposition:
     of V and row n-1-j of Vinv are bitwise the conjugates of eigenvalue j,
     column j and row j; every other index pairs with itself.  `decompose`
     has q = n//2, the real geometric baseline q = 0 (always valid, it just
-    saves nothing).  The solver's steps (a)/(c) and `decomposition_residual`
-    use the pairs.
+    saves nothing).  With h = n - q, the rows j < h are the representatives.
 
     phase_times holds the seconds of each layer of `decompose` (find_roots,
     build_V, build_Vinv_fast, cond2 and, when computed, residual); it is
     empty for a loaded or geometric decomposition.
 
-    V and Vinv are the only copy of the factors: the solver's real steps
-    (a) and (c) read them through float views.  V is C-ordered, so
-    V[:, :h].view(float) interleaves Re V_k and Im V_k as columns; Vinv is
-    stored Fortran-ordered, so Vinv[:h].T.view(float).T interleaves
-    Re Vinv[k] and Im Vinv[k] as rows of a strided BLAS operand.  Neither
-    view copies.  Instances are treated as immutable and may be shared
-    across workers.
+    V (C order) and Vinv (Fortran order) are the only copy of the factors,
+    and every product with them is real, read through float views that do
+    not copy: Vf = V[:, :h].view(float) has the columns Re v_k, Im v_k at
+    2k, 2k+1, and Vinv[:h].T.view(float).T the rows Re, Im of Vinv[k].
+
+    - `apply_Vinv` (step (a)): for a real b, the real product of the latter
+      view with b holds Re g_k, Im g_k of g = V^{-1} b for k < h, and
+      g_{n-1-j} = conj(g_j): 2n^2 m flops instead of 8n^2 m.
+    - `_paired_product`, the one kernel behind step (c) and
+      `decomposition_residual`: if y_{n-1-j} = conj(y_j), a pair adds
+      v_j y_j + conj(v_j y_j) = 2 Re(v_j y_j), so Re(V y) = Vf @ X with
+      the real rows X[2k] = c_k Re y_k, X[2k+1] = -c_k Im y_k (c_k = 2 for
+      a pair, 1 for a self-paired index): 2n^2 m flops instead of 8n^2 m.
+    - `apply_V` (step (c)): any w is s + i r with s and r mirrored,
+      s_j = (w_j + conj w_p)/2 and r_j = -i(w_j - conj w_p)/2 for a pair
+      (p = n-1-j), s_k = w_k and r_k = -i w_k for a self-paired k.  V s and
+      V r are real, so Re(V w) and Im(V w) are each one kernel call.  When
+      w mirrors, as the solves of mirrored shifts give, r is 0 on the pairs
+      and Im(V w) comes from the self-paired columns alone (none for even
+      n from `decompose`); both parts stay exact for any w.
+
+    Instances are treated as immutable and may be shared across workers.
     """
 
     n: int
@@ -346,9 +391,36 @@ class SpectralDecomposition:
     def newton_iters_max(self):
         return int(self.roots.newton_iters.max()) if self.roots is not None else -1
 
+    def apply_Vinv(self, b):
+        """g = V^{-1} b for the real (n, m) blocks b, by one real product;
+        a C-contiguous complex (n, m) array."""
+        q, h = self.q, self.n - self.q
+        P = self.Vinv[:h].T.view(float).T @ b
+        G = np.empty((self.n, b.shape[1]), dtype=complex)
+        G.real[:h] = P[0::2]
+        G.imag[:h] = P[1::2]
+        np.conj(G[:q][::-1], out=G[h:])
+        return G
 
-#: Columns of V^{-1} per chunk of the paired residual product.
-_RESIDUAL_COLUMNS = 256
+    def apply_V(self, W):
+        """(Re(V w), ||Im(V w)||_F) for the complex (n, m) blocks w in W,
+        which is not changed."""
+        q, h = self.q, self.n - self.q
+        # only the boolean is kept: a held conjugate half costs an n/2 x m
+        # complex array through the product (7% of heat-wide's peak RSS)
+        if np.array_equal(W[:q], np.conj(W[h:][::-1])):
+            U = _paired_product(self.V, q, W[:h])
+            if h == q:
+                return U, 0.0
+            Im = _paired_product(self.V[:, q:h], 0, -1j * W[q:h])
+        else:
+            wp = np.conj(W[h:][::-1])
+            S = np.concatenate([(W[:q] + wp) * 0.5, W[q:h]])
+            R = np.concatenate([(W[:q] - wp) * -0.5j, -1j * W[q:h]])
+            del wp
+            U = _paired_product(self.V, q, S)
+            Im = _paired_product(self.V, q, R)
+        return U, float(np.linalg.norm(Im))
 
 
 def decomposition_residual(eigenvalues, V, Vinv, B, q=0):
@@ -358,57 +430,39 @@ def decomposition_residual(eigenvalues, V, Vinv, B, q=0):
     B and the eigenvalues are divided by s = max|B| first: the ratio does
     not change, and the norms neither overflow nor underflow for any dt.
 
-    q is the pair count of `SpectralDecomposition`.  With q = 0 (the
-    default, which assumes no structure) V D V^{-1} is the full complex
-    product.  Otherwise, with h = n - q, column v_k of V, row w_k of V^{-1}
-    and y_k = lambda_k w_k, each pair j < q adds 2 Re(v_j y_j) and each
-    self-paired index k in [q, h) adds v_k y_k.  As in the solver's step
-    (c), the float view Vf = V[:, :h].view(float) has the columns Re v_k and
-    Im v_k, so the real part of V D V^{-1} is the real product Vf @ X with
-    the rows X[2k] = c_k Re y_k and X[2k+1] = -c_k Im y_k (c_k = 2 for a
-    pair, 1 otherwise): 2n^3 flops instead of 8n^3.  The imaginary part
-    comes from the self-paired indices alone, Vf[:, 2q:] @ Z with the rows
-    Z[2(k-q)] = Im y_k and Z[2(k-q)+1] = Re y_k (rank n % 2 for
-    `decompose`).  V must be C-ordered.  The product runs in chunks of _RESIDUAL_COLUMNS
+    q is the pair count of `SpectralDecomposition` (the default 0 assumes
+    no structure).  With w_k the rows of V^{-1}, the rows y_k = lambda_k w_k
+    of D V^{-1} mirror as the w_k do, so the real part of V D V^{-1} is
+    `_paired_product` over the representative rows y_k, k < h: 2n^3 flops
+    instead of 8n^3 for q = n//2.  The imaginary part comes from the
+    self-paired indices alone, the kernel over V[:, q:h] with the rows
+    -i y_k (rank n % 2 for `decompose`).  Both run in chunks of _COLUMNS
     columns of V^{-1}, each minus the entries of B (in CSC form) in its
     columns, so no n x n temporary is formed.
     """
-    B = scipy.sparse.csc_array(B) if q else scipy.sparse.coo_array(B)
+    B = scipy.sparse.csc_array(B)
     s = np.abs(B.data).max()
     data = B.data / s
     lam = np.asarray(eigenvalues) / s
-    if q == 0:
-        M = (V * lam[None, :]) @ Vinv
-        M[B.row, B.col] -= data
-        return float(np.linalg.norm(M) / np.linalg.norm(data))
+    V = np.ascontiguousarray(V, dtype=complex)     # eig's vectors are F-ordered
     n = len(lam)
     h = n - q
-    Vf = V[:, :h].view(float)
-    c_lam = lam[:h, None].copy()
-    c_lam[:q] *= 2.0
     ptr = B.indptr
     sq = 0.0
-    for lo in range(0, n, _RESIDUAL_COLUMNS):
-        hi = min(lo + _RESIDUAL_COLUMNS, n)
-        Y = c_lam * Vinv[:h, lo:hi]
-        X = np.empty((2 * h, hi - lo))
-        X[0::2] = Y.real
-        np.negative(Y.imag, out=X[1::2])
-        Z = np.empty((2 * (h - q), hi - lo))
-        Z[0::2] = Y.imag[q:]
-        Z[1::2] = Y.real[q:]
-        # at most two n x chunk arrays live at a time within a chunk
-        del Y
-        M = Vf @ X
-        del X
+    for lo in range(0, n, _COLUMNS):
+        hi = min(lo + _COLUMNS, n)
+        Y = lam[:h, None] * Vinv[:h, lo:hi]
         if h > q:
-            T = Vf[:, 2 * q:] @ Z
+            T = _paired_product(V[:, q:h], 0, -1j * Y[q:])
             sq += np.vdot(T, T)
             del T
+        M = _paired_product(V, q, Y)
+        del Y
         a, b = ptr[lo], ptr[hi]
         cols = np.repeat(np.arange(hi - lo), np.diff(ptr[lo:hi + 1]))
         M[B.indices[a:b], cols] -= data[a:b]
         sq += np.vdot(M, M)
+        del M
     return float(np.sqrt(sq) / np.linalg.norm(data))
 
 
@@ -418,11 +472,12 @@ def _check_memory(n):
 
     The peak is measured (tracemalloc, n = 512 and 1024): 48 n^2 bytes
     while `build_Vinv_fast` runs next to V (V and V^{-1} at 16 n^2 each,
-    two n x n/2 work arrays).  The residual stays within it: next to V and
-    V^{-1}, a chunk of c columns holds at most two n x c float arrays, plus
-    the previous chunk's product while the next one starts.  With c = 256
-    that is 16 n^2 for the single chunk of an n <= 256 and 12 n^2 at
-    n = 512.  Afterwards the decomposition holds 32 n^2.
+    two n x n/2 work arrays).  Next to V and V^{-1}, a chunk of c = 256
+    columns of the residual holds three arrays of n x c floats each (the
+    scaled rows of V^{-1}, the kernel's rows and the product): 12 n^2 at
+    n = 512, less above, so the residual stays within the peak for n >= 512.
+    The single chunk of an n <= 256 takes it to 24 n^2, at most 1.6 MB.
+    Afterwards the decomposition holds 32 n^2.
     """
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")

@@ -91,6 +91,39 @@ def test_refined_guesses_sit_on_roots():
         assert np.abs(np.atleast_1d(r) / np.sin(seeds)).max() < 1e-6
 
 
+def _fixed_count_guesses(n):
+    """refined_guesses with its bisections run the full 80 and 90 times."""
+    lo, hi = 0.0, float(np.arcsinh(float(n))) + 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if np.sinh(mid) * np.sinh(mid / n) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    b_max = 0.5 * (lo + hi)
+    half = (n + 1) // 2
+    target = np.arange(1, half + 1) * np.pi
+    blo, bhi = np.zeros(half), np.full(half, b_max)
+    for _ in range(90):
+        mid = 0.5 * (blo + bhi)
+        u = np.clip(np.tanh(mid) * np.cosh(mid / n), 0.0, 1.0)
+        v = np.clip(np.tanh(mid / n) * np.cosh(mid), 0.0, 1.0)
+        below = n * np.arcsin(u) + np.arcsin(v) < target
+        blo, bhi = np.where(below, mid, blo), np.where(below, bhi, mid)
+    b = 0.5 * (blo + bhi)
+    alpha = np.arcsin(np.clip(np.tanh(b) * np.cosh(b / n), 0.0, 1.0))
+    theta = np.empty(n, dtype=complex)
+    theta[:half] = alpha + 1j * (b / n)
+    theta[n - half:] = (np.pi - alpha[::-1]) + 1j * (b / n)[::-1]
+    return theta
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 17, 32, 63, 100, 257, 511, 1024, 4096])
+def test_refined_guesses_stop_where_the_full_bisection_ends(n):
+    # the bisections stop once the bracket stops moving, at the full count's seeds
+    assert np.array_equal(refined_guesses(n), _fixed_count_guesses(n))
+
+
 # --------------------------------------------------------------- find_roots
 
 def test_find_roots_n1_analytic():

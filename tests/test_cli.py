@@ -215,6 +215,20 @@ def test_exit_code_non_finite_input(argv):
     assert main(argv) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare-geometric", "--tau", "nan"],
+    ["compare-geometric", "--tau", "inf"],
+    ["compare-geometric", "--dt-last", "nan"],
+    ["compare-geometric", "--dt-last", "-1"],
+    # the table starts at n = 4: a smaller --n-max would print no rows
+    ["compare-geometric", "--n-max", "3"],
+])
+def test_exit_code_bad_geometric_grid(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+
+
 def test_exit_code_numerical_failure():
     # unreachable tolerance forces the simplified Newton loop over budget
     code = main(["convergence", "--kind", "semilinear", "--m", "16",

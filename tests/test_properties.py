@@ -1,9 +1,10 @@
 """Property tests of the decomposition: dump round-trip, the mirror symmetry
-of V and V^{-1}, and the cond2 estimate against the SVD; of the solver's
-real steps (a) and (c) against the complex products, and of step (c)'s
-skip of the imaginary rows that mirrored solves make exactly 0; and of the
-batched sine Laplacian solve against its per-row solve, and of its shift
-check against the scan of every denominator.
+of V and V^{-1}, and the cond2 estimate against the SVD; of the real steps
+(a) and (c), SpectralDecomposition.apply_Vinv and apply_V, against the
+complex products, and of step (c)'s skip of the imaginary rows that
+mirrored solves make exactly 0; and of the batched sine Laplacian solve
+against its per-row solve, and of its shift check against the scan of every
+denominator.
 
 Examples are derandomized and few, so the suite stays deterministic and
 adds only a few seconds.
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpint import solver, spatial
+from chebpint import solver, spatial, spectral
 from chebpint.chebroots import find_roots
 from chebpint.errors import SingularShiftError
 from chebpint.spectral import (
@@ -84,16 +85,16 @@ def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
     VW = dec.V @ W
     scale = np.abs(VW).max()
     # chunks of `cols` columns, so most blocks cross chunk boundaries
-    with mock.patch.object(solver, "_STEP_C_COLUMNS", cols):
-        U, im = solver._step_c(dec, W)
+    with mock.patch.object(spectral, "_COLUMNS", cols):
+        U, im = dec.apply_V(W)
         # Re(V (-i W)) = Im(V W)
-        U_imag, _ = solver._step_c(dec, -1j * W)
+        U_imag, _ = dec.apply_V(-1j * W)
     assert np.array_equal(W, W0)                   # the input is not changed
     assert np.abs(U - VW.real).max() <= 1e-13 * scale
     assert np.abs(U_imag - VW.imag).max() <= 1e-13 * scale
     assert abs(im - np.linalg.norm(VW.imag)) <= 1e-13 * np.linalg.norm(VW)
     b = rng.normal(size=(n, m))
-    G = solver._step_a(dec, b)
+    G = dec.apply_Vinv(b)
     assert (np.abs(G - dec.Vinv @ b) <= 1e-13 * (np.abs(dec.Vinv) @ np.abs(b))).all()
 
 
@@ -109,8 +110,8 @@ def test_step_c_skips_only_exact_zeros(n, m, cols, seed):
     W = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     W[q:h] = W[q:h].real
     W[h:] = np.conj(W[:q][::-1])
-    with mock.patch.object(solver, "_STEP_C_COLUMNS", cols):
-        U, im = solver._step_c(dec, W)
+    with mock.patch.object(spectral, "_COLUMNS", cols):
+        U, im = dec.apply_V(W)
         VW = dec.V @ W
         assert im == 0.0
         assert np.abs(U - VW.real).max() <= 1e-13 * np.abs(VW).max()
@@ -123,7 +124,7 @@ def test_step_c_skips_only_exact_zeros(n, m, cols, seed):
             W[r, c] = complex(np.nextafter(re, np.inf), imag)
         else:
             W[r, c] = complex(re, np.nextafter(imag, np.inf))
-        _, im = solver._step_c(dec, W)
+        _, im = dec.apply_V(W)
     VW = dec.V @ W
     assert abs(im - np.linalg.norm(VW.imag)) <= 1e-13 * np.linalg.norm(VW)
     assert im > 0.0

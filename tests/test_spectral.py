@@ -300,6 +300,27 @@ def test_memory_guard_counts_the_residual_of_an_odd_n():
     assert peak <= 48 * n * n + 2**20
 
 
+def test_apply_V_holds_no_conjugate_half():
+    # beyond W, step (c) on mirrored solves holds Re(V w) and one chunk's
+    # rows: the conjugated half of the mirror check is freed before the
+    # product (held through it, it would add another n x m float array)
+    n, m = 64, 4096
+    dec = decompose(n, 0.1, with_residual=False)
+    q, h = dec.q, n - dec.q
+    rng = np.random.default_rng(5)
+    W = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    W[h:] = np.conj(W[:q][::-1])
+    dec.apply_V(W[:, :8])                                   # warm up
+    tracemalloc.start()
+    try:
+        U, im = dec.apply_V(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert im == 0.0 and U.shape == (n, m)
+    assert peak <= 1.25 * n * m * 8 + 2 * h * spectral._COLUMNS * 8
+
+
 def test_memory_guard_counts_both_modes_alike(monkeypatch):
     # the chunked residual stays under the build's peak: one count, 48 n^2
     n = 64
@@ -358,7 +379,7 @@ def test_paired_residual_is_the_full_product(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 300])
 def test_paired_residual_over_chunks_and_pair_counts(n, monkeypatch):
     # 7-column chunks cross the stencil's diagonals; every q <= n//2 is valid
-    monkeypatch.setattr(spectral, "_RESIDUAL_COLUMNS", 7)
+    monkeypatch.setattr(spectral, "_COLUMNS", 7)
     dec = decompose(n, 0.1, with_residual=False)
     B = assemble_B(n, 0.1)
     full = _full_residual(dec, B.toarray())
