@@ -52,6 +52,7 @@ pool, so numerical output is identical for any worker count.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -104,6 +105,17 @@ class SolveReport:
     #: tolerance of its fixed points, their updates per shift (max and
     #: total) and its exact fallbacks; empty for the linear drivers
     sweeps: list = field(default_factory=list)
+
+
+def _check_workers(workers):
+    """workers as an int; ValueError unless it is an integer >= 1."""
+    try:
+        count = operator.index(workers)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"workers must be >= 1 and an integer, got {workers!r}")
+    return count
 
 
 def _check_shapes(decomp: SpectralDecomposition, op: SpatialOperator, rhs: BlockVector):
@@ -174,10 +186,31 @@ def _three_step(decomp, b, solve_block, workers, times):
     return U, residue
 
 
+def _residual(decomp, op, U, b, order=1, fU=None):
+    """||(B^order (x) I) U + (I (x) A) U + f(U) - b|| relative to ||b||, and
+    absolute when b = 0; fU is f(U), or None for the linear drivers.
+
+    B is decomp.B when the decomposition carries its matrix (the geometric
+    baseline) and the hybrid stencil, applied by apply_B, otherwise.  The
+    sum is built in place, term by term in the order written.
+    """
+    r = U
+    for _ in range(order):
+        r = apply_B(r, decomp.dt) if decomp.B is None else decomp.B @ r
+    AU = op.apply(U)
+    r = r.astype(np.result_type(r, AU), copy=False)    # a complex-typed A
+    r += AU
+    if fU is not None:
+        r += fU
+    r -= b
+    rnorm = np.linalg.norm(r)
+    bnorm = np.linalg.norm(b)
+    return float(rnorm / bnorm) if bnorm > 0 else float(rnorm)
+
+
 def _solve_linear(decomp, op, rhs, workers, order):
     """Direct solve of (B^order (x) I + I (x) A) u = b, order 1 or 2."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = _check_workers(workers)
     _check_shapes(decomp, op, rhs)
     if decomp.n < order:
         raise DimensionMismatchError(f"order-{order} solves need n >= {order}")
@@ -192,16 +225,10 @@ def _solve_linear(decomp, op, rhs, workers, order):
         workers, times,
     )
 
-    BU = U
-    for _ in range(order):
-        BU = apply_B(BU, decomp.dt)
-    r = BU + op.apply(U) - b
-    bnorm = np.linalg.norm(b)
-    res = float(np.linalg.norm(r) / bnorm) if bnorm > 0 else float(np.linalg.norm(r))
     return SolveReport(
         solution=BlockVector(U),
         iterations=1,
-        residual_history=[res],
+        residual_history=[_residual(decomp, op, U, b, order)],
         phase_times=times,
         imag_residue=residue,
     )
@@ -303,16 +330,18 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     correct.  Sweep 0 stays exact because it has no outer residual to trust
     yet and, for an affine f, is the whole solve.  Iteration starts from
     u = 0 and stops once the exact 2-norm residual of the nonlinear system
-    drops under tol * ||b||.  report.sweeps holds one record per sweep.
-    The source, f and jac_diag must be real: a sweep whose right-hand side
-    has a nonzero imaginary part raises NonRealSolutionError.
+    drops under tol * ||b|| (under tol when b = 0, so zero data return
+    u = 0 after no sweep).  Each sweep evaluates f(u) once, for its residual
+    and its right-hand side.  report.sweeps holds one record per sweep.
+    The source, f and jac_diag must be real: an f(u) or a sweep's
+    right-hand side with a nonzero imaginary part raises
+    NonRealSolutionError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = _check_workers(workers)
     op = problem.operator
     n, m = decomp.n, op.m
     lam = decomp.eigenvalues
@@ -322,7 +351,6 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     from .timedisc import rhs_first_order
 
     b = _real_rhs(rhs_first_order(problem.u0, g, decomp.dt).values)
-    bnorm = np.linalg.norm(b)
 
     U = np.zeros((n, m))
     warm = np.empty((n, m), dtype=complex)  # each shift's w_j of the last sweep
@@ -335,8 +363,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     residue = 0.0
     for k in range(max_iter):
         t0 = time.perf_counter()
-        res = apply_B(U, decomp.dt) + op.apply(U) + problem.f(U) - b
-        rel = float(np.linalg.norm(res) / bnorm)
+        fU = _real_rhs(problem.f(U))
+        rel = _residual(decomp, op, U, b, fU=fU)
         history.append(rel)
         if rel <= tol:
             return SolveReport(
@@ -350,7 +378,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
         rtol = _FP_RTOL if k == 0 else max(_FP_RTOL, _ETA * rel)
         avg_jac = problem.jac_diag(U).mean(axis=0)
         c = 0.5 * (avg_jac.min() + avg_jac.max())
-        rhs_k = _real_rhs(b + U * avg_jac[None, :] - problem.f(U))
+        rhs_k = _real_rhs(b + U * avg_jac[None, :] - fU)
         times["assembly"] += time.perf_counter() - t0
 
         def solve_block(lo, hi, Gs):

@@ -5,18 +5,27 @@ The unit-step stencil matrix has eigenvector columns p_j with entries
 with ``I_diag = diag(i^0..i^{n-1})`` and ``Phi`` a Vandermonde-like matrix of
 second-kind Chebyshev values at the roots x_j.
 
-``build_Vinv_fast`` computes V^{-1} in O(n^2) through the structure of Phi:
+``build_Vinv_fast`` computes V^{-1} in O(n^2) through the structure of Phi.
+The paper's algorithm takes three steps:
 
-1. one sparse pentadiagonal solve S_n b = (0,..,0,i,2)^T, which decouples by
-   index parity into two tridiagonal systems (O(n));
-2. for each root, a tridiagonal solve Tridiag{1, -2*x_j, 1} psi_j = 2*b/p_n'(x_j)
-   with zero closure on both ends (O(n) apiece, O(n^2) total);
-3. W = 0.5 * Psi @ S_n and V^{-1} = W @ diag((-i)^k).
+1. one pentadiagonal solve S_n b = e with e = (0,..,0,i,2)^T;
+2. for each root, a tridiagonal solve T_j psi_j = 2*b/p_n'(x_j), where
+   T_j = Tridiag{1, -2*x_j, 1} with zero closure on both ends;
+3. W = 0.5 * Psi @ S_n and V^{-1} = W @ diag((-i)^k), Psi having rows psi_j.
 
-Step 2 is vectorized across roots; the mirror symmetry x_{n+1-j} = -conj(x_j)
-implies psi_{n+1-j,k} = (-1)^(k+1) * conj(psi_{j,k}), so only ceil(n/2) sweeps
-are actually run.  An O(n^3) dense inversion (`build_Vinv_reference`) is kept
-as the independent cross-check path.
+S_n has diagonal (3, 2, .., 2, 3) and -1 on its second off-diagonals.  With
+J = Tridiag{1, 0, 1}, S_n = 4I - J^2 and T_j = J - 2*x_j*I are symmetric
+polynomials in the same J, so they commute (for n = 1 both are scalars).
+Row j of step 3 is then (1/p_n'(x_j)) (S_n T_j^{-1} S_n^{-1} e)^T =
+(1/p_n'(x_j)) (T_j^{-1} e)^T: the first and last steps cancel, and
+
+    V^{-1}[j, k] = (-i)^k (T_j^{-1} e)_k / p_n'(x_j),
+
+one tridiagonal sweep per root, vectorized across the roots.  Only the
+ceil(n/2) representative roots are swept: `find_roots` mirrors
+x_{n-1-j} = -conj(x_j) bitwise, so row n-1-j of V^{-1} is the conjugate of
+row j and is filled as such.  An O(n^3) dense inversion
+(`build_Vinv_reference`) is kept as the independent cross-check path.
 """
 
 from __future__ import annotations
@@ -36,8 +45,6 @@ from .errors import ChebPintError, SingularMatrixError, ZeroPivotError
 __all__ = [
     "SpectralDecomposition",
     "build_V",
-    "thomas_tridiagonal",
-    "solve_pentadiagonal_S",
     "build_Vinv_fast",
     "build_Vinv_reference",
     "cond2_estimate",
@@ -77,77 +84,14 @@ def build_V(roots: RootSet):
     return V
 
 
-def thomas_tridiagonal(lower, diag, upper, rhs):
-    """Solve a single tridiagonal system by the Thomas sweep.
-
-    ``lower[k]`` multiplies x[k-1] in row k (lower[0] ignored), ``upper[k]``
-    multiplies x[k+1] (upper[-1] ignored).  No pivoting; raises
-    ZeroPivotError when an elimination pivot underflows.
-    """
-    d = np.asarray(diag, dtype=complex)
-    lo = np.asarray(lower, dtype=complex)
-    up = np.asarray(upper, dtype=complex)
-    b = np.asarray(rhs, dtype=complex)
-    k = d.shape[0]
-    if not (lo.shape[0] == up.shape[0] == b.shape[0] == k):
-        raise ValueError("lower, diag, upper, rhs must have equal length")
-    cp = np.empty(k, dtype=complex)
-    dp = np.empty(k, dtype=complex)
-    piv = d[0]
-    if abs(piv) < _PIVOT_FLOOR:
-        raise ZeroPivotError(0)
-    cp[0] = up[0] / piv
-    dp[0] = b[0] / piv
-    for i in range(1, k):
-        piv = d[i] - lo[i] * cp[i - 1]
-        if abs(piv) < _PIVOT_FLOOR:
-            raise ZeroPivotError(i)
-        cp[i] = up[i] / piv
-        dp[i] = (b[i] - lo[i] * dp[i - 1]) / piv
-    x = np.empty(k, dtype=complex)
-    x[-1] = dp[-1]
-    for i in range(k - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
-
-
-def solve_pentadiagonal_S(n):
-    """Solve S_n b = (0,...,0,i,2)^T in O(n).
-
-    S_n has diagonal (3,2,...,2,3), zeros on the first off-diagonals and -1
-    on the second off-diagonals, so even and odd indices decouple into two
-    independent tridiagonal systems handled by the Thomas sweep.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rhs = np.zeros(n, dtype=complex)
-    rhs[-1] = 2.0
-    if n >= 2:
-        rhs[-2] = 1j
-    b = np.empty(n, dtype=complex)
-    for parity in (0, 1):
-        idx = np.arange(parity, n, 2)
-        k = idx.size
-        if k == 0:
-            continue
-        diag = np.full(k, 2.0, dtype=complex)
-        if idx[0] == 0:
-            diag[0] = 3.0
-        if idx[-1] == n - 1:
-            diag[-1] = 3.0
-        off = np.full(k, -1.0, dtype=complex)
-        b[idx] = thomas_tridiagonal(off, diag, off, rhs[idx])
-    return b
-
-
 def _vectorized_thomas_constant(x_vals, rhs, check_pivots=False):
-    """Solve Tridiag{1, -2*x_j, 1} phi_j = rhs for many x_j at once.
+    """Solve T_j phi_j = rhs, T_j = Tridiag{1, -2*x_j, 1}, for many x_j at once.
 
     All systems share the rhs and the unit off-diagonals; only the constant
-    diagonal -2*x_j differs, so the forward/backward sweeps run as length-n
-    vector operations across the systems.  Returns phi with phi[k, j] the
-    k-th component of system j.
+    diagonal -2*x_j differs, so the forward/backward sweeps run as vector
+    operations across the systems.  Returns the (n, len(x_vals)) array phi
+    with phi[k, j] the k-th component of system j; it and the sweep's
+    elimination factors are the two work arrays of `build_Vinv_fast`.
 
     The happy path skips per-step pivot tests (a vanishing pivot surfaces as
     non-finite output); on failure the sweep reruns with checks enabled to
@@ -185,38 +129,25 @@ def _powers_of_minus_i(n):
 
 
 def build_Vinv_fast(roots: RootSet):
-    """V^{-1} in O(n^2) via the pentadiagonal/tridiagonal factor structure.
+    """V^{-1}[j, k] = (-i)^k (T_j^{-1} e)_k / p_n'(x_j) in O(n^2) (module
+    docstring), swept for the h = ceil(n/2) representative roots.
 
     The result is Fortran-ordered, the layout SpectralDecomposition stores
     V^{-1} in, so `decompose` hands it over without a copy.
     """
     n = roots.n
-    x = roots.xs
-    b = solve_pentadiagonal_S(n)
-    dp = p_prime(roots.thetas, n)
-    nhalf = (n + 1) // 2
-
-    phi = _vectorized_thomas_constant(x[:nhalf], b)      # phi[k, j], j < nhalf
-    phi *= (2.0 / dp[:nhalf])[None, :]
-    # Fold 0.5 * I^{-1} = 0.5 diag((-i)^k) into the rows up front.  S_n only
-    # couples k with k +- 2, where (-i)^k differs by exactly -1, so its -1
-    # off-band entries become +1 after the fold, and the mirror relation
-    # psi_{n+1-j,k} = (-1)^(k+1) conj(psi_{j,k}) collapses to a plain
-    # conjugation of whole rows of the result.
-    phi *= (0.5 * _powers_of_minus_i(n))[:, None]
-    dcoef = np.full(n, 2.0)
-    dcoef[0] = 3.0
-    dcoef[-1] = 3.0
-    Y = phi * dcoef[:, None]
-    if n > 2:
-        Y[:-2] += phi[2:]
-        Y[2:] += phi[:-2]
-
-    W = np.empty((n, n), dtype=complex, order="F")       # rows indexed by j
-    W[:nhalf] = Y.T
-    if n > nhalf:
-        np.conj(W[: n - nhalf][::-1], out=W[nhalf:])    # no n x n/2 temporary
-    return W
+    h = (n + 1) // 2
+    e = np.zeros(n, dtype=complex)
+    e[-1] = 2.0
+    if n > 1:
+        e[-2] = 1j
+    phi = _vectorized_thomas_constant(roots.xs[:h], e)   # phi[k, j], j < h
+    phi /= p_prime(roots.thetas[:h], n)
+    phi *= _powers_of_minus_i(n)[:, None]
+    Vinv = np.empty((n, n), dtype=complex, order="F")
+    Vinv[:h] = phi.T
+    np.conj(Vinv[:n - h][::-1], out=Vinv[h:])           # no n x n/2 temporary
+    return Vinv
 
 
 def build_Vinv_reference(V):
@@ -341,6 +272,12 @@ class SpectralDecomposition:
     build_V, build_Vinv_fast, cond2 and, when computed, residual); it is
     empty for a loaded or geometric decomposition.
 
+    B is the dense time matrix that V D V^{-1} factors, when it is not the
+    hybrid stencil `assemble_B(n, dt)`: the geometric baseline sets its
+    trapezoidal matrix, and the solvers' residuals apply it.  None means the
+    stencil.  A dump does not store B, so a loaded geometric decomposition
+    reports its solves' residuals against the stencil.
+
     V (C order) and Vinv (Fortran order) are the only copy of the factors,
     and every product with them is real, read through float views that do
     not copy: Vf = V[:, :h].view(float) has the columns Re v_k, Im v_k at
@@ -375,6 +312,7 @@ class SpectralDecomposition:
     roots: RootSet | None = None
     q: int = 0
     phase_times: dict = field(default_factory=dict)
+    B: np.ndarray | None = None
 
     def __post_init__(self):
         n, q = self.n, self.q
@@ -470,20 +408,23 @@ def _check_memory(n):
     """Raise ChebPintError when the peak of `decompose` exceeds physical
     memory (skipped where os.sysconf cannot tell).
 
-    The peak is measured (tracemalloc, n = 512 and 1024): 48 n^2 bytes
-    while `build_Vinv_fast` runs next to V (V and V^{-1} at 16 n^2 each,
-    two n x n/2 work arrays).  Next to V and V^{-1}, a chunk of c = 256
-    columns of the residual holds three arrays of n x c floats each (the
-    scaled rows of V^{-1}, the kernel's rows and the product): 12 n^2 at
-    n = 512, less above, so the residual stays within the peak for n >= 512.
-    The single chunk of an n <= 256 takes it to 24 n^2, at most 1.6 MB.
+    The peak is measured (tracemalloc, n = 511 to 2048).  `build_Vinv_fast`
+    ends with V, the sweep's n x n/2 solution and V^{-1} held at once
+    (16 + 8 + 16 n^2 bytes; the sweep's n x n/2 elimination factors are
+    freed before V^{-1} is allocated): 40 n^2.  Next to V and V^{-1}, a
+    chunk of c = 256 columns of the residual holds three arrays of n x c
+    floats each (the scaled rows of V^{-1}, the kernel's rows and the
+    product): 12 n^2 at n = 512, 6 n^2 at n = 1024.  So the residual sets
+    the peak at n = 511 and 512 (44.9 n^2), and the build from n = 1024 on
+    (40.3 n^2); one count of 45 n^2 covers both modes for n >= 512.  The
+    single chunk of an n <= 256 takes it to 59 n^2, at most 3.9 MB.
     Afterwards the decomposition holds 32 n^2.
     """
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = 48 * int(n) ** 2
+    need = 45 * int(n) ** 2
     physical = page * pages
     if page > 0 and pages > 0 and need > physical:
         raise ChebPintError(
@@ -551,7 +492,9 @@ def save_decomposition(dec, path):
 
     One ASCII header line, then IEEE-754 little-endian doubles: eigenvalues,
     V, V^{-1}, each as row-major (re, im) pairs.  The pair count q is not
-    stored: `load_decomposition` derives it from V and V^{-1}.
+    stored: `load_decomposition` derives it from V and V^{-1}.  Neither is
+    the matrix B of a geometric baseline: version 1 has no field for it, so
+    the loaded decomposition has B = None.
     """
     header = (
         f"{_DUMP_MAGIC} {_DUMP_VERSION} n={dec.n} dt={dec.dt!r} "

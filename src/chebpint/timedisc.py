@@ -155,13 +155,6 @@ def apply_B(values, dt):
     return out
 
 
-def _as_blocks(g, n, m):
-    g = np.asarray(g)
-    if g.shape != (n, m):
-        raise DimensionMismatchError(f"expected source blocks of shape ({n}, {m})")
-    return g
-
-
 def rhs_first_order(u0, g, dt):
     """All-at-once right-hand side for u' + A u = g: block 1 is
     u0/(2dt) + g_1, block j is g_j for j >= 2."""
@@ -258,7 +251,9 @@ def geometric_decomposition(grid: GeometricGrid):
     substitution on the Toeplitz factor (exact, O(n^2)) rather than any
     closed-form coefficient formula.  cond2 and the residual against the
     trapezoidal-rule B come from the same diagnostics as `decompose`.  The
-    factors are real and every index pairs with itself (q = 0).
+    factors are real and every index pairs with itself (q = 0).  The
+    decomposition carries B, so the solvers' residuals are taken against
+    it and not against the hybrid stencil.
     """
     n = grid.n
     p = _toeplitz_column(grid)
@@ -292,4 +287,5 @@ def geometric_decomposition(grid: GeometricGrid):
         residual=decomposition_residual(eigenvalues, V, Vinv, B),
         roots=None,
         q=0,
+        B=B,
     )

@@ -200,6 +200,16 @@ def test_complex_dtype_rhs_with_zero_imaginary_part_is_its_real_part():
     assert cplx.imag_residue == real.imag_residue
 
 
+def test_complex_typed_real_operator_solves_as_the_real_one():
+    # A @ u is complex-typed then: the in-place residual must not cast it
+    dec, op, rhs = _small_first_order_case()
+    cop = make_dense_operator(op.A.astype(complex))
+    for solve in (solve_first_order_linear, solve_second_order_linear):
+        real, cplx = solve(dec, op, rhs), solve(dec, cop, rhs)
+        assert np.array_equal(cplx.solution.values, real.solution.values)
+        assert cplx.residual_history == real.residual_history
+
+
 def test_geometric_baseline_matches_dense_trapezoidal_oracle():
     rng = np.random.default_rng(67)
     n, m = 10, 3
@@ -215,6 +225,8 @@ def test_geometric_baseline_matches_dense_trapezoidal_oracle():
     rep = solve_first_order_linear(gdec, make_dense_operator(A), BlockVector(b))
     err = np.abs(rep.solution.values - expected).max()
     assert err <= 1e-9 * np.abs(expected).max()
+    # the residual is taken against the trapezoidal B, not the stencil
+    assert rep.residual_history[-1] <= 1e-8
 
 
 # --------------------------------------------------------- recover_velocity
@@ -255,7 +267,7 @@ def test_worker_count_does_not_change_results():
             assert np.array_equal(got, base), (n, workers)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 2.0, 1.5, "2", float("nan")])
 def test_linear_drivers_reject_bad_worker_count(workers):
     op = make_dense_operator(np.eye(2))
     dec = decompose(4, 0.1)
@@ -362,6 +374,16 @@ def test_sni_rejects_empty_budget(max_iter):
         solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=max_iter)
 
 
+def test_sni_zero_data_return_zero_without_a_sweep():
+    # b = 0: the residual is taken absolute instead of as 0/0
+    m, n, dt = 2, 4, 0.2
+    prob = _linear_semilinear_problem(np.eye(m), np.zeros(m), np.zeros((n, m)),
+                                      dt, slope=1.0)
+    rep = solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=5)
+    assert rep.iterations == 0 and rep.residual_history == [0.0]
+    assert np.array_equal(rep.solution.values, np.zeros((n, m)))
+
+
 def test_sni_rejects_nan_tol():
     m, n, dt = 2, 4, 0.2
     prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)
@@ -369,7 +391,7 @@ def test_sni_rejects_nan_tol():
         solve_semilinear_sni(prob, decompose(n, dt), tol=float("nan"), max_iter=5)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 2.0, 1.5, "2", float("nan")])
 def test_sni_rejects_bad_worker_count(workers):
     m, n, dt = 2, 4, 0.2
     prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)

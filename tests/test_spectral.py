@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 
 from chebpint.chebroots import find_roots
 from chebpint import spectral
@@ -21,8 +20,6 @@ from chebpint.spectral import (
     eigenvalue_agreement,
     load_decomposition,
     save_decomposition,
-    solve_pentadiagonal_S,
-    thomas_tridiagonal,
 )
 from chebpint.solver import solve_first_order_linear
 from chebpint.spatial import make_dense_operator
@@ -61,84 +58,6 @@ def test_build_V_eigen_residual_moderate_n():
         assert rel < 1e-11
 
 
-# ------------------------------------------------------ thomas_tridiagonal
-
-def test_thomas_identity():
-    rhs = np.array([1.0, 2.0, 3.0], dtype=complex)
-    out = thomas_tridiagonal(np.zeros(3), np.ones(3), np.zeros(3), rhs)
-    assert np.abs(out - rhs).max() < 1e-15
-
-
-def test_thomas_manufactured_solution():
-    # Tridiag{1, -2, 1} applied to a known quadratic sequence
-    k = np.arange(1, 9, dtype=float)
-    psi = k**2
-    n = len(k)
-    rhs = np.empty(n)
-    rhs[0] = -2 * psi[0] + psi[1]
-    rhs[1:-1] = psi[:-2] - 2 * psi[1:-1] + psi[2:]
-    rhs[-1] = psi[-2] - 2 * psi[-1]
-    out = thomas_tridiagonal(np.ones(n), np.full(n, -2.0), np.ones(n), rhs)
-    assert np.abs(out - psi).max() < 1e-10
-
-
-def test_thomas_random_complex_vs_dense():
-    rng = np.random.default_rng(11)
-    n = 8
-    lo = rng.normal(size=n) + 1j * rng.normal(size=n)
-    d = rng.normal(size=n) + 1j * rng.normal(size=n) + 4.0  # diag dominant
-    up = rng.normal(size=n) + 1j * rng.normal(size=n)
-    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-    A = np.diag(d) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
-    expected = np.linalg.solve(A, rhs)
-    got = thomas_tridiagonal(lo, d, up, rhs)
-    assert np.abs(got - expected).max() / np.abs(expected).max() < 1e-12
-
-
-def test_thomas_zero_pivot():
-    with pytest.raises(ZeroPivotError):
-        thomas_tridiagonal(np.ones(3), np.zeros(3), np.ones(3), np.ones(3))
-
-
-# --------------------------------------------------------- pentadiagonal S
-
-def _S_matrix(n):
-    diag = np.full(n, 2.0)
-    diag[0] = 3.0
-    diag[-1] = 3.0
-    S = sparse.diags([diag], [0], format="lil")
-    for k in range(n - 2):
-        S[k, k + 2] = -1.0
-        S[k + 2, k] = -1.0
-    return S.tocsr()
-
-
-def test_penta_n3_hand_solution():
-    b = solve_pentadiagonal_S(3)
-    assert np.abs(b - np.array([0.25, 0.5j, 0.75])).max() < 1e-14
-
-
-def test_penta_residual_n512():
-    n = 512
-    b = solve_pentadiagonal_S(n)
-    rhs = np.zeros(n, dtype=complex)
-    rhs[-1] = 2.0
-    rhs[-2] = 1j
-    assert np.linalg.norm(_S_matrix(n) @ b - rhs) < 1e-13
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 6, 33])
-def test_penta_parity_structure(n):
-    # the stencil (-1, 0, 2, 0, -1) decouples parities: entries sharing the
-    # parity of the last index are real, the others purely imaginary
-    b = solve_pentadiagonal_S(n)
-    idx = np.arange(1, n + 1)
-    same = (idx % 2) == (n % 2)
-    assert np.abs(b[same].imag).max() == 0.0
-    if n >= 2:
-        assert np.abs(b[~same].real).max() == 0.0
-
-
 # ----------------------------------------------------------- fast inverse
 
 def test_vinv_fast_n1():
@@ -165,6 +84,14 @@ def test_vinv_fast_vs_reference_sweep(n):
     fast = build_Vinv_fast(roots)
     ref = build_Vinv_reference(V)
     assert np.abs(fast - ref).max() <= 1e-6
+
+
+def test_vectorized_thomas_names_the_zero_pivot():
+    # x = 0 at n = 1 gives the pivot 0: the unchecked sweep turns non-finite
+    # and its checked rerun names the step
+    with pytest.raises(ZeroPivotError):
+        spectral._vectorized_thomas_constant(np.zeros(1, dtype=complex),
+                                             np.ones(1, dtype=complex))
 
 
 def test_vinv_fast_decomposition_residual_n256():
@@ -270,11 +197,11 @@ def test_decompose_rejects_n_beyond_physical_memory(monkeypatch):
 
     monkeypatch.setattr(spectral, "find_roots", no_roots)
     n = 2**20
-    with pytest.raises(ChebPintError, match=f"n={n} needs {48 * n * n} bytes"):
+    with pytest.raises(ChebPintError, match=f"n={n} needs {45 * n * n} bytes"):
         decompose(n, 1.0)
 
 
-@pytest.mark.parametrize("with_residual, per_n2", [(False, 48), (True, 48)])
+@pytest.mark.parametrize("with_residual, per_n2", [(False, 45), (True, 45)])
 def test_memory_guard_counts_the_peak_of_decompose(with_residual, per_n2):
     n = 512
     decompose(n, 1.0 / n, with_residual=with_residual)    # warm up the imports
@@ -297,7 +224,22 @@ def test_memory_guard_counts_the_residual_of_an_odd_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * n * n + 2**20
+    assert peak <= 45 * n * n + 2**20
+
+
+def test_fast_inverse_holds_one_sweep_array_next_to_its_result():
+    # V^{-1} (16 n^2) next to the sweep's n x n/2 solution (8 n^2), and no
+    # second n x n/2 array: 25 n^2 measured
+    n = 512
+    roots = find_roots(n)
+    build_Vinv_fast(roots)
+    tracemalloc.start()
+    try:
+        build_Vinv_fast(roots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * n * n
 
 
 def test_apply_V_holds_no_conjugate_half():
@@ -322,9 +264,9 @@ def test_apply_V_holds_no_conjugate_half():
 
 
 def test_memory_guard_counts_both_modes_alike(monkeypatch):
-    # the chunked residual stays under the build's peak: one count, 48 n^2
+    # one count, 45 n^2, whether or not the residual is computed
     n = 64
-    physical = [48 * n * n]
+    physical = [45 * n * n]
     real_sysconf = os.sysconf
 
     def sysconf(name):
@@ -341,7 +283,7 @@ def test_memory_guard_counts_both_modes_alike(monkeypatch):
     monkeypatch.setattr(spectral, "find_roots", no_roots)
     physical[0] -= 1
     for with_residual in (False, True):
-        with pytest.raises(ChebPintError, match=f"n={n} needs {48 * n * n} bytes"):
+        with pytest.raises(ChebPintError, match=f"n={n} needs {45 * n * n} bytes"):
             decompose(n, 1.0, with_residual=with_residual)
 
 
