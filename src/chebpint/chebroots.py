@@ -29,6 +29,7 @@ Newton tolerance.  `spectral` builds V and V^{-1} from that symmetry.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,9 +217,12 @@ def find_roots(n, tol=1e-10, max_iter=50):
     NonConvergenceError : some root neither met the tolerance nor stagnated
     DuplicateRootsError : two converged x values coincide (wrong basins)
     """
-    n = int(n)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        n = 0
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:

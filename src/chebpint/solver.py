@@ -145,6 +145,17 @@ def _real_rhs(values):
     return np.ascontiguousarray(values, dtype=float)
 
 
+def _pointwise(name, func, U):
+    """func(U); DimensionMismatchError, naming func, unless it has U's
+    shape (n, m)."""
+    values = func(U)
+    if np.shape(values) != U.shape:
+        raise DimensionMismatchError(
+            f"{name}(U) has shape {np.shape(values)}, but U has {U.shape}"
+        )
+    return values
+
+
 def _three_step(decomp, b, solve_block, workers, times):
     """Steps (a)-(c) for the real (n, m) blocks b.
 
@@ -335,7 +346,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     and its right-hand side.  report.sweeps holds one record per sweep.
     The source, f and jac_diag must be real: an f(u) or a sweep's
     right-hand side with a nonzero imaginary part raises
-    NonRealSolutionError.
+    NonRealSolutionError.  f(U) and jac_diag(U) must have U's shape (n, m),
+    or DimensionMismatchError names the one that does not.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -363,7 +375,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     residue = 0.0
     for k in range(max_iter):
         t0 = time.perf_counter()
-        fU = _real_rhs(problem.f(U))
+        fU = _real_rhs(_pointwise("f", problem.f, U))
         rel = _residual(decomp, op, U, b, fU=fU)
         history.append(rel)
         if rel <= tol:
@@ -376,7 +388,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
                 sweeps=sweeps,
             )
         rtol = _FP_RTOL if k == 0 else max(_FP_RTOL, _ETA * rel)
-        avg_jac = problem.jac_diag(U).mean(axis=0)
+        avg_jac = _pointwise("jac_diag", problem.jac_diag, U).mean(axis=0)
         c = 0.5 * (avg_jac.min() + avg_jac.max())
         rhs_k = _real_rhs(b + U * avg_jac[None, :] - fU)
         times["assembly"] += time.perf_counter() - t0

@@ -1,30 +1,38 @@
-"""Spatial operators (apply + complex-shifted solve) and benchmark problems.
+"""Spatial operators (matrix, apply, complex-shifted solves) and benchmark problems.
 
-Every operator implements the contract used by the time-parallel driver:
+An operator defines two methods, ``matrix()`` and its fast shifted solve;
+the base class supplies the rest of the contract the time-parallel drivers
+use:
 
-- ``apply(v)``: the matrix action A @ v (batched over a leading axis),
+- ``matrix()``: A itself, as a dense array or a scipy sparse matrix;
 - ``shifted_solve(sigma, g)``: solve (sigma*I + A) w = g for complex sigma,
+  by the operator's fast structure-exploiting method;
 - ``shifted_solve_batch(sigmas, G)``: overwrite each row G[j] of a
   C-contiguous complex128 array by the solution of
   (sigmas[j]*I + A) w = G[j], bitwise equal to ``shifted_solve`` of that
   row whatever else the batch holds.  The base class loops over
   ``shifted_solve``, so an operator that defines only the per-shift solve
   works unchanged; ``SineLaplacian2D`` transforms chunks of rows in place,
-  and its ``shifted_solve`` is the one-row batch.
+  and its ``shifted_solve`` is the one-row batch.  An operator defines
+  ``shifted_solve`` or ``shifted_solve_batch``, or both.
+- ``apply(v)``: the matrix action A @ v (batched over a leading axis),
+  written once in the base class from ``matrix()``;
 - ``shifted_diag_solve(sigma, diag, g)``: solve (sigma*I + A + diag(d)) w = g
-  exactly.  The simplified Newton iteration, where an averaged pointwise
-  Jacobian rides on top of the stiff linear part, solves these systems by a
-  fixed point on ``shifted_solve_batch`` and calls this method only as the
-  exact fallback for a shift whose fixed point does not contract.
+  exactly, written once in the base class as a sparse LU of ``matrix()``.
+  The simplified Newton iteration, where an averaged pointwise Jacobian
+  rides on top of the stiff linear part, solves these systems by a fixed
+  point on ``shifted_solve_batch`` and calls this method only as the exact
+  fallback for a shift whose fixed point does not contract.
 
 ``shifted_solve_batch`` must be reentrant: the driver invokes it
 concurrently on disjoint row blocks of one array, so no method mutates
 shared scratch state.
 
-The discrete Laplacians avoid external sparse solvers: the Dirichlet
-operator on a square is diagonalized exactly by the type-I discrete sine
-transform and the periodic one by the FFT, giving O(m log m) shifted solves.
-A dense operator wrapper covers small ODE systems and oracle tests.
+The discrete Laplacians avoid external sparse solvers in their shifted
+solves: the Dirichlet operator on a square is diagonalized exactly by the
+type-I discrete sine transform and the periodic one by the FFT, giving
+O(m log m) shifted solves.  A dense operator wrapper covers small ODE
+systems and oracle tests.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
@@ -67,12 +74,24 @@ _BATCH_ELEMS = 1 << 15
 
 
 class SpatialOperator:
-    """Contract: linear action and complex-shifted solves of dimension m."""
+    """Contract: A as a matrix, its action and complex-shifted solves of
+    dimension m.
+
+    A subclass defines `matrix` and a fast `shifted_solve` (or
+    `shifted_solve_batch`); `apply` and the exact `shifted_diag_solve` are
+    written here once, from `matrix`.  An operator without a matrix (a
+    delegating wrapper) overrides `apply` and `shifted_diag_solve` instead.
+    """
 
     m: int
 
-    def apply(self, v):
+    def matrix(self):
+        """A as a dense array or a scipy sparse matrix."""
         raise NotImplementedError
+
+    def apply(self, v):
+        v = self._check_dim(v)
+        return (self.matrix() @ np.atleast_2d(v).T).T.reshape(v.shape)
 
     def shifted_solve(self, sigma, g):
         raise NotImplementedError
@@ -86,9 +105,25 @@ class SpatialOperator:
             G[j] = self.shifted_solve(sigma, G[j])
 
     def shifted_diag_solve(self, sigma, diag, g):
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support diagonal-perturbed solves"
-        )
+        """Solve (sigma I + A + diag(d)) w = g by a sparse LU of `matrix`.
+
+        Raises SingularShiftError when the LU finds the matrix exactly
+        singular, or when its smallest pivot falls under _SHIFT_FLOOR times
+        the largest entry of the matrix.
+        """
+        g = self._check_dim(g)
+        M = (sparse.csc_matrix(self.matrix(), dtype=complex)
+             + sparse.diags(np.asarray(diag) + sigma)).tocsc()
+        # the stencils plus a diagonal have symmetric patterns; the AT+A
+        # ordering cuts the factor fill roughly in half versus the default
+        try:
+            lu = sparse_linalg.splu(M, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SingularShiftError(sigma, str(exc)) from exc
+        pivot = np.abs(lu.U.diagonal()).min() / np.abs(M.data).max()
+        if pivot < _SHIFT_FLOOR:
+            raise SingularShiftError(sigma, f"relative LU pivot {pivot:.1e}")
+        return lu.solve(g.astype(complex))
 
     def _check_dim(self, v):
         v = np.asarray(v)
@@ -112,17 +147,8 @@ class SpatialOperator:
         return sigmas
 
 
-def _dense_solve(M, sigma, g):
-    """Solve M w = g for the shifted matrix M; singular M means the shift
-    sigma hit the spectrum."""
-    try:
-        return np.linalg.solve(M, g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularShiftError(sigma, str(exc)) from exc
-
-
 class DenseOperator(SpatialOperator):
-    """Any square matrix; shifted solves factorize per shift."""
+    """Any square matrix; shifted solves factorize per shift by LAPACK."""
 
     def __init__(self, A):
         A = np.asarray(A)
@@ -131,19 +157,16 @@ class DenseOperator(SpatialOperator):
         self.A = A
         self.m = A.shape[0]
 
-    def apply(self, v):
-        v = self._check_dim(v)
-        return v @ self.A.T
+    def matrix(self):
+        return self.A
 
     def shifted_solve(self, sigma, g):
         g = self._check_dim(g)
         M = self.A.astype(complex) + sigma * np.eye(self.m)
-        return _dense_solve(M, sigma, g)
-
-    def shifted_diag_solve(self, sigma, diag, g):
-        g = self._check_dim(g)
-        M = self.A.astype(complex) + sigma * np.eye(self.m) + np.diag(diag)
-        return _dense_solve(M, sigma, g)
+        try:
+            return np.linalg.solve(M, g)
+        except np.linalg.LinAlgError as exc:
+            raise SingularShiftError(sigma, str(exc)) from exc
 
 
 class SineLaplacian2D(SpatialOperator):
@@ -153,7 +176,8 @@ class SineLaplacian2D(SpatialOperator):
     side L = (points_per_dim + 1) * h.  Eigenvectors are the sampled sine
     modes; eigenvalues (4/h^2)(sin^2(k*pi*h/(2L)) + sin^2(l*pi*h/(2L))).
     Shifted solves go through the type-I DST diagonalization; `matrix` gives
-    the equivalent sparse stencil for Jacobian-perturbed solves.
+    the equivalent sparse stencil, which `apply` and the Jacobian-perturbed
+    solves use.
     """
 
     def __init__(self, points_per_dim, h):
@@ -186,10 +210,6 @@ class SineLaplacian2D(SpatialOperator):
         """Interior points (X, Y), 'ij' indexing, raveled C-order."""
         pts = np.arange(1, self.points_per_dim + 1) * self.h
         return np.meshgrid(pts, pts, indexing="ij")
-
-    def apply(self, v):
-        v = self._check_dim(v)
-        return (self.matrix() @ np.atleast_2d(v).T).T.reshape(v.shape)
 
     def _check_shifts(self, sigmas, denom):
         """Raise SingularShiftError for the first sigmas[r] whose denominators
@@ -233,15 +253,6 @@ class SineLaplacian2D(SpatialOperator):
             scipy.fft.dstn(W, type=1, axes=(1, 2), overwrite_x=True)
             W *= self._dst_scale
 
-    def shifted_diag_solve(self, sigma, diag, g):
-        g = self._check_dim(g)
-        M = (self.matrix().astype(complex)
-             + sparse.diags(np.asarray(diag) + sigma)).tocsc()
-        # stencil + diagonal has a symmetric pattern; the AT+A ordering cuts
-        # the factor fill roughly in half versus the default
-        lu = sparse_linalg.splu(M, permc_spec="MMD_AT_PLUS_A")
-        return lu.solve(g.astype(complex))
-
 
 class PeriodicLaplacian1D(SpatialOperator):
     """Circulant second-difference operator (periodic second derivative).
@@ -260,16 +271,20 @@ class PeriodicLaplacian1D(SpatialOperator):
         self.h = float(h)
         k = np.arange(m)
         self.modes = (4.0 / h**2) * np.sin(np.pi * k / m) ** 2
+        self._matrix = None
 
-    def apply(self, v):
-        v = self._check_dim(v)
-        return (2.0 * v - np.roll(v, 1, axis=-1) - np.roll(v, -1, axis=-1)) / self.h**2
+    def matrix(self):
+        """Sparse CSR form of the circulant (cached)."""
+        if self._matrix is None:
+            m = self.m
+            self._matrix = sparse.diags(
+                [-1.0, -1.0, 2.0, -1.0, -1.0], [1 - m, -1, 0, 1, m - 1],
+                shape=(m, m), format="csr",
+            ) / self.h**2
+        return self._matrix
 
     def dense(self):
-        A = (2.0 * np.eye(self.m)
-             - np.roll(np.eye(self.m), 1, axis=1)
-             - np.roll(np.eye(self.m), -1, axis=1))
-        return A / self.h**2
+        return self.matrix().toarray()
 
     def shifted_solve(self, sigma, g):
         g = self._check_dim(g)
@@ -282,11 +297,6 @@ class PeriodicLaplacian1D(SpatialOperator):
         if not np.iscomplexobj(g) and not np.iscomplexobj(np.asarray(sigma)):
             return out.real
         return out
-
-    def shifted_diag_solve(self, sigma, diag, g):
-        g = self._check_dim(g)
-        M = self.dense().astype(complex) + np.diag(np.asarray(diag) + sigma)
-        return _dense_solve(M, sigma, g.astype(complex))
 
 
 def make_dense_operator(A):

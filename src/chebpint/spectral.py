@@ -275,8 +275,7 @@ class SpectralDecomposition:
     B is the dense time matrix that V D V^{-1} factors, when it is not the
     hybrid stencil `assemble_B(n, dt)`: the geometric baseline sets its
     trapezoidal matrix, and the solvers' residuals apply it.  None means the
-    stencil.  A dump does not store B, so a loaded geometric decomposition
-    reports its solves' residuals against the stencil.
+    stencil.
 
     V (C order) and Vinv (Fortran order) are the only copy of the factors,
     and every product with them is real, read through float views that do
@@ -459,8 +458,8 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     _check_memory(n)
     times = {}
-    q = n // 2
     roots = _timed(times, "find_roots", find_roots, n, tol=tol, max_iter=max_iter)
+    q = n // 2
     V = _timed(times, "build_V", build_V, roots)
     Vinv = _timed(times, "build_Vinv_fast", build_Vinv_fast, roots)
     eigenvalues = roots.lambdas_unit / dt
@@ -492,10 +491,17 @@ def save_decomposition(dec, path):
 
     One ASCII header line, then IEEE-754 little-endian doubles: eigenvalues,
     V, V^{-1}, each as row-major (re, im) pairs.  The pair count q is not
-    stored: `load_decomposition` derives it from V and V^{-1}.  Neither is
-    the matrix B of a geometric baseline: version 1 has no field for it, so
-    the loaded decomposition has B = None.
+    stored: `load_decomposition` derives it from V and V^{-1}.  A
+    decomposition that carries its own matrix B (the geometric baseline)
+    raises ValueError before the file is opened: the format has no field
+    for B, and without it the loaded decomposition's solves would measure
+    their residuals against the stencil.
     """
+    if dec.B is not None:
+        raise ValueError(
+            "cannot dump a decomposition that carries its own matrix B "
+            "(the geometric baseline): the dump format has no field for it"
+        )
     header = (
         f"{_DUMP_MAGIC} {_DUMP_VERSION} n={dec.n} dt={dec.dt!r} "
         f"cond2={dec.cond2!r} residual={dec.residual!r}\n"
@@ -550,7 +556,8 @@ def load_decomposition(path):
     V = payload[n:n + n * n].reshape(n, n).copy()
     Vinv = np.array(payload[n + n * n:].reshape(n, n), order="F")
     # the pairs are used only where the data mirror exactly, so a dump of
-    # any V (an older build_V, the geometric baseline) still loads exactly
+    # any V (an older build_V, one perturbed off its mirror) still loads
+    # exactly
     q = n // 2
     mirrored = (np.array_equal(eigenvalues[n - q:][::-1], np.conj(eigenvalues[:q]))
                 and np.array_equal(V[:, n - q:][:, ::-1], np.conj(V[:, :q]))

@@ -259,6 +259,10 @@ def test_find_roots_rejects_bad_args():
         find_roots(4, tol=float("nan"))
     with pytest.raises(ValueError):
         find_roots(4, max_iter=0)
+    for n in (2.5, 8.0, "8"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            find_roots(n)
+    assert find_roots(np.int64(8)).n == 8
 
 
 # ------------------------------------------------------------------- p_prime

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from chebpint.errors import (
     DimensionMismatchError,
@@ -453,6 +454,61 @@ def test_sni_spatially_varying_jacobian_falls_back_exactly():
     expected = solve_first_order_linear(dec, make_dense_operator(A + np.diag(s)),
                                         rhs_first_order(u0, g, dt))
     assert np.abs(rep.solution.values - expected.solution.values).max() < 1e-9
+
+
+class _MatrixOnlyOperator(SpatialOperator):
+    """The smallest operator: m, a sparse matrix() and shifted_solve."""
+
+    def __init__(self, A):
+        self.m = len(A)
+        self.A = A
+
+    def matrix(self):
+        return sparse.csr_matrix(self.A)
+
+    def shifted_solve(self, sigma, g):
+        return np.linalg.solve(sigma * np.eye(self.m) + self.A, g)
+
+
+def test_matrix_and_shifted_solve_run_every_driver():
+    # the spread-Jacobian case above forces exact fallbacks, which the base
+    # class answers from matrix() alone, as it does the residuals' apply
+    rng = np.random.default_rng(53)
+    m, n, dt = 2, 8, 0.05
+    M = rng.normal(size=(m, m))
+    A = M @ M.T + np.eye(m)
+    s = np.array([-3.0, 8.0])
+    u0 = rng.normal(size=m)
+    g = rng.normal(size=(n, m))
+    dec = decompose(n, dt)
+    first = rhs_first_order(u0, g, dt)
+    second = rhs_second_order(u0, rng.normal(size=m), g, dt)
+    prob = _linear_semilinear_problem(A, u0, g, dt)
+    prob.f = lambda u: s * u
+    prob.jac_diag = lambda u: np.broadcast_to(s, u.shape).copy()
+    runs = {}
+    for op in (_MatrixOnlyOperator(A), make_dense_operator(A)):
+        prob.operator = op
+        runs[type(op)] = (
+            solve_first_order_linear(dec, op, first),
+            solve_second_order_linear(dec, op, second),
+            solve_semilinear_sni(prob, dec, tol=1e-11, max_iter=10),
+        )
+    assert sum(sw["fallbacks"] for sw in runs[_MatrixOnlyOperator][2].sweeps) > 0
+    for have, want in zip(*runs.values()):
+        scale = np.abs(want.solution.values).max()
+        assert np.abs(have.solution.values - want.solution.values).max() < 1e-12 * scale
+        assert have.residual_history[-1] < 1e-10
+
+
+@pytest.mark.parametrize("name", ["f", "jac_diag"])
+def test_sni_rejects_nonlinearity_of_the_wrong_shape(name):
+    m, n, dt = 25, 4, 0.2
+    prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt,
+                                      slope=0.5)
+    setattr(prob, name, lambda u: np.ones(3))
+    with pytest.raises(DimensionMismatchError, match=rf"^{name}\(U\) has shape \(3,\)"):
+        solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=5)
 
 
 def _per_shift_fixed_point(op, sigma, d, c, g, w, rtol):

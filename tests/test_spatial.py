@@ -97,19 +97,6 @@ def test_laplacian2d_singular_shift():
         op.shifted_solve_batch(np.array([1.0, -mu_min, 2.0j]), G)
 
 
-def test_laplacian2d_diag_solve_matches_dense():
-    p = 6
-    h = 1.0 / (p + 1)
-    op = make_laplacian_2d_dirichlet(p, h)
-    rng = np.random.default_rng(9)
-    d = rng.normal(size=p * p)
-    g = rng.normal(size=p * p) + 1j * rng.normal(size=p * p)
-    sigma = 0.4 + 2.2j
-    w = op.shifted_diag_solve(sigma, d, g)
-    A = op.matrix().toarray() + np.diag(d) + sigma * np.eye(p * p)
-    assert np.abs(w - np.linalg.solve(A, g)).max() < 1e-10
-
-
 # ------------------------------------------------------- periodic Laplacian
 
 def test_periodic_constant_in_kernel():
@@ -153,6 +140,32 @@ def any_operator(request):
     if request.param == "lap2d":
         return make_laplacian_2d_dirichlet(5, 1.0 / 6.0)
     return make_laplacian_1d_periodic(9, 0.25)
+
+
+def _dense_matrix(op):
+    A = op.matrix()
+    return A if isinstance(A, np.ndarray) else A.toarray()
+
+
+def test_shifted_diag_solve_matches_dense(any_operator):
+    m = any_operator.m
+    rng = np.random.default_rng(9)
+    d = rng.normal(size=m)
+    g = rng.normal(size=m) + 1j * rng.normal(size=m)
+    sigma = 0.4 + 2.2j
+    w = any_operator.shifted_diag_solve(sigma, d, g)
+    M = sigma * np.eye(m) + _dense_matrix(any_operator) + np.diag(d)
+    assert np.abs(w - np.linalg.solve(M, g)).max() < 1e-10
+
+
+def test_shifted_diag_solve_on_the_spectrum_raises(any_operator):
+    # a real shift that puts an eigenvalue of A + diag(d) at zero: the LU
+    # pivots fall to roundoff, and the solve must not return their garbage
+    m = any_operator.m
+    d = np.linspace(-1.0, 2.0, m)
+    sigma = -np.linalg.eigvalsh(_dense_matrix(any_operator) + np.diag(d)).min()
+    with pytest.raises(SingularShiftError):
+        any_operator.shifted_diag_solve(sigma, d, np.ones(m))
 
 
 def test_apply_is_linear(any_operator):

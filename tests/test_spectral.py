@@ -415,6 +415,20 @@ def test_load_pairs_only_mirrored_eigenvalues(tmp_path):
     assert abs(got - full) <= 1e-6 * full + 4 * np.finfo(float).eps
 
 
+def test_save_refuses_a_decomposition_with_its_own_B(tmp_path):
+    # the dump has no field for the geometric baseline's trapezoidal matrix
+    path = tmp_path / "geo.bin"
+    with pytest.raises(ValueError, match="matrix B"):
+        save_decomposition(geometric_decomposition(geometric_grid(10, 1.15, 1e-2)), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n", [2.5, 8.0, "8"])
+def test_decompose_rejects_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        decompose(n, 0.1)
+
+
 def test_vinv_is_stored_fortran_ordered(tmp_path):
     dec = decompose(13, 0.5)
     path = tmp_path / "dec.bin"
