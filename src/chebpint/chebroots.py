@@ -29,7 +29,6 @@ Newton tolerance.  `spectral` builds V and V^{-1} from that symmetry.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,8 @@ from .errors import (
     DegenerateRootError,
     DuplicateRootsError,
     NonConvergenceError,
+    check_count,
+    check_scale,
 )
 
 __all__ = [
@@ -72,13 +73,11 @@ def cheb_eval(kind, k, x):
 
     Uses the three-term recurrence, which stays valid for complex ``x``
     off the interval [-1, 1] where the cos/arccos definitions break down.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; the degree k is an integer >= 0.
     """
     if kind not in ("first", "second"):
         raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
-    k = int(k)
-    if k < 0:
-        raise ValueError("polynomial degree must be >= 0")
+    k = check_count("k", k, minimum=0)
     _require_finite("x", x)
     x = np.asarray(x, dtype=complex)
     prev = np.ones_like(x)
@@ -97,10 +96,9 @@ def rho_and_derivative(theta, n):
     rho'(theta) = n*cos(n*theta) + i*n*sin(n*theta)*sin(theta)
                   - i*cos(n*theta)*cos(theta)
 
-    Vectorized over ``theta``.
+    Vectorized over ``theta``; n is an integer >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
     _require_finite("theta", theta)
     theta = np.asarray(theta, dtype=complex)
     s, c = np.sin(theta), np.cos(theta)
@@ -124,10 +122,9 @@ def refined_guesses(n):
     alpha_j = arcsin(tanh(b_j)*cosh(b_j/n)).  The remaining indices follow
     from the mirror symmetry alpha_{n+1-j} = pi - alpha_j, b_{n+1-j} = b_j.
     Bisection on the monotone equation makes every seed land in the right
-    Newton basin regardless of n.
+    Newton basin regardless of n, an integer >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
 
     # each bisection stops once a halving leaves its bracket unchanged: the
     # state is then a fixed point, so the seeds are those of the full count
@@ -208,25 +205,19 @@ def find_roots(n, tol=1e-10, max_iter=50):
 
     Parameters
     ----------
-    n : number of roots (time points)
-    tol : residual tolerance on |rho(theta)|
-    max_iter : Newton iteration budget per root
+    n : number of roots (time points), an integer >= 1
+    tol : residual tolerance on |rho(theta)|, positive and finite
+    max_iter : Newton iteration budget per root, an integer >= 1
 
     Raises
     ------
+    ValueError : n, tol or max_iter is not as stated above
     NonConvergenceError : some root neither met the tolerance nor stagnated
     DuplicateRootsError : two converged x values coincide (wrong basins)
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    n = check_count("n", n)
+    tol = check_scale("tol", tol)
+    max_iter = check_count("max_iter", max_iter)
 
     h = (n + 1) // 2
     theta = refined_guesses(n)[:h].astype(complex)

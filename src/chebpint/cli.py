@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from . import spectral, timedisc
-from .errors import ChebPintError
+from .errors import ChebPintError, check_count
 from .solver import (
     global_error,
     solve_first_order_linear,
@@ -132,9 +132,8 @@ def _square_side(m):
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args):
-    n, tol = args.n, args.tol
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    # n is checked before the default dt = 1/n divides by it
+    n, tol = check_count("n", args.n), args.tol
     dt = 1.0 / n if args.dt is None else args.dt
     reps = 3 if n <= 1024 else 1
 
@@ -157,8 +156,7 @@ def cmd_decompose(args):
 
         def reference_path():
             vals, vecs = scipy.linalg.eig(B)
-            vecs_inv = scipy.linalg.solve(vecs, np.eye(n, dtype=complex))
-            return vals, vecs, vecs_inv
+            return vals, vecs, spectral.build_Vinv_reference(vecs)
 
         (vals, vecs, vecs_inv), ref_seconds = _median_time(reference_path, reps=1)
         row.update(

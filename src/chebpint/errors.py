@@ -1,4 +1,34 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two argument checks
+every module applies to its counts and scales."""
+
+import math
+import numbers
+import operator
+
+
+def check_count(name, value, minimum=1, error=ValueError):
+    """value as an int; `error`, naming it, unless it is an integer >= minimum.
+
+    An integer is what `operator.index` takes, bool aside: an int or a numpy
+    integer, not True, a float (2.0 neither) or a string.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool) or count < minimum:
+        raise error(f"{name} must be >= {minimum} and an integer, got {value!r}")
+    return count
+
+
+def check_scale(name, value, error=ValueError):
+    """value as a float; `error`, naming it, unless it is a positive and
+    finite real number (an int, a float or a numpy real, not a bool or a
+    string)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < math.inf):
+        raise error(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class ChebPintError(Exception):

@@ -52,7 +52,6 @@ pool, so numerical output is identical for any worker count.
 
 from __future__ import annotations
 
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -63,6 +62,8 @@ from .errors import (
     DimensionMismatchError,
     MaxIterationsError,
     NonRealSolutionError,
+    check_count,
+    check_scale,
 )
 from .spatial import _BATCH_ELEMS, SemilinearProblem, SpatialOperator
 from .spectral import SpectralDecomposition
@@ -105,17 +106,6 @@ class SolveReport:
     #: tolerance of its fixed points, their updates per shift (max and
     #: total) and its exact fallbacks; empty for the linear drivers
     sweeps: list = field(default_factory=list)
-
-
-def _check_workers(workers):
-    """workers as an int; ValueError unless it is an integer >= 1."""
-    try:
-        count = operator.index(workers)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"workers must be >= 1 and an integer, got {workers!r}")
-    return count
 
 
 def _check_shapes(decomp: SpectralDecomposition, op: SpatialOperator, rhs: BlockVector):
@@ -221,7 +211,7 @@ def _residual(decomp, op, U, b, order=1, fU=None):
 
 def _solve_linear(decomp, op, rhs, workers, order):
     """Direct solve of (B^order (x) I + I (x) A) u = b, order 1 or 2."""
-    workers = _check_workers(workers)
+    workers = check_count("workers", workers)
     _check_shapes(decomp, op, rhs)
     if decomp.n < order:
         raise DimensionMismatchError(f"order-{order} solves need n >= {order}")
@@ -347,13 +337,13 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     The source, f and jac_diag must be real: an f(u) or a sweep's
     right-hand side with a nonzero imaginary part raises
     NonRealSolutionError.  f(U) and jac_diag(U) must have U's shape (n, m),
-    or DimensionMismatchError names the one that does not.
+    or DimensionMismatchError names the one that does not.  ValueError
+    unless tol is positive and finite and max_iter and workers are integers
+    >= 1.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    workers = _check_workers(workers)
+    tol = check_scale("tol", tol)
+    max_iter = check_count("max_iter", max_iter)
+    workers = check_count("workers", workers)
     op = problem.operator
     n, m = decomp.n, op.m
     lam = decomp.eigenvalues

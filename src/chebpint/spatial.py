@@ -49,6 +49,8 @@ from .errors import (
     DimensionMismatchError,
     SingularShiftError,
     UnsupportedKindError,
+    check_count,
+    check_scale,
 )
 
 __all__ = [
@@ -57,7 +59,6 @@ __all__ = [
     "SineLaplacian2D",
     "PeriodicLaplacian1D",
     "make_dense_operator",
-    "make_laplacian_2d_dirichlet",
     "make_laplacian_1d_periodic",
     "SemilinearProblem",
     "BenchmarkProblem",
@@ -177,22 +178,19 @@ class SineLaplacian2D(SpatialOperator):
     modes; eigenvalues (4/h^2)(sin^2(k*pi*h/(2L)) + sin^2(l*pi*h/(2L))).
     Shifted solves go through the type-I DST diagonalization; `matrix` gives
     the equivalent sparse stencil, which `apply` and the Jacobian-perturbed
-    solves use.
+    solves use.  ValueError unless points_per_dim is an integer >= 1 and h
+    is positive and finite.
     """
 
     def __init__(self, points_per_dim, h):
-        if points_per_dim < 1:
-            raise ValueError("points_per_dim must be >= 1")
-        if h <= 0:
-            raise ValueError("h must be positive")
-        self.points_per_dim = int(points_per_dim)
-        self.h = float(h)
-        self.L = (points_per_dim + 1) * h
-        self.m = self.points_per_dim**2
-        k = np.arange(1, points_per_dim + 1)
+        self.points_per_dim = p = check_count("points_per_dim", points_per_dim)
+        self.h = h = check_scale("h", h)
+        self.L = (p + 1) * h
+        self.m = p**2
+        k = np.arange(1, p + 1)
         mu1 = (4.0 / h**2) * np.sin(k * np.pi * h / (2.0 * self.L)) ** 2
         self.modes2d = mu1[:, None] + mu1[None, :]
-        self._dst_scale = 1.0 / (2.0 * (points_per_dim + 1)) ** 2
+        self._dst_scale = 1.0 / (2.0 * (p + 1)) ** 2
         self._matrix = None
 
     def matrix(self):
@@ -259,16 +257,13 @@ class PeriodicLaplacian1D(SpatialOperator):
 
     m grid points with spacing h covering one period; diagonalized by the
     FFT with eigenvalues (4/h^2) sin^2(pi*k/m).  sigma = 0 collides with the
-    constant mode.
+    constant mode.  ValueError unless m is an integer >= 3 and h is positive
+    and finite.
     """
 
     def __init__(self, m, h):
-        if m < 3:
-            raise ValueError("m must be >= 3")
-        if h <= 0:
-            raise ValueError("h must be positive")
-        self.m = int(m)
-        self.h = float(h)
+        self.m = m = check_count("m", m, minimum=3)
+        self.h = h = check_scale("h", h)
         k = np.arange(m)
         self.modes = (4.0 / h**2) * np.sin(np.pi * k / m) ** 2
         self._matrix = None
@@ -301,10 +296,6 @@ class PeriodicLaplacian1D(SpatialOperator):
 
 def make_dense_operator(A):
     return DenseOperator(A)
-
-
-def make_laplacian_2d_dirichlet(points_per_dim, h):
-    return SineLaplacian2D(points_per_dim, h)
 
 
 def make_laplacian_1d_periodic(m, h):
@@ -462,7 +453,8 @@ def make_benchmark(kind, points_per_dim, n=None, T=None):
 
     all with homogeneous Dirichlet boundaries and the forcing r manufactured
     from the stated solution.  When n and T are given, a uniform TimeGrid
-    with dt = T/n is attached for the drivers.
+    with dt = T/n is attached for the drivers.  ValueError unless
+    points_per_dim and n are integers >= 1 and T is positive and finite.
     """
     builders = {
         "heat": _heat_benchmark,
@@ -477,11 +469,9 @@ def make_benchmark(kind, points_per_dim, n=None, T=None):
     if n is not None:
         if T is None:
             raise ValueError("T is required when n is given")
-        if int(n) < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if not (np.isfinite(T) and T > 0):
-            raise ValueError(f"T must be positive and finite, got {T!r}")
+        n = check_count("n", n)
+        T = check_scale("T", T)
         from .timedisc import TimeGrid
 
-        problem.grid = TimeGrid(n=int(n), dt=float(T) / int(n))
+        problem.grid = TimeGrid(n=n, dt=T / n)
     return problem

@@ -40,7 +40,13 @@ import scipy.linalg
 import scipy.sparse
 
 from .chebroots import RootSet, find_roots, p_prime
-from .errors import ChebPintError, SingularMatrixError, ZeroPivotError
+from .errors import (
+    ChebPintError,
+    SingularMatrixError,
+    ZeroPivotError,
+    check_count,
+    check_scale,
+)
 
 __all__ = [
     "SpectralDecomposition",
@@ -423,7 +429,7 @@ def _check_memory(n):
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = 45 * int(n) ** 2
+    need = 45 * n**2
     physical = page * pages
     if page > 0 and pages > 0 and need > physical:
         raise ChebPintError(
@@ -449,13 +455,14 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     n//2 conjugate pairs are used (q = n//2), by the residual against
     `assemble_B(n, dt)` too.  The residual is skipped (nan) with
     `with_residual=False`.  The seconds of each layer are kept in
-    `phase_times`.  An n whose peak memory (`_check_memory`) cannot fit in
-    physical memory raises ChebPintError before anything is allocated.
+    `phase_times`.  ValueError unless n is an integer >= 1 and dt is
+    positive and finite; an n whose peak memory (`_check_memory`) cannot fit
+    in physical memory raises ChebPintError before anything is allocated.
     """
     from .timedisc import assemble_B
 
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    n = check_count("n", n)
+    dt = check_scale("dt", dt)
     _check_memory(n)
     times = {}
     roots = _timed(times, "find_roots", find_roots, n, tol=tol, max_iter=max_iter)
@@ -470,7 +477,7 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
                           eigenvalues, V, Vinv, assemble_B(n, dt), q=q)
     return SpectralDecomposition(
         n=n,
-        dt=float(dt),
+        dt=dt,
         eigenvalues=eigenvalues,
         V=V,
         Vinv=Vinv,
@@ -536,22 +543,18 @@ def load_decomposition(path):
             raise ValueError(
                 f"dump header lacks the field(s) {', '.join(missing)}: {header!r}"
             )
-        n = int(fields["n"])
-        if n < 1:
-            raise ValueError(f"dump header has n={n}, but n must be >= 1")
-        dt = float(fields["dt"])
-        if not (np.isfinite(dt) and dt > 0):
-            raise ValueError(
-                f"dump header has dt={dt!r}, but dt must be positive and finite"
-            )
+        n = fields["n"]
+        n = check_count("dump header n", int(n) if n.isdigit() else n)
+        dt = check_scale("dump header dt", float(fields["dt"]))
         cond2 = float(fields["cond2"])
         residual = float(fields["residual"])
-        payload = np.frombuffer(fh.read(), dtype="<c16")
-    expected = n + 2 * n * n
-    if payload.size != expected:
+        payload = fh.read()
+    expected = 16 * (n + 2 * n * n)
+    if len(payload) != expected:
         raise ValueError(
-            f"truncated dump: expected {expected} complex values, got {payload.size}"
+            f"truncated dump: expected {expected} payload bytes, got {len(payload)}"
         )
+    payload = np.frombuffer(payload, dtype="<c16")
     eigenvalues = payload[:n].copy()
     V = payload[n:n + n * n].reshape(n, n).copy()
     Vinv = np.array(payload[n + n * n:].reshape(n, n), order="F")

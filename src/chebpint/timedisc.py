@@ -25,6 +25,8 @@ from .errors import (
     DimensionMismatchError,
     GeometricOverflowError,
     InvalidGridError,
+    check_count,
+    check_scale,
 )
 from .spectral import SpectralDecomposition, cond2_estimate, decomposition_residual
 
@@ -46,16 +48,18 @@ _P_OVERFLOW = 1e150
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_j = j*dt, j = 1..n."""
+    """Uniform grid t_j = j*dt, j = 1..n.
+
+    n is an integer >= 1 and dt is positive and finite, or InvalidGridError
+    names the one that is not.
+    """
 
     n: int
     dt: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidGridError("n must be >= 1")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise InvalidGridError(f"dt must be positive and finite, got {self.dt!r}")
+        check_count("n", self.n, error=InvalidGridError)
+        check_scale("dt", self.dt, error=InvalidGridError)
 
     @property
     def T(self):
@@ -68,21 +72,21 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class GeometricGrid:
-    """Steps dt_j = dt_last * tau^(j-n), strictly increasing toward dt_last."""
+    """Steps dt_j = dt_last * tau^(j-n), strictly increasing toward dt_last.
+
+    n is an integer >= 1, tau is finite and > 1 and dt_last is positive and
+    finite, or InvalidGridError names the one that is not.
+    """
 
     n: int
     tau: float
     dt_last: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidGridError("n must be >= 1")
+        check_count("n", self.n, error=InvalidGridError)
         if not (np.isfinite(self.tau) and self.tau > 1.0):
             raise InvalidGridError(f"tau must be > 1 and finite, got {self.tau!r}")
-        if not (np.isfinite(self.dt_last) and self.dt_last > 0):
-            raise InvalidGridError(
-                f"dt_last must be positive and finite, got {self.dt_last!r}"
-            )
+        check_scale("dt_last", self.dt_last, error=InvalidGridError)
 
     @property
     def steps(self):
@@ -125,12 +129,12 @@ class BlockVector:
 
 def assemble_B(n, dt):
     """Sparse stencil matrix: superdiagonal 1/(2dt), subdiagonal -1/(2dt),
-    zero diagonal, except the last row (..., -1/dt, 1/dt)."""
-    n = int(n)
-    if n < 1:
-        raise InvalidGridError("n must be >= 1")
-    if not (np.isfinite(dt) and dt > 0):
-        raise InvalidGridError(f"dt must be positive and finite, got {dt!r}")
+    zero diagonal, except the last row (..., -1/dt, 1/dt).
+
+    InvalidGridError unless n is an integer >= 1 and dt positive and finite.
+    """
+    n = check_count("n", n, error=InvalidGridError)
+    check_scale("dt", dt, error=InvalidGridError)
     if n == 1:
         return sparse.csr_matrix(np.array([[1.0 / dt]]))
     half = 1.0 / (2.0 * dt)
@@ -201,8 +205,9 @@ def rhs_second_order(u0, u0dot, g, dt):
 
 
 def geometric_grid(n, tau, dt_last):
-    """GeometricGrid factory (validates tau > 1, dt_last > 0)."""
-    return GeometricGrid(n=int(n), tau=float(tau), dt_last=float(dt_last))
+    """GeometricGrid factory: n an integer >= 1, tau > 1 and dt_last > 0,
+    both finite, or InvalidGridError."""
+    return GeometricGrid(n=n, tau=float(tau), dt_last=float(dt_last))
 
 
 def assemble_TR_system(grid: GeometricGrid):

@@ -41,6 +41,8 @@ def test_cheb_eval_rejects_bad_input():
         cheb_eval("first", -1, 0.0)
     with pytest.raises(ValueError):
         cheb_eval("first", 2, np.nan)
+    with pytest.raises(ValueError, match="k must be >= 0 and an integer, got 2.7"):
+        cheb_eval("first", 2.7, 0.0)
 
 
 def test_pythagorean_identity_random_complex():
@@ -260,9 +262,22 @@ def test_find_roots_rejects_bad_args():
     with pytest.raises(ValueError):
         find_roots(4, max_iter=0)
     for n in (2.5, 8.0, "8"):
-        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
             find_roots(n)
     assert find_roots(np.int64(8)).n == 8
+    for tol in (np.inf, 0.0):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            find_roots(4, tol=tol)
+    with pytest.raises(ValueError, match="max_iter must be >= 1 and an integer"):
+        find_roots(4, max_iter=2.5)
+
+
+@pytest.mark.parametrize("func", [
+    lambda n: rho_and_derivative(0.3, n), refined_guesses,
+], ids=["rho_and_derivative", "refined_guesses"])
+def test_root_helpers_reject_non_integer_n(func):
+    with pytest.raises(ValueError, match="n must be >= 1 and an integer, got 2.5"):
+        func(2.5)
 
 
 # ------------------------------------------------------------------- p_prime

@@ -23,10 +23,10 @@ from chebpint.solver import (
 )
 from chebpint.spatial import (
     SemilinearProblem,
+    SineLaplacian2D,
     SpatialOperator,
     make_benchmark,
     make_dense_operator,
-    make_laplacian_2d_dirichlet,
 )
 from chebpint.spectral import decompose
 from chebpint.timedisc import (
@@ -258,7 +258,7 @@ def test_worker_count_does_not_change_results():
     m = 6
     M = rng.normal(size=(m, m))
     dense = make_dense_operator(M @ M.T + m * np.eye(m))
-    lap = make_laplacian_2d_dirichlet(7, 1.0 / 8.0)
+    lap = SineLaplacian2D(7, 1.0 / 8.0)
     for op, n, worker_counts in ((dense, 16, (2, 4, 8)), (lap, 33, (2, 3, 5, 8))):
         dec = decompose(n, 0.1)
         rhs = rhs_first_order(rng.normal(size=op.m), rng.normal(size=(n, op.m)), 0.1)
@@ -268,13 +268,13 @@ def test_worker_count_does_not_change_results():
             assert np.array_equal(got, base), (n, workers)
 
 
-@pytest.mark.parametrize("workers", [0, -3, 2.0, 1.5, "2", float("nan")])
+@pytest.mark.parametrize("workers", [0, -3, 2.0, 1.5, 2.5, "2", float("nan")])
 def test_linear_drivers_reject_bad_worker_count(workers):
     op = make_dense_operator(np.eye(2))
     dec = decompose(4, 0.1)
     rhs = rhs_first_order(np.ones(2), np.ones((4, 2)), 0.1)
     for solve in (solve_first_order_linear, solve_second_order_linear):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be >= 1 and an integer"):
             solve(dec, op, rhs, workers=workers)
 
 
@@ -367,11 +367,11 @@ def test_sni_budget_exhaustion():
         solve_semilinear_sni(prob, dec, tol=1e-300, max_iter=2)
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5])
 def test_sni_rejects_empty_budget(max_iter):
     m, n, dt = 2, 4, 0.2
     prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+    with pytest.raises(ValueError, match="max_iter must be >= 1 and an integer"):
         solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=max_iter)
 
 
@@ -388,15 +388,16 @@ def test_sni_zero_data_return_zero_without_a_sweep():
 def test_sni_rejects_nan_tol():
     m, n, dt = 2, 4, 0.2
     prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        solve_semilinear_sni(prob, decompose(n, dt), tol=float("nan"), max_iter=5)
+    for tol in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_semilinear_sni(prob, decompose(n, dt), tol=tol, max_iter=5)
 
 
-@pytest.mark.parametrize("workers", [0, -3, 2.0, 1.5, "2", float("nan")])
+@pytest.mark.parametrize("workers", [0, -3, 2.0, 1.5, 2.5, "2", float("nan")])
 def test_sni_rejects_bad_worker_count(workers):
     m, n, dt = 2, 4, 0.2
     prob = _linear_semilinear_problem(np.eye(m), np.ones(m), np.ones((n, m)), dt)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
+    with pytest.raises(ValueError, match="workers must be >= 1 and an integer"):
         solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=5,
                              workers=workers)
 

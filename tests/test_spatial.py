@@ -9,10 +9,10 @@ from chebpint.errors import (
     UnsupportedKindError,
 )
 from chebpint.spatial import (
+    SineLaplacian2D,
     make_benchmark,
     make_dense_operator,
     make_laplacian_1d_periodic,
-    make_laplacian_2d_dirichlet,
 )
 
 
@@ -50,7 +50,7 @@ def test_dense_rejects_nonsquare():
 
 def test_laplacian2d_single_point():
     h = 0.25
-    op = make_laplacian_2d_dirichlet(1, h)
+    op = SineLaplacian2D(1, h)
     assert op.m == 1
     sigma = 1.0 + 2.0j
     g = np.array([3.0 + 0j])
@@ -62,7 +62,7 @@ def test_laplacian2d_sine_mode_eigenpair():
     p = 12
     L = np.pi
     h = L / (p + 1)
-    op = make_laplacian_2d_dirichlet(p, h)
+    op = SineLaplacian2D(p, h)
     X, Y = op.grid()
     for ki, kj in ((1, 1), (2, 3)):
         v = (np.sin(ki * X) * np.sin(kj * Y)).ravel()
@@ -74,7 +74,7 @@ def test_laplacian2d_sine_mode_eigenpair():
 def test_laplacian2d_shifted_solve_vs_dense():
     p = 8
     h = 1.0 / (p + 1)
-    op = make_laplacian_2d_dirichlet(p, h)
+    op = SineLaplacian2D(p, h)
     rng = np.random.default_rng(4)
     g = rng.normal(size=p * p) + 1j * rng.normal(size=p * p)
     sigma = 1.0 + 1.0j
@@ -87,7 +87,7 @@ def test_laplacian2d_shifted_solve_vs_dense():
 def test_laplacian2d_singular_shift():
     p = 4
     h = 1.0 / (p + 1)
-    op = make_laplacian_2d_dirichlet(p, h)
+    op = SineLaplacian2D(p, h)
     mu_min = op.modes2d.min()
     with pytest.raises(SingularShiftError):
         op.shifted_solve(-mu_min, np.ones(p * p, dtype=complex))
@@ -138,7 +138,7 @@ def any_operator(request):
         M = rng.normal(size=(6, 6))
         return make_dense_operator(M @ M.T + 6 * np.eye(6))
     if request.param == "lap2d":
-        return make_laplacian_2d_dirichlet(5, 1.0 / 6.0)
+        return SineLaplacian2D(5, 1.0 / 6.0)
     return make_laplacian_1d_periodic(9, 0.25)
 
 
@@ -355,6 +355,25 @@ def test_benchmark_grid_attachment():
 def test_benchmark_rejects_empty_grid():
     with pytest.raises(ValueError, match="n must be >= 1"):
         make_benchmark("heat", 4, n=0, T=2.0)
+    with pytest.raises(ValueError, match="n must be >= 1 and an integer, got 2.5"):
+        make_benchmark("heat", 4, n=2.5, T=2.0)
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (SineLaplacian2D, (2.5, 0.1), "points_per_dim must be >= 1 and an integer"),
+    (make_benchmark, ("heat", 4.5), "points_per_dim must be >= 1 and an integer"),
+    (make_laplacian_1d_periodic, (4.5, 0.1), "m must be >= 3 and an integer"),
+    (SineLaplacian2D, (3, float("nan")), "h must be positive and finite"),
+    (SineLaplacian2D, (3, float("inf")), "h must be positive and finite"),
+    (SineLaplacian2D, (3, 0.0), "h must be positive and finite"),
+    (make_laplacian_1d_periodic, (4, float("nan")), "h must be positive and finite"),
+    (make_laplacian_1d_periodic, (4, float("inf")), "h must be positive and finite"),
+    (make_laplacian_1d_periodic, (4, 0.0), "h must be positive and finite"),
+], ids=["lap2d-2.5", "benchmark-4.5", "periodic-4.5", "lap2d-nan", "lap2d-inf",
+        "lap2d-0", "periodic-nan", "periodic-inf", "periodic-0"])
+def test_operators_reject_bad_sizes_and_spacings(make, args, message):
+    with pytest.raises(ValueError, match=message):
+        make(*args)
 
 
 @pytest.mark.parametrize("T", [0.0, -2.0, float("nan"), float("inf")])

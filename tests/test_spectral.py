@@ -423,9 +423,9 @@ def test_save_refuses_a_decomposition_with_its_own_B(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("n", [2.5, 8.0, "8"])
+@pytest.mark.parametrize("n", [2.5, 8.0, "8", True])
 def test_decompose_rejects_non_integer_n(n):
-    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+    with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
         decompose(n, 0.1)
 
 
@@ -477,8 +477,18 @@ def test_load_rejects_garbage(tmp_path):
      "dt must be positive"),
     (b"chebpint-decomp 1 n=1 dt=nan cond2=1.0 residual=0.0\n" + bytes(48),
      "dt must be positive"),
+    # a complete n = 4 dump, which loads, holds 36 complex values in 576
+    # payload bytes; these are cut short by one value and by half of one
+    (b"chebpint-decomp 1 n=4 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(560),
+     "truncated dump"),
+    (b"chebpint-decomp 1 n=4 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(568),
+     "truncated dump"),
+    (b"chebpint-decomp 1 n=2.5 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
+     "n must be >= 1 and an integer, got '2.5'"),
+    (b"chebpint-decomp 1 n=abc dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
+     "n must be >= 1 and an integer, got 'abc'"),
 ], ids=["empty", "no-n", "negative-n", "non-ascii", "negative-dt", "zero-dt",
-        "nan-dt"])
+        "nan-dt", "truncated", "truncated-mid-value", "fractional-n", "text-n"])
 def test_load_rejects_malformed_dump(tmp_path, dump, message):
     path = tmp_path / "bad.bin"
     path.write_bytes(dump)

@@ -219,6 +219,10 @@ def test_geometric_grid_validation():
         geometric_grid(3, 1.0, 0.1)
     with pytest.raises(InvalidGridError):
         geometric_grid(3, 1.2, -0.1)
+    with pytest.raises(InvalidGridError, match="n must be >= 1 and an integer, got 3.7"):
+        geometric_grid(3.7, 1.2, 0.1)
+    with pytest.raises(InvalidGridError, match="n must be >= 1 and an integer, got 3.5"):
+        GeometricGrid(n=3.5, tau=1.2, dt_last=0.1)
 
 
 # ----------------------------------------------------------------- TR system
@@ -296,6 +300,12 @@ def test_grids_reject_bad_steps(bad):
         assemble_B(4, bad)
     with pytest.raises(InvalidGridError, match="dt_last must be positive and finite"):
         geometric_grid(4, 1.2, bad)
+
+
+@pytest.mark.parametrize("make", [TimeGrid, assemble_B])
+def test_uniform_grids_reject_non_integer_n(make):
+    with pytest.raises(InvalidGridError, match="n must be >= 1 and an integer, got 2.5"):
+        make(2.5, 0.1)
 
 
 @pytest.mark.parametrize("tau", [1.0, float("nan"), float("inf")])
