@@ -25,7 +25,6 @@ from .errors import (
     SingularMatrixError,
     SingularShiftError,
     UnsupportedKindError,
-    ZeroPivotError,
 )
 from .solver import (
     SolveReport,

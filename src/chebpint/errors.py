@@ -65,14 +65,6 @@ class DegenerateRootError(ChebPintError):
     """A root sits too close to sin(theta) = 0 for derivative evaluation."""
 
 
-class ZeroPivotError(ChebPintError):
-    """Tridiagonal elimination hit a vanishing pivot."""
-
-    def __init__(self, k):
-        self.k = k
-        super().__init__(f"zero pivot at elimination step {k}")
-
-
 class SingularMatrixError(ChebPintError):
     """Dense factorization failed, or cond2 met a zero or non-finite matrix."""
 

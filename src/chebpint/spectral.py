@@ -5,27 +5,38 @@ The unit-step stencil matrix has eigenvector columns p_j with entries
 with ``I_diag = diag(i^0..i^{n-1})`` and ``Phi`` a Vandermonde-like matrix of
 second-kind Chebyshev values at the roots x_j.
 
-``build_Vinv_fast`` computes V^{-1} in O(n^2) through the structure of Phi.
-The paper's algorithm takes three steps:
+``build_Vinv_fast`` computes V^{-1} in O(n^2) by the paper's explicit
+formula, from the same Chebyshev values.  The paper's algorithm is a
+pentadiagonal solve S_n b = e with e = (0,..,0,i,2)^T, one tridiagonal
+solve T_j psi_j = 2*b/p_n'(x_j) per root, and W = 0.5 * Psi @ S_n,
+V^{-1} = W @ diag((-i)^k).  With J = Tridiag{1, 0, 1}, S_n = 4I - J^2 and
+T_j = J - 2*x_j*I (zero closure on both ends) commute, so the first and
+last steps cancel: row j of V^{-1} is (-i)^k phi_k / p_n'(x_j) with
+T_j phi = e.  That system has a closed-form solution.  Its rows 0..n-3 are
+the recurrence U_{k+1} = 2x U_k - U_{k-1} with U_{-1} = 0, so
+phi_k = alpha_j U_k(x_j) for k <= n-2; row n-2 gives
+phi_{n-1} = alpha_j U_{n-1}(x_j) + i, and the last row fixes
+alpha_j = -2(1 + i x_j) / U_n(x_j).  With (-i)^k U_k = (-1)^k i^k U_k,
 
-1. one pentadiagonal solve S_n b = e with e = (0,..,0,i,2)^T;
-2. for each root, a tridiagonal solve T_j psi_j = 2*b/p_n'(x_j), where
-   T_j = Tridiag{1, -2*x_j, 1} with zero closure on both ends;
-3. W = 0.5 * Psi @ S_n and V^{-1} = W @ diag((-i)^k), Psi having rows psi_j.
+    V^{-1}[j, k] = gamma_j (-1)^k i^k U_k(x_j) + [k = n-1] c_j,
+    gamma_j = alpha_j / p_n'(x_j),   c_j = i (-i)^{n-1} / p_n'(x_j),
 
-S_n has diagonal (3, 2, .., 2, 3) and -1 on its second off-diagonals.  With
-J = Tridiag{1, 0, 1}, S_n = 4I - J^2 and T_j = J - 2*x_j*I are symmetric
-polynomials in the same J, so they commute (for n = 1 both are scalars).
-Row j of step 3 is then (1/p_n'(x_j)) (S_n T_j^{-1} S_n^{-1} e)^T =
-(1/p_n'(x_j)) (T_j^{-1} e)^T: the first and last steps cancel, and
-
-    V^{-1}[j, k] = (-i)^k (T_j^{-1} e)_k / p_n'(x_j),
-
-one tridiagonal sweep per root, vectorized across the roots.  Only the
-ceil(n/2) representative roots are swept: `find_roots` mirrors
-x_{n-1-j} = -conj(x_j) bitwise, so row n-1-j of V^{-1} is the conjugate of
-row j and is filled as such.  An O(n^3) dense inversion
-(`build_Vinv_reference`) is kept as the independent cross-check path.
+the Christoffel-Darboux structure of the stencil (Gautschi 2004): V^{-1}
+is a diagonal scaling of V's transpose with alternating signs, plus one
+column.  The identity holds for any x_j, not only an exact root, so it
+solves T_j phi = e exactly (up to roundoff) even for roots met only to
+`tol`; the shortcut alpha_j = -2/T_n(x_j) would assume p_n(x_j) = 0.
+Nothing is pivoted, and U_n(x_j) never vanishes: at a root
+U_{n-1} = i T_n, so U_n = x U_{n-1} + T_n = T_n (1 + i x_j), where T_n and
+U_{n-1} have no common zero and 1 + i x_j = 0 would need x_j = i, while
+Im x_j < 0.  (A non-finite V^{-1} would still stop `decompose`, in
+`cond2_estimate`.)  `build_V` and `build_Vinv_fast` share one
+recurrence, which runs to k = n for the latter.  Only the ceil(n/2)
+representative roots are evaluated: `find_roots` mirrors
+x_{n-1-j} = -conj(x_j) bitwise, so column n-1-j of V and row n-1-j of
+V^{-1} are the conjugates of column and row j and are filled as such.  An
+O(n^3) dense inversion (`build_Vinv_reference`) is kept as the independent
+cross-check path.
 """
 
 from __future__ import annotations
@@ -43,7 +54,6 @@ from .chebroots import RootSet, find_roots, p_prime
 from .errors import (
     ChebPintError,
     SingularMatrixError,
-    ZeroPivotError,
     check_count,
     check_scale,
 )
@@ -63,69 +73,39 @@ __all__ = [
 _PIVOT_FLOOR = 1e-300
 
 
+def _chebyshev_rows(xs, P):
+    """Fill P[k, j] = i^k U_k(xs[j]) for every row k of P, in place.
+
+    Times i^k, the recurrence U_k = 2x U_{k-1} - U_{k-2} reads
+    P_k = 2ix P_{k-1} + P_{k-2}, which gives i^k U_k with no scaling pass.
+    """
+    P[0] = 1.0
+    x2i = 2j * xs
+    if len(P) > 1:
+        P[1] = x2i
+    for k in range(2, len(P)):
+        np.multiply(x2i, P[k - 1], out=P[k])
+        P[k] += P[k - 2]
+    return P
+
+
 def build_V(roots: RootSet):
     """Dense eigenvector matrix V[k, j] = i^k U_k(x_j), columns mirrored
     exactly.
 
-    Times i^k, the recurrence U_k = 2x U_{k-1} - U_{k-2} reads
-    P_k = 2ix P_{k-1} + P_{k-2}, which gives i^k U_k with no scaling pass.
-    It runs on the h = ceil(n/2) representative columns only: `find_roots`
-    makes x_{n-1-j} = -conj(x_j) bitwise, so v_{n-1-j} = conj(v_j) exactly,
-    and the other columns are filled as those conjugates.  For odd n the
-    middle root has Re x = 0, so 2ix and its column are real.  The real
-    steps (a)/(c) of the solver rely on V[:, n-1-j] == conj(V[:, j]).
+    The recurrence runs on the h = ceil(n/2) representative columns only:
+    `find_roots` makes x_{n-1-j} = -conj(x_j) bitwise, so
+    v_{n-1-j} = conj(v_j) exactly, and the other columns are filled as
+    those conjugates.  For odd n the middle root has Re x = 0, so 2ix and
+    its column are real.  The real steps (a)/(c) of the solver rely on
+    V[:, n-1-j] == conj(V[:, j]).
     """
     n = roots.n
     q = n // 2
     V = np.empty((n, n), dtype=complex)
-    P = V[:, :n - q]
-    P[0] = 1.0
-    x2i = 2j * roots.xs[:n - q]
-    if n > 1:
-        P[1] = x2i
-    for k in range(2, n):
-        np.multiply(x2i, P[k - 1], out=P[k])
-        P[k] += P[k - 2]
+    _chebyshev_rows(roots.xs[:n - q], V[:, :n - q])
     np.conj(V[:, :q][:, ::-1], out=V[:, n - q:])
     return V
-
-
-def _vectorized_thomas_constant(x_vals, rhs, check_pivots=False):
-    """Solve T_j phi_j = rhs, T_j = Tridiag{1, -2*x_j, 1}, for many x_j at once.
-
-    All systems share the rhs and the unit off-diagonals; only the constant
-    diagonal -2*x_j differs, so the forward/backward sweeps run as vector
-    operations across the systems.  Returns the (n, len(x_vals)) array phi
-    with phi[k, j] the k-th component of system j; it and the sweep's
-    elimination factors are the two work arrays of `build_Vinv_fast`.
-
-    The happy path skips per-step pivot tests (a vanishing pivot surfaces as
-    non-finite output); on failure the sweep reruns with checks enabled to
-    report which elimination step broke.
-    """
-    n = rhs.shape[0]
-    nsys = x_vals.shape[0]
-    d = -2.0 * x_vals
-    cp = np.empty((n, nsys), dtype=complex)
-    phi = np.empty((n, nsys), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if check_pivots and np.abs(d).min() < _PIVOT_FLOOR:
-            raise ZeroPivotError(0)
-        inv = 1.0 / d
-        cp[0] = inv
-        phi[0] = rhs[0] * inv
-        for k in range(1, n):
-            den = d - cp[k - 1]
-            if check_pivots and np.abs(den).min() < _PIVOT_FLOOR:
-                raise ZeroPivotError(k)
-            inv = 1.0 / den
-            cp[k] = inv
-            phi[k] = (rhs[k] - phi[k - 1]) * inv
-        for k in range(n - 2, -1, -1):
-            phi[k] -= cp[k] * phi[k + 1]
-    if not check_pivots and not np.isfinite(phi).all():
-        return _vectorized_thomas_constant(x_vals, rhs, check_pivots=True)
-    return phi
 
 
 def _powers_of_minus_i(n):
@@ -135,23 +115,27 @@ def _powers_of_minus_i(n):
 
 
 def build_Vinv_fast(roots: RootSet):
-    """V^{-1}[j, k] = (-i)^k (T_j^{-1} e)_k / p_n'(x_j) in O(n^2) (module
-    docstring), swept for the h = ceil(n/2) representative roots.
+    """V^{-1} in O(n^2) by the explicit formula (module docstring):
+    V^{-1}[j, k] = gamma_j (-1)^k i^k U_k(x_j), plus i(-i)^{n-1}/p_n'(x_j)
+    at k = n-1, for the h = ceil(n/2) representative roots.
 
-    The result is Fortran-ordered, the layout SpectralDecomposition stores
-    V^{-1} in, so `decompose` hands it over without a copy.
+    The Chebyshev rows P[k, j] = i^k U_k(x_j) run to k = n, one row past
+    `build_V`'s, for U_n.  The result is Fortran-ordered, the layout
+    SpectralDecomposition stores V^{-1} in, so `decompose` hands it over
+    without a copy.
     """
     n = roots.n
     h = (n + 1) // 2
-    e = np.zeros(n, dtype=complex)
-    e[-1] = 2.0
-    if n > 1:
-        e[-2] = 1j
-    phi = _vectorized_thomas_constant(roots.xs[:h], e)   # phi[k, j], j < h
-    phi /= p_prime(roots.thetas[:h], n)
-    phi *= _powers_of_minus_i(n)[:, None]
+    xs = roots.xs[:h]
+    P = _chebyshev_rows(xs, np.empty((n + 1, h), dtype=complex))
+    minus_i = _powers_of_minus_i(n + 1)
+    dp = p_prime(roots.thetas[:h], n)
+    # alpha_j / p_n'(x_j), with U_n(x_j) = (-i)^n P[n, j]
+    gamma = -2.0 * (1.0 + 1j * xs) / (minus_i[n] * P[n] * dp)
     Vinv = np.empty((n, n), dtype=complex, order="F")
-    Vinv[:h] = phi.T
+    np.multiply(P[0:n:2].T, gamma[:, None], out=Vinv[:h, 0::2])
+    np.multiply(P[1:n:2].T, -gamma[:, None], out=Vinv[:h, 1::2])   # (-1)^k
+    Vinv[:h, n - 1] += 1j * minus_i[n - 1] / dp
     np.conj(Vinv[:n - h][::-1], out=Vinv[h:])           # no n x n/2 temporary
     return Vinv
 
@@ -413,11 +397,10 @@ def _check_memory(n):
     """Raise ChebPintError when the peak of `decompose` exceeds physical
     memory (skipped where os.sysconf cannot tell).
 
-    The peak is measured (tracemalloc, n = 511 to 2048).  `build_Vinv_fast`
-    ends with V, the sweep's n x n/2 solution and V^{-1} held at once
-    (16 + 8 + 16 n^2 bytes; the sweep's n x n/2 elimination factors are
-    freed before V^{-1} is allocated): 40 n^2.  Next to V and V^{-1}, a
-    chunk of c = 256 columns of the residual holds three arrays of n x c
+    The peak is measured (tracemalloc, n = 511 to 2048).  The build holds
+    V, the (n+1) x n/2 Chebyshev rows of `build_Vinv_fast` and V^{-1} at
+    once (16 + 8 + 16 n^2 bytes): 40 n^2.  Next to V and V^{-1}, a chunk
+    of c = 256 columns of the residual holds three arrays of n x c
     floats each (the scaled rows of V^{-1}, the kernel's rows and the
     product): 12 n^2 at n = 512, 6 n^2 at n = 1024.  So the residual sets
     the peak at n = 511 and 512 (44.9 n^2), and the build from n = 1024 on
@@ -520,6 +503,15 @@ def save_decomposition(dec, path):
                      .astype("<c16", copy=False).tobytes())
 
 
+def _header_float(fields, key):
+    """The dump header's field `key` as a float, or ValueError naming it."""
+    try:
+        return float(fields[key])
+    except ValueError:
+        raise ValueError(
+            f"dump header {key} is not a number: {fields[key]!r}") from None
+
+
 def load_decomposition(path):
     """Read a decomposition dump written by `save_decomposition`.
 
@@ -545,9 +537,9 @@ def load_decomposition(path):
             )
         n = fields["n"]
         n = check_count("dump header n", int(n) if n.isdigit() else n)
-        dt = check_scale("dump header dt", float(fields["dt"]))
-        cond2 = float(fields["cond2"])
-        residual = float(fields["residual"])
+        dt = check_scale("dump header dt", _header_float(fields, "dt"))
+        cond2 = _header_float(fields, "cond2")
+        residual = _header_float(fields, "residual")
         payload = fh.read()
     expected = 16 * (n + 2 * n * n)
     if len(payload) != expected:

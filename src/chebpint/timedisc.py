@@ -16,6 +16,8 @@ lower-triangular Toeplitz closed form.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +86,7 @@ class GeometricGrid:
 
     def __post_init__(self):
         check_count("n", self.n, error=InvalidGridError)
-        if not (np.isfinite(self.tau) and self.tau > 1.0):
+        if not (isinstance(self.tau, numbers.Real) and 1.0 < self.tau < math.inf):
             raise InvalidGridError(f"tau must be > 1 and finite, got {self.tau!r}")
         check_scale("dt_last", self.dt_last, error=InvalidGridError)
 
@@ -146,7 +148,9 @@ def assemble_B(n, dt):
 
 
 def apply_B(values, dt):
-    """Apply the stencil matrix to an (n, m) block array without assembling it."""
+    """Apply the stencil matrix to an (n, m) block array without assembling
+    it; InvalidGridError unless dt is positive and finite."""
+    dt = check_scale("dt", dt, error=InvalidGridError)
     u = np.atleast_2d(values)
     n = u.shape[0]
     out = np.empty_like(u)
@@ -161,7 +165,9 @@ def apply_B(values, dt):
 
 def rhs_first_order(u0, g, dt):
     """All-at-once right-hand side for u' + A u = g: block 1 is
-    u0/(2dt) + g_1, block j is g_j for j >= 2."""
+    u0/(2dt) + g_1, block j is g_j for j >= 2.  InvalidGridError unless dt
+    is positive and finite."""
+    dt = check_scale("dt", dt, error=InvalidGridError)
     u0 = np.atleast_1d(np.asarray(u0))
     g = np.atleast_2d(np.asarray(g))
     n, m = g.shape
@@ -182,8 +188,10 @@ def rhs_second_order(u0, u0dot, g, dt):
     i.e. blocks (u0dot/(2dt) + g_1, -u0/(4dt^2) + g_2, g_3, ..., g_n) for
     n >= 3.  The B b1 term is applied through the actual stencil action so
     the n = 2 case (where the backward-Euler row touches block 1) stays
-    consistent with the order-reduction derivation.
+    consistent with the order-reduction derivation.  InvalidGridError unless
+    dt is positive and finite.
     """
+    dt = check_scale("dt", dt, error=InvalidGridError)
     u0 = np.atleast_1d(np.asarray(u0))
     u0dot = np.atleast_1d(np.asarray(u0dot))
     g = np.atleast_2d(np.asarray(g))

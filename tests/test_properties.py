@@ -1,10 +1,10 @@
-"""Property tests of the decomposition: dump round-trip, the mirror symmetry
-of V and V^{-1}, and the cond2 estimate against the SVD; of the real steps
-(a) and (c), SpectralDecomposition.apply_Vinv and apply_V, against the
-complex products, and of step (c)'s skip of the imaginary rows that
-mirrored solves make exactly 0; and of the batched sine Laplacian solve
-against its per-row solve, and of its shift check against the scan of every
-denominator.
+"""Property tests of the decomposition: dump round-trip, the refusal of
+malformed dumps with ValueError alone, the mirror symmetry of V and V^{-1},
+and the cond2 estimate against the SVD; of the real steps (a) and (c),
+SpectralDecomposition.apply_Vinv and apply_V, against the complex products,
+and of step (c)'s skip of the imaginary rows that mirrored solves make
+exactly 0; and of the batched sine Laplacian solve against its per-row
+solve, and of its shift check against the scan of every denominator.
 
 Examples are derandomized and few, so the suite stays deterministic and
 adds only a few seconds.
@@ -147,6 +147,73 @@ def test_dump_keeps_pairs_and_solve(n, seed):
     want = solver.solve_first_order_linear(dec, op, rhs)
     have = solver.solve_first_order_linear(got, op, rhs)
     assert np.array_equal(have.solution.values, want.solution.values)
+
+
+_DUMP_FIELDS = ("n", "dt", "cond2", "residual")
+
+# one header token each: no space, separator or control character
+_TOKEN = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc")),
+                 min_size=1, max_size=8)
+
+
+def _field_is_bad(key, value):
+    """Whether `load_decomposition` must refuse `value` for the header field
+    `key`: not ASCII, an n that is not an integer >= 1, a dt that is not
+    positive and finite, or a cond2 or residual that is not a number."""
+    if not value.isascii():
+        return True
+    if key == "n":
+        return not (value.isdigit() and int(value) >= 1)
+    try:
+        x = float(value)
+    except ValueError:
+        return True
+    return key == "dt" and not 0.0 < x < np.inf
+
+
+@st.composite
+def _malformed_dumps(draw):
+    """A complete dump of n <= 3 with at least one part broken: the magic,
+    the version, a field (dropped or given a bad value) or the payload
+    length (off by up to 20 bytes), its fields shuffled among random extra
+    header tokens."""
+    n = draw(st.integers(1, 3))
+    parts = ("magic", "version", "payload") + _DUMP_FIELDS
+    broken = draw(st.sets(st.sampled_from(parts), min_size=1))
+    magic, version = "chebpint-decomp", "1"
+    if "magic" in broken:
+        magic = draw(_TOKEN.filter(lambda t: t != "chebpint-decomp"))
+    if "version" in broken:
+        version = draw(_TOKEN.filter(lambda t: t != "1"))
+    fields = {"n": str(n), "dt": "0.5", "cond2": "1.0", "residual": "0.0"}
+    for key in broken.intersection(_DUMP_FIELDS):
+        if draw(st.booleans()):
+            del fields[key]
+        else:
+            fields[key] = draw(_TOKEN.filter(lambda t, k=key: _field_is_bad(k, t)))
+    extra = draw(st.lists(
+        _TOKEN.filter(lambda t: t.partition("=")[0] not in _DUMP_FIELDS), max_size=3))
+    tokens = draw(st.permutations([f"{k}={v}" for k, v in fields.items()] + extra))
+    delta = draw(st.integers(-20, 20).filter(bool)) if "payload" in broken else 0
+    header = " ".join([magic, version] + tokens)
+    return header.encode() + b"\n" + bytes(16 * (n + 2 * n * n) + delta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dump=_malformed_dumps())
+def test_malformed_dump_raises_only_value_error(dump):
+    # exactly ValueError: not IndexError, KeyError, TypeError or
+    # UnicodeDecodeError (a ValueError subclass)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.bin")
+        with open(path, "wb") as fh:
+            fh.write(dump)
+        try:
+            load_decomposition(path)
+        except Exception as exc:
+            assert type(exc) is ValueError, repr(exc)
+        else:
+            raise AssertionError(f"loaded a malformed dump: {dump[:80]!r}")
 
 
 @_SETTINGS

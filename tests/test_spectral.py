@@ -10,7 +10,7 @@ import pytest
 
 from chebpint.chebroots import find_roots
 from chebpint import spectral
-from chebpint.errors import ChebPintError, SingularMatrixError, ZeroPivotError
+from chebpint.errors import ChebPintError, SingularMatrixError
 from chebpint.spectral import (
     build_V,
     build_Vinv_fast,
@@ -77,21 +77,13 @@ def test_vinv_fast_identity_and_reference_agreement():
     assert np.abs(Vinv - ref).max() <= 1e-8
 
 
-@pytest.mark.parametrize("n", [2, 3, 17, 96, 256, 512])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 96, 256, 512, 1023])
 def test_vinv_fast_vs_reference_sweep(n):
     roots = find_roots(n, tol=1e-11)
     V = build_V(roots)
     fast = build_Vinv_fast(roots)
     ref = build_Vinv_reference(V)
     assert np.abs(fast - ref).max() <= 1e-6
-
-
-def test_vectorized_thomas_names_the_zero_pivot():
-    # x = 0 at n = 1 gives the pivot 0: the unchecked sweep turns non-finite
-    # and its checked rerun names the step
-    with pytest.raises(ZeroPivotError):
-        spectral._vectorized_thomas_constant(np.zeros(1, dtype=complex),
-                                             np.ones(1, dtype=complex))
 
 
 def test_vinv_fast_decomposition_residual_n256():
@@ -228,8 +220,8 @@ def test_memory_guard_counts_the_residual_of_an_odd_n():
 
 
 def test_fast_inverse_holds_one_sweep_array_next_to_its_result():
-    # V^{-1} (16 n^2) next to the sweep's n x n/2 solution (8 n^2), and no
-    # second n x n/2 array: 25 n^2 measured
+    # V^{-1} (16 n^2) next to the (n+1) x n/2 recurrence array (8 n^2), and
+    # no second n x n/2 array: 25 n^2 measured
     n = 512
     roots = find_roots(n)
     build_Vinv_fast(roots)
@@ -487,8 +479,15 @@ def test_load_rejects_garbage(tmp_path):
      "n must be >= 1 and an integer, got '2.5'"),
     (b"chebpint-decomp 1 n=abc dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
      "n must be >= 1 and an integer, got 'abc'"),
+    (b"chebpint-decomp 1 n=1 dt=abc cond2=1.0 residual=0.0\n" + bytes(48),
+     "dump header dt is not a number: 'abc'"),
+    (b"chebpint-decomp 1 n=1 dt=0.5 cond2=abc residual=0.0\n" + bytes(48),
+     "dump header cond2 is not a number: 'abc'"),
+    (b"chebpint-decomp 1 n=1 dt=0.5 cond2=1.0 residual=abc\n" + bytes(48),
+     "dump header residual is not a number: 'abc'"),
 ], ids=["empty", "no-n", "negative-n", "non-ascii", "negative-dt", "zero-dt",
-        "nan-dt", "truncated", "truncated-mid-value", "fractional-n", "text-n"])
+        "nan-dt", "truncated", "truncated-mid-value", "fractional-n", "text-n",
+        "text-dt", "text-cond2", "text-residual"])
 def test_load_rejects_malformed_dump(tmp_path, dump, message):
     path = tmp_path / "bad.bin"
     path.write_bytes(dump)

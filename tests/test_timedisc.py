@@ -300,6 +300,12 @@ def test_grids_reject_bad_steps(bad):
         assemble_B(4, bad)
     with pytest.raises(InvalidGridError, match="dt_last must be positive and finite"):
         geometric_grid(4, 1.2, bad)
+    blocks = np.ones((3, 2))
+    for build in (lambda: apply_B(blocks, bad),
+                  lambda: rhs_first_order(np.ones(2), blocks, bad),
+                  lambda: rhs_second_order(np.ones(2), np.ones(2), blocks, bad)):
+        with pytest.raises(InvalidGridError, match="dt must be positive and finite"):
+            build()
 
 
 @pytest.mark.parametrize("make", [TimeGrid, assemble_B])
@@ -308,10 +314,13 @@ def test_uniform_grids_reject_non_integer_n(make):
         make(2.5, 0.1)
 
 
-@pytest.mark.parametrize("tau", [1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("tau", [1.0, float("nan"), float("inf"), "1.2", None])
 def test_geometric_grid_rejects_bad_ratio(tau):
     with pytest.raises(InvalidGridError, match="tau must be > 1 and finite"):
-        geometric_grid(4, tau, 0.1)
+        GeometricGrid(4, tau, 0.1)
+    if isinstance(tau, float):
+        with pytest.raises(InvalidGridError, match="tau must be > 1 and finite"):
+            geometric_grid(4, tau, 0.1)
 
 
 def test_block_vector_shape_and_flat_view():
