@@ -10,7 +10,7 @@ The right-hand side b is real: a nonzero imaginary part raises
 NonRealSolutionError before step (a).  Steps (a) and (c) are real products
 over the decomposition's conjugate pairs, owned by `spectral`.  Step (c)
 returns Re(V w) and ||Im(V w)||, both exact for any w: the imaginary
-residue ||Im(V w)||/||V w|| measures how far the n shifted solves are from
+residue ||Im(V w)||/||V w|| measures how far the n solutions w_j are from
 conjugate-symmetric; above _IMAG_HARD it raises NonRealSolutionError, and
 the real part is the solution.
 
@@ -41,9 +41,17 @@ residual buys no outer progress.  Sweep 0 has no outer history and solves
 to _FP_RTOL: on an affine f it is the whole solve.  The outer residual is
 always computed exactly, so the returned solution meets tol all the same.
 
-Step (b) splits the n shifts into one contiguous slice per worker and
-solves each slice by batched shifted solves (op.shifted_solve_batch), the
-slices in parallel on a shared-memory thread pool.  Each worker overwrites
+For real data the shifts of a conjugate pair give conjugate solutions,
+w_{n-1-j} = conj(w_j), so SNI solves only the h = n - q representative
+shifts j < h and fills the mirrored rows by conjugation before step (c),
+which then sees an exactly mirrored w (imaginary residue 0 for even n);
+its warm starts, update counts and fallbacks are kept per representative.
+The linear drivers solve all n shifts, and with q = 0 (the geometric
+baseline) so does SNI.
+
+Step (b) splits the shifts it solves into one contiguous slice per worker
+and solves each slice by batched shifted solves (op.shifted_solve_batch),
+the slices in parallel on a shared-memory thread pool.  Each worker overwrites
 its own blocks g_j by w_j in place, each row of a batched solve depends on
 that row and its shift alone, every shift's iteration and stop depend on
 that shift and the shared rel_k alone, and steps (a)/(c) run outside the
@@ -104,7 +112,8 @@ class SolveReport:
     imag_residue: float = 0.0
     #: one dict per SNI sweep: the outer residual it starts from, the inner
     #: tolerance of its fixed points, their updates per shift (max and
-    #: total) and its exact fallbacks; empty for the linear drivers
+    #: total) and its exact fallbacks, all over the h = n - q representative
+    #: shifts alone; empty for the linear drivers
     sweeps: list = field(default_factory=list)
 
 
@@ -146,11 +155,14 @@ def _pointwise(name, func, U):
     return values
 
 
-def _three_step(decomp, b, solve_block, workers, times):
+def _three_step(decomp, b, solve_block, workers, times, solved=None):
     """Steps (a)-(c) for the real (n, m) blocks b.
 
-    Step (b) splits the n complex blocks g_j into min(workers, n)
-    contiguous slices [n*i/w, n*(i+1)/w) and calls solve_block(lo, hi,
+    Step (b) solves the first `solved` complex blocks g_j, all n by default,
+    and fills the rows G[solved:] by conj(G[:n-solved][::-1]), the mirror
+    that conjugate shifts give on real data; `solved` is n or the h = n - q
+    representatives.  It splits them into min(workers, solved) contiguous
+    slices [solved*i/w, solved*(i+1)/w) and calls solve_block(lo, hi,
     G[lo:hi]) once per slice, on a thread pool when there is more than one;
     each call overwrites its rows g_j by w_j in place.  The seconds of each
     step are added to times["step_a"], times["step_b"] and times["step_c"].
@@ -164,14 +176,16 @@ def _three_step(decomp, b, solve_block, workers, times):
 
     t0 = time.perf_counter()
     n = len(G)
-    w = min(workers, n)
-    bounds = [n * i // w for i in range(w + 1)]
+    solved = n if solved is None else solved
+    w = min(workers, solved)
+    bounds = [solved * i // w for i in range(w + 1)]
     slices = [(lo, hi, G[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     if w == 1:
         solve_block(*slices[0])
     else:
         with ThreadPoolExecutor(max_workers=w) as pool:
             list(pool.map(lambda sl: solve_block(*sl), slices))
+    np.conj(G[:n - solved][::-1], out=G[solved:])
     times["step_b"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -317,7 +331,9 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
         (B (x) I + I (x) (A + A_k)) u^{k+1} = b + (I (x) A_k) u^k - F(u^k),
 
     via the three-step kernel.  Its step (b), (lambda_j I + A + A_k) w_j = g_j,
-    is the fixed point w_j <- ((lambda_j + c) I + A)^{-1} (g_j - (A_k - c) w_j)
+    is solved for the h = n - q representative shifts j < h only; the
+    mirrored rows are their conjugates, filled in before step (c).  Each is
+    the fixed point w_j <- ((lambda_j + c) I + A)^{-1} (g_j - (A_k - c) w_j)
     with c the midrange of A_k's diagonal, on op.shifted_solve_batch alone.
     Each shift starts from its w_j of the previous sweep (on the first sweep
     from ((lambda_j + c) I + A)^{-1} g_j) and stops once an update moves w_j
@@ -333,7 +349,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     u = 0 and stops once the exact 2-norm residual of the nonlinear system
     drops under tol * ||b|| (under tol when b = 0, so zero data return
     u = 0 after no sweep).  Each sweep evaluates f(u) once, for its residual
-    and its right-hand side.  report.sweeps holds one record per sweep.
+    and its right-hand side.  report.sweeps holds one record per sweep, its
+    update and fallback counts taken over the representative shifts.
     The source, f and jac_diag must be real: an f(u) or a sweep's
     right-hand side with a nonzero imaginary part raises
     NonRealSolutionError.  f(U) and jac_diag(U) must have U's shape (n, m),
@@ -355,10 +372,11 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     b = _real_rhs(rhs_first_order(problem.u0, g, decomp.dt).values)
 
     U = np.zeros((n, m))
-    warm = np.empty((n, m), dtype=complex)  # each shift's w_j of the last sweep
+    h = n - decomp.q                        # the representative shifts
+    warm = np.empty((h, m), dtype=complex)  # each shift's w_j of the last sweep
     rows = max(1, _BATCH_ELEMS // m)
-    updates = np.zeros(n, dtype=int)
-    fell_back = np.zeros(n, dtype=bool)
+    updates = np.zeros(h, dtype=int)
+    fell_back = np.zeros(h, dtype=bool)
     history = []
     sweeps = []
     times = {"assembly": 0.0, "step_a": 0.0, "step_b": 0.0, "step_c": 0.0}
@@ -393,7 +411,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
                     k == 0, rtol, updates[s:e], fell_back[s:e],
                 )
 
-        U, residue = _three_step(decomp, rhs_k, solve_block, workers, times)
+        U, residue = _three_step(decomp, rhs_k, solve_block, workers, times, h)
         sweeps.append({
             "residual": rel,
             "inner_rtol": rtol,

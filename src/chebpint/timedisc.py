@@ -215,7 +215,7 @@ def rhs_second_order(u0, u0dot, g, dt):
 def geometric_grid(n, tau, dt_last):
     """GeometricGrid factory: n an integer >= 1, tau > 1 and dt_last > 0,
     both finite, or InvalidGridError."""
-    return GeometricGrid(n=n, tau=float(tau), dt_last=float(dt_last))
+    return GeometricGrid(n=n, tau=tau, dt_last=dt_last)
 
 
 def assemble_TR_system(grid: GeometricGrid):

@@ -111,8 +111,10 @@ def test_convergence_semilinear_reports_iterations(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert all(2 <= r["iterations"] <= 12 for r in rows)
     assert abs(rows[0]["iterations"] - rows[1]["iterations"]) <= 2
-    # every sweep takes at least one fixed-point update per shift
-    assert all(r["inner_updates"] >= r["iterations"] * r["n"] for r in rows)
+    # every sweep takes at least one fixed-point update per representative
+    # shift; the ceil(n/2) representatives are the only shifts solved
+    assert all(r["inner_updates"] >= r["iterations"] * ((r["n"] + 1) // 2)
+               for r in rows)
     assert all(r["fallbacks"] == 0 for r in rows)
 
 

@@ -1,5 +1,6 @@
 """Tests for the time-parallel solve drivers."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -433,28 +434,106 @@ def test_sni_worker_count_does_not_change_results():
         assert got.residual_history == base.residual_history, workers
 
 
-def test_sni_spatially_varying_jacobian_falls_back_exactly():
-    # f(u) = s*u with s spread over [-3, 8]: the fixed point around the
-    # midrange of s cannot contract for the shifts of small modulus, which
-    # must take the exact diagonal solve; the others converge spectrally
+def _varying_jacobian_problem(n, spy=_CountingOperator):
+    """f(u) = s*u with s spread over [-3, 8] on a dense m = 2 operator wrapped
+    in `spy`: the fixed point around the midrange of s cannot contract for
+    the shifts of small modulus, which take the exact diagonal solve.
+    Returns the problem, A + diag(s), u0, g and dt."""
     rng = np.random.default_rng(53)
-    m, n, dt = 2, 8, 0.05
+    m, dt = 2, 0.05
     M = rng.normal(size=(m, m))
     A = M @ M.T + np.eye(m)
     s = np.array([-3.0, 8.0])
     u0 = rng.normal(size=m)
     g = rng.normal(size=(n, m))
     prob = _linear_semilinear_problem(A, u0, g, dt)
-    op = _CountingOperator(prob.operator)
-    prob.operator = op
+    prob.operator = spy(prob.operator)
     prob.f = lambda u: s * u
     prob.jac_diag = lambda u: np.broadcast_to(s, u.shape).copy()
+    return prob, A + np.diag(s), u0, g, dt
+
+
+def test_sni_spatially_varying_jacobian_falls_back_exactly():
+    # the shifts of small modulus take the exact diagonal solve, the others
+    # converge spectrally; only the ceil(n/2) representatives are solved
+    n = 8
+    prob, A_s, u0, g, dt = _varying_jacobian_problem(n)
     dec = decompose(n, dt)
     rep = solve_semilinear_sni(prob, dec, tol=1e-11, max_iter=10)
-    assert 0 < op.diag_solves < n
-    expected = solve_first_order_linear(dec, make_dense_operator(A + np.diag(s)),
+    assert 0 < prob.operator.diag_solves < (n + 1) // 2
+    expected = solve_first_order_linear(dec, make_dense_operator(A_s),
                                         rhs_first_order(u0, g, dt))
     assert np.abs(rep.solution.values - expected.solution.values).max() < 1e-9
+
+
+class _RowSpy(_CountingOperator):
+    """Also records the shifts of every batched and exact shifted solve."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.batched = []
+        self.exact = []
+
+    def shifted_solve_batch(self, sigmas, G):
+        self.batched.extend(sigmas)
+        self.inner.shifted_solve_batch(sigmas, G)
+
+    def shifted_diag_solve(self, sigma, diag, g):
+        self.exact.append(sigma)
+        return super().shifted_diag_solve(sigma, diag, g)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_sni_solves_only_the_representative_rows(n):
+    # SNI's shifts are lambda_j + c with c real, so Im(sigma) names the row
+    # j exactly: the mirrored rows j >= h = n - q have Im(lambda_j) of the
+    # other sign (and the self-paired middle row of odd n has 0)
+    prob, _, _, _, dt = _varying_jacobian_problem(n, spy=_RowSpy)
+    dec = decompose(n, dt)
+    h = n - dec.q
+
+    def rows(sigmas):
+        found = [np.flatnonzero(dec.eigenvalues.imag == np.imag(s)) for s in sigmas]
+        assert all(len(j) == 1 for j in found)
+        return {int(j[0]) for j in found}
+
+    solve_semilinear_sni(prob, dec, tol=1e-11, max_iter=10)
+    spy = prob.operator
+    assert spy.exact and rows(spy.exact) < set(range(h))
+    assert rows(spy.batched) == set(range(h))
+
+    # with q = 0 every row is its own representative, and all n are solved
+    prob.operator = spy = _RowSpy(spy.inner)
+    solve_semilinear_sni(prob, dataclasses.replace(dec, q=0), tol=1e-11,
+                         max_iter=10)
+    assert rows(spy.batched) == set(range(n))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_linear_drivers_solve_every_row(order):
+    dec, op, rhs = _small_first_order_case()
+    spy = _RowSpy(op)
+    solve = solve_first_order_linear if order == 1 else solve_second_order_linear
+    solve(dec, spy, rhs, workers=3)
+    shifts = dec.eigenvalues**order
+    assert np.array_equal(np.sort(spy.batched), np.sort(shifts))
+    assert spy.exact == []
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_sni_representatives_match_the_all_shift_oracle(n):
+    # q = 0 makes SNI solve all n shifts, the mirrored ones too
+    bench = make_benchmark("semilinear", 15, n=n, T=2.0)
+    dec = decompose(n, bench.grid.dt)
+    got = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40)
+    oracle = solve_semilinear_sni(bench.semilinear(), dataclasses.replace(dec, q=0),
+                                  tol=1e-8, max_iter=40)
+    assert got.iterations == oracle.iterations
+    diff = np.linalg.norm(got.solution.values - oracle.solution.values)
+    assert diff <= 1e-13 * np.linalg.norm(oracle.solution.values)
+    if n % 2 == 0:
+        # no self-paired row: step (c) sees an exactly mirrored w
+        assert got.imag_residue == 0.0
 
 
 class _MatrixOnlyOperator(SpatialOperator):
@@ -623,8 +702,8 @@ def test_sni_benchmark_sweeps_unchanged_by_forcing_term():
     assert len(rep.sweeps) == rep.iterations == 8
     assert all(r["fallbacks"] == 0 for r in rep.sweeps)
     assert all(1 <= r["updates_max"] <= r["updates_total"] for r in rep.sweeps)
-    # solved to 1e-13 on every sweep, the shifts took 1420 updates in all
-    assert sum(r["updates_total"] for r in rep.sweeps) < 3 * 32 * 8
+    # the 16 representative shifts took 240 updates in all
+    assert sum(r["updates_total"] for r in rep.sweeps) < 3 * 16 * 8
 
 
 def test_sni_sweep_records_do_not_depend_on_worker_count():
