@@ -207,14 +207,20 @@ def _residual(decomp, op, U, b, order=1, fU=None):
 
     B is decomp.B when the decomposition carries its matrix (the geometric
     baseline) and the hybrid stencil, applied by apply_B, otherwise.  The
-    sum is built in place, term by term in the order written.
+    sum is built in the one (n, m) array that B U takes (B^2 U holds B U
+    next to it), term by term in the order written: A U is added by chunks
+    of _BATCH_ELEMS elements, each op.apply of a block of rows, so no other
+    array of the solution's size is made.  A complex-typed A makes the sum
+    complex.
     """
     r = U
     for _ in range(order):
         r = apply_B(r, decomp.dt) if decomp.B is None else decomp.B @ r
-    AU = op.apply(U)
-    r = r.astype(np.result_type(r, AU), copy=False)    # a complex-typed A
-    r += AU
+    rows = max(1, _BATCH_ELEMS // U.shape[1])
+    for lo in range(0, len(U), rows):
+        AU = op.apply(U[lo:lo + rows])
+        r = r.astype(np.result_type(r, AU), copy=False)
+        r[lo:lo + rows] += AU
     if fU is not None:
         r += fU
     r -= b

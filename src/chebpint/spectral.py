@@ -121,8 +121,7 @@ def build_Vinv_fast(roots: RootSet):
 
     The Chebyshev rows P[k, j] = i^k U_k(x_j) run to k = n, one row past
     `build_V`'s, for U_n.  The result is Fortran-ordered, the layout
-    SpectralDecomposition stores V^{-1} in, so `decompose` hands it over
-    without a copy.
+    SpectralDecomposition stores the representative rows V^{-1}[:h] in.
     """
     n = roots.n
     h = (n + 1) // 2
@@ -245,18 +244,70 @@ def _paired_product(V, q, Y):
     return out
 
 
+def _unmirrored(eigenvalues, V, Vinv, q):
+    """The first of "eigenvalues", "V" (its columns) and "Vinv" (its rows)
+    whose q pairs j, n-1-j are not bitwise conjugate, or None.  A factor
+    given as its h = n - q representative columns (rows) alone has no
+    mirrored part to check."""
+    n = len(eigenvalues)
+    h = n - q
+    for name, cols in (("eigenvalues", eigenvalues[None]), ("V", V), ("Vinv", Vinv.T)):
+        if cols.shape[1] == n and not np.array_equal(cols[:, h:][:, ::-1],
+                                                     np.conj(cols[:, :q])):
+            return name
+    return None
+
+
+class _Factor:
+    """A dense n x n factor field of SpectralDecomposition, held as its
+    representative half: the h = n - q first columns, or rows when `rows`.
+
+    The constructor sets the value it is given, which __post_init__ checks
+    and halves, and the field is read-only after that; a read builds the
+    dense matrix from the half by the conjugate mirror, so it equals what
+    was passed in.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __set_name__(self, owner, name):
+        self.name = name
+        self.half = f"_{name}_half"
+
+    def __get__(self, dec, owner=None):
+        if dec is None:
+            raise AttributeError(self.name)     # a field without a default
+        cols = getattr(dec, self.half)
+        cols = cols.T if self.rows else cols
+        n, q = dec.n, dec.q
+        M = np.empty((n, n), dtype=complex)
+        M[:, :n - q] = cols
+        np.conj(cols[:, :q][:, ::-1], out=M[:, n - q:])
+        return M.T if self.rows else M
+
+    def __set__(self, dec, value):
+        if hasattr(dec, self.half):
+            raise AttributeError(
+                f"{self.name} is read-only; dataclasses.replace builds a new "
+                f"decomposition")
+        setattr(dec, self.half, value)
+
+
 @dataclass(eq=False)
 class SpectralDecomposition:
     """B = V D V^{-1} for the n-point stencil with step dt.
 
-    eigenvalues[j] = i*x_j/dt; V and Vinv are dense complex matrices;
-    cond2 estimates Cond_2(V); residual is ||B - V D V^{-1}||_F / ||B||_F.
+    eigenvalues[j] = i*x_j/dt; V and Vinv are the complex eigenvector matrix
+    and its inverse; cond2 estimates Cond_2(V); residual is
+    ||B - V D V^{-1}||_F / ||B||_F.
 
     q counts the conjugate pairs: for j < q, eigenvalue n-1-j, column n-1-j
     of V and row n-1-j of Vinv are bitwise the conjugates of eigenvalue j,
     column j and row j; every other index pairs with itself.  `decompose`
     has q = n//2, the real geometric baseline q = 0 (always valid, it just
     saves nothing).  With h = n - q, the rows j < h are the representatives.
+    A q > 0 whose pairs do not mirror raises ValueError naming the field.
 
     phase_times holds the seconds of each layer of `decompose` (find_roots,
     build_V, build_Vinv_fast, cond2 and, when computed, residual); it is
@@ -267,10 +318,16 @@ class SpectralDecomposition:
     trapezoidal matrix, and the solvers' residuals apply it.  None means the
     stencil.
 
-    V (C order) and Vinv (Fortran order) are the only copy of the factors,
-    and every product with them is real, read through float views that do
-    not copy: Vf = V[:, :h].view(float) has the columns Re v_k, Im v_k at
-    2k, 2k+1, and Vinv[:h].T.view(float).T the rows Re, Im of Vinv[k].
+    Only the representative halves are stored, as nothing else is read:
+    V[:, :h] in C order and Vinv[:h] in Fortran order, 16 n^2 bytes for
+    q = n//2 (with q = 0 the halves are the whole matrices).  The
+    constructor takes V and Vinv dense, n x n, or as these halves (n x h
+    and h x n); reading dec.V or dec.Vinv builds the dense matrix (C and
+    Fortran order) from its half by the mirror, on every read.  Every
+    product with the factors is real, read through float views of the
+    halves that do not copy: Vf = V[:, :h].view(float) has the columns
+    Re v_k, Im v_k at 2k, 2k+1, and Vinv[:h].T.view(float).T the rows Re,
+    Im of Vinv[k].
 
     - `apply_Vinv` (step (a)): for a real b, the real product of the latter
       view with b holds Re g_k, Im g_k of g = V^{-1} b for k < h, and
@@ -294,8 +351,8 @@ class SpectralDecomposition:
     n: int
     dt: float
     eigenvalues: np.ndarray
-    V: np.ndarray
-    Vinv: np.ndarray
+    V: np.ndarray = _Factor(rows=False)
+    Vinv: np.ndarray = _Factor(rows=True)
     cond2: float
     residual: float
     roots: RootSet | None = None
@@ -305,14 +362,26 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         n, q = self.n, self.q
-        for name, shape in (("eigenvalues", (n,)), ("V", (n, n)), ("Vinv", (n, n))):
-            got = np.shape(getattr(self, name))
-            if got != shape:
-                raise ValueError(f"{name} has shape {got}, expected {shape} for n={n}")
         if not 0 <= q <= n // 2:
             raise ValueError(f"pair count q={q} is not in [0, n//2] for n={n}")
-        self.V = np.ascontiguousarray(self.V, dtype=complex)
-        self.Vinv = np.asfortranarray(self.Vinv, dtype=complex)
+        h = n - q
+        V, Vinv = np.asarray(self._V_half), np.asarray(self._Vinv_half)
+        for name, got, shapes in (
+            ("eigenvalues", np.shape(self.eigenvalues), [(n,)]),
+            ("V", V.shape, [(n, n), (n, h)]),
+            ("Vinv", Vinv.shape, [(n, n), (h, n)]),
+        ):
+            if got not in shapes:
+                raise ValueError(
+                    f"{name} has shape {got}, expected "
+                    f"{' or '.join(map(str, shapes))} for n={n}, q={q}")
+        bad = _unmirrored(np.asarray(self.eigenvalues), V, Vinv, q)
+        if bad is not None:
+            raise ValueError(
+                f"{bad} does not mirror: with q={q}, its pairs j, n-1-j "
+                f"(j < q) must be bitwise conjugate")
+        self._V_half = np.ascontiguousarray(V[:, :h], dtype=complex)
+        self._Vinv_half = np.asfortranarray(Vinv[:h], dtype=complex)
 
     @property
     def newton_iters_max(self):
@@ -322,7 +391,7 @@ class SpectralDecomposition:
         """g = V^{-1} b for the real (n, m) blocks b, by one real product;
         a C-contiguous complex (n, m) array."""
         q, h = self.q, self.n - self.q
-        P = self.Vinv[:h].T.view(float).T @ b
+        P = self._Vinv_half.T.view(float).T @ b
         G = np.empty((self.n, b.shape[1]), dtype=complex)
         G.real[:h] = P[0::2]
         G.imag[:h] = P[1::2]
@@ -336,17 +405,17 @@ class SpectralDecomposition:
         # only the boolean is kept: a held conjugate half costs an n/2 x m
         # complex array through the product (7% of heat-wide's peak RSS)
         if np.array_equal(W[:q], np.conj(W[h:][::-1])):
-            U = _paired_product(self.V, q, W[:h])
+            U = _paired_product(self._V_half, q, W[:h])
             if h == q:
                 return U, 0.0
-            Im = _paired_product(self.V[:, q:h], 0, -1j * W[q:h])
+            Im = _paired_product(self._V_half[:, q:h], 0, -1j * W[q:h])
         else:
             wp = np.conj(W[h:][::-1])
             S = np.concatenate([(W[:q] + wp) * 0.5, W[q:h]])
             R = np.concatenate([(W[:q] - wp) * -0.5j, -1j * W[q:h]])
             del wp
-            U = _paired_product(self.V, q, S)
-            Im = _paired_product(self.V, q, R)
+            U = _paired_product(self._V_half, q, S)
+            Im = _paired_product(self._V_half, q, R)
         return U, float(np.linalg.norm(Im))
 
 
@@ -405,8 +474,10 @@ def _check_memory(n):
     product): 12 n^2 at n = 512, 6 n^2 at n = 1024.  So the residual sets
     the peak at n = 511 and 512 (44.9 n^2), and the build from n = 1024 on
     (40.3 n^2); one count of 45 n^2 covers both modes for n >= 512.  The
-    single chunk of an n <= 256 takes it to 59 n^2, at most 3.9 MB.
-    Afterwards the decomposition holds 32 n^2.
+    single chunk of an n <= 256 takes it to 59 n^2, at most 3.9 MB.  The
+    hand-over copies V's representative half next to both dense factors
+    (40 n^2) and V^{-1}'s once V is freed (32 n^2).  Afterwards the
+    decomposition holds 16 n^2: V[:, :h] and V^{-1}[:h], h = ceil(n/2).
     """
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
@@ -458,6 +529,11 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     if with_residual:
         residual = _timed(times, "residual", decomposition_residual,
                           eigenvalues, V, Vinv, assemble_B(n, dt), q=q)
+    # the representative halves, each copied once its dense factor can go:
+    # a constructor given both dense factors would hold them next to both
+    # halves, 48 n^2
+    V = np.ascontiguousarray(V[:, :n - q])
+    Vinv = np.asfortranarray(Vinv[:n - q])
     return SpectralDecomposition(
         n=n,
         dt=dt,
@@ -548,16 +624,14 @@ def load_decomposition(path):
         )
     payload = np.frombuffer(payload, dtype="<c16")
     eigenvalues = payload[:n].copy()
-    V = payload[n:n + n * n].reshape(n, n).copy()
-    Vinv = np.array(payload[n + n * n:].reshape(n, n), order="F")
+    V = payload[n:n + n * n].reshape(n, n)
+    Vinv = payload[n + n * n:].reshape(n, n)
     # the pairs are used only where the data mirror exactly, so a dump of
     # any V (an older build_V, one perturbed off its mirror) still loads
-    # exactly
-    q = n // 2
-    mirrored = (np.array_equal(eigenvalues[n - q:][::-1], np.conj(eigenvalues[:q]))
-                and np.array_equal(V[:, n - q:][:, ::-1], np.conj(V[:, :q]))
-                and np.array_equal(Vinv[n - q:][::-1], np.conj(Vinv[:q])))
+    # exactly; only the representative halves are copied out of the file
+    q = n // 2 if _unmirrored(eigenvalues, V, Vinv, n // 2) is None else 0
     return SpectralDecomposition(
-        n=n, dt=dt, eigenvalues=eigenvalues, V=V, Vinv=Vinv,
-        cond2=cond2, residual=residual, roots=None, q=q if mirrored else 0,
+        n=n, dt=dt, eigenvalues=eigenvalues, V=V[:, :n - q].copy(),
+        Vinv=np.array(Vinv[:n - q], order="F"),
+        cond2=cond2, residual=residual, roots=None, q=q,
     )

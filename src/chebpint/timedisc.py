@@ -149,17 +149,22 @@ def assemble_B(n, dt):
 
 def apply_B(values, dt):
     """Apply the stencil matrix to an (n, m) block array without assembling
-    it; InvalidGridError unless dt is positive and finite."""
+    it; InvalidGridError unless dt is positive and finite.
+
+    Every row is written into the result in place, so nothing of the
+    result's size is allocated beside it.
+    """
     dt = check_scale("dt", dt, error=InvalidGridError)
     u = np.atleast_2d(values)
     n = u.shape[0]
-    out = np.empty_like(u)
     if n == 1:
         return u / dt
-    out[0] = u[1] / (2.0 * dt)
-    if n > 2:
-        out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dt)
-    out[-1] = (u[-1] - u[-2]) / dt
+    out = np.empty(u.shape, dtype=np.result_type(u, 1.0))   # as u / dt
+    np.divide(u[1], 2.0 * dt, out=out[0])
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dt
+    np.subtract(u[-1], u[-2], out=out[-1])
+    out[-1] /= dt
     return out
 
 
@@ -246,7 +251,12 @@ def _toeplitz_column(grid: GeometricGrid):
     n, tau = grid.n, grid.tau
     p = np.ones(n)
     for l in range(1, n):
-        p[l] = p[l - 1] * (1.0 + tau**l) / (1.0 - tau**l)
+        try:
+            p[l] = p[l - 1] * (1.0 + tau**l) / (1.0 - tau**l)
+        except OverflowError:       # a float tau^l, or an int one as a float
+            raise GeometricOverflowError(
+                f"tau^{l} exceeds the floating-point range for tau={tau}, n={n}"
+            ) from None
         if abs(p[l]) > _P_OVERFLOW:
             raise GeometricOverflowError(
                 f"|p_{l}| = {abs(p[l]):.3e} exceeds the representable range "

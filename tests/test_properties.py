@@ -3,7 +3,8 @@ malformed dumps with ValueError alone, the mirror symmetry of V and V^{-1},
 and the cond2 estimate against the SVD; of the real steps (a) and (c),
 SpectralDecomposition.apply_Vinv and apply_V, against the complex products,
 and of step (c)'s skip of the imaginary rows that mirrored solves make
-exactly 0; and of the batched sine Laplacian solve against its per-row
+exactly 0; of the solvers' one-array stencil residual against the sum of
+its terms; and of the batched sine Laplacian solve against its per-row
 solve, and of its shift check against the scan of every denominator.
 
 Examples are derandomized and few, so the suite stays deterministic and
@@ -30,7 +31,12 @@ from chebpint.spectral import (
     load_decomposition,
     save_decomposition,
 )
-from chebpint.timedisc import rhs_first_order
+from chebpint.timedisc import (
+    apply_B,
+    geometric_decomposition,
+    geometric_grid,
+    rhs_first_order,
+)
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -240,6 +246,39 @@ def test_batched_sine_solve_is_the_per_row_solve(side, k, rows, seed):
         op.shifted_solve_batch(sigmas, G)
     for j in range(k):
         assert np.array_equal(G[j], op.shifted_solve(sigmas[j], G0[j])), j
+
+
+@_SETTINGS
+@given(n=st.integers(1, 12), side=st.integers(1, 5), order=st.sampled_from([1, 2]),
+       with_f=st.booleans(), kind=st.sampled_from(["stencil", "geometric", "complex"]),
+       batch=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_residual_is_the_unfused_sum(n, side, order, with_f, kind, batch, seed):
+    # chunks of batch // m rows of A U, so most sums cross chunk boundaries
+    rng = np.random.default_rng(seed)
+    m = side**2
+    if kind == "geometric":                 # B set: the trapezoidal matrix
+        dec = geometric_decomposition(geometric_grid(n, 1.15, 0.01))
+    else:
+        dec = decompose(n, 0.1, with_residual=False)
+    if kind == "complex":                   # A U, and with it r, complex
+        op = spatial.DenseOperator(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    else:
+        op = spatial.SineLaplacian2D(side, 1.0 / (side + 1))
+    U, b = rng.normal(size=(n, m)), rng.normal(size=(n, m))
+    fU = rng.normal(size=(n, m)) if with_f else None
+    r = U
+    for _ in range(order):
+        r = apply_B(r, dec.dt) if dec.B is None else dec.B @ r
+    r = r + op.apply(U)
+    if with_f:
+        r = r + fU
+    want = np.linalg.norm(r - b) / np.linalg.norm(b)
+    with mock.patch.object(solver, "_BATCH_ELEMS", batch):
+        got = solver._residual(dec, op, U, b, order, fU)
+    if kind == "complex":                   # a dense product in row chunks
+        assert abs(got - want) <= 1e-14 * want
+    else:                                   # sparse: the same sums, bitwise
+        assert got == want
 
 
 #: offsets from a mode -mu of the sine Laplacian: on it, next to it on the

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chebpint.errors import (
 from chebpint.solver import (
     _FP_MAX_SWEEPS,
     _fixed_point_chunk,
+    _residual,
     global_error,
     recover_velocity,
     solve_first_order_linear,
@@ -23,6 +25,7 @@ from chebpint.solver import (
     timestep_trapezoidal,
 )
 from chebpint.spatial import (
+    _BATCH_ELEMS,
     SemilinearProblem,
     SineLaplacian2D,
     SpatialOperator,
@@ -210,6 +213,27 @@ def test_complex_typed_real_operator_solves_as_the_real_one():
         real, cplx = solve(dec, op, rhs), solve(dec, cop, rhs)
         assert np.array_equal(cplx.solution.values, real.solution.values)
         assert cplx.residual_history == real.residual_history
+
+
+def test_residual_builds_its_sum_in_one_array():
+    # beyond its inputs, the stencil residual holds one n x m float array
+    # (B^2 U holds B U next to it) and A U's chunks of _BATCH_ELEMS elements
+    n, side = 32, 64
+    m = side**2
+    dec = decompose(n, 0.1, with_residual=False)
+    op = SineLaplacian2D(side, 1.0 / (side + 1))
+    U, b, fU = np.random.default_rng(1).normal(size=(3, n, m))
+    array, chunk = n * m * 8, _BATCH_ELEMS * 8
+    for order, f, bound in ((1, None, array + 4 * chunk), (1, fU, array + 4 * chunk),
+                            (2, None, 2 * array + chunk)):
+        _residual(dec, op, U, b, order, f)                  # warm up
+        tracemalloc.start()
+        try:
+            _residual(dec, op, U, b, order, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (order, f is not None, peak)
 
 
 def test_geometric_baseline_matches_dense_trapezoidal_oracle():

@@ -279,6 +279,20 @@ def test_memory_guard_counts_both_modes_alike(monkeypatch):
             decompose(n, 1.0, with_residual=with_residual)
 
 
+def test_decomposition_holds_only_the_representative_halves():
+    # V[:, :h] and V^{-1}[:h], 16 n^2 bytes, and O(n) beside them
+    n = 512
+    decompose(n, 0.1)                                       # warm up
+    tracemalloc.start()
+    try:
+        dec = decompose(n, 0.1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dec.q == n // 2
+    assert held <= 16 * n * n + 128 * n
+
+
 def test_decompose_reports_layer_times():
     phases = {"find_roots", "build_V", "build_Vinv_fast", "cond2"}
     dec = decompose(16, 0.1)
@@ -357,6 +371,35 @@ def test_decompose_agrees_with_dense_eigensolver():
 
 # -------------------------------------------------------------- round trip
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_factors_read_back_bitwise_as_given(n):
+    # the constructor keeps the halves, and a read rebuilds the rest by
+    # the mirror: the bytes given come back, in C and Fortran order
+    roots = find_roots(n)
+    V, Vinv = build_V(roots), build_Vinv_fast(roots)
+    dec = spectral.SpectralDecomposition(
+        n=n, dt=0.1, eigenvalues=roots.lambdas_unit / 0.1, V=V, Vinv=Vinv,
+        cond2=1.0, residual=0.0, q=n // 2)
+    assert dec.V.flags.c_contiguous and dec.Vinv.flags.f_contiguous
+    assert dec.V.tobytes() == V.tobytes()
+    assert dec.Vinv.tobytes(order="F") == Vinv.tobytes(order="F")
+    with pytest.raises(AttributeError, match="V is read-only"):
+        dec.V = V
+
+
+@pytest.mark.parametrize("field", ["eigenvalues", "V", "Vinv"])
+def test_decomposition_rejects_pairs_off_the_mirror(field):
+    # the solves read the representatives alone, so a mirrored half that is
+    # not their conjugate would be dropped silently
+    dec = decompose(13, 0.5)
+    M = getattr(dec, field).copy()
+    k = {"eigenvalues": (10,), "V": (4, 10), "Vinv": (10, 4)}[field]
+    M[k] = complex(np.nextafter(M[k].real, np.inf), M[k].imag)
+    with pytest.raises(ValueError, match=f"^{field} does not mirror"):
+        dataclasses.replace(dec, **{field: M})
+    assert np.array_equal(getattr(dataclasses.replace(dec, q=0, **{field: M}), field), M)
+
+
 def test_save_load_round_trip(tmp_path):
     dec = decompose(13, 0.5)
     path = tmp_path / "dec.bin"
@@ -375,9 +418,10 @@ def test_load_uses_pairs_only_where_the_dump_mirrors(tmp_path):
     # a V column off its mirror by one ulp, as the recurrence alone leaves
     # it, loads with q = 0: every index then pairs with itself
     dec = decompose(13, 0.5)
-    dec.V[4, 2] = np.nextafter(dec.V[4, 2].real, 2.0) + 1j * dec.V[4, 2].imag
+    V = dec.V
+    V[4, 2] = np.nextafter(V[4, 2].real, 2.0) + 1j * V[4, 2].imag
     path = tmp_path / "dec.bin"
-    save_decomposition(dec, path)
+    save_decomposition(dataclasses.replace(dec, V=V, q=0), path)
     back = load_decomposition(path)
     assert (dec.q, back.q) == (6, 0)
     # q = 0 runs every index through the self-paired rows of steps (a)/(c)

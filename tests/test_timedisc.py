@@ -280,8 +280,12 @@ def test_geometric_decomposition_residual_small_n():
 
 
 def test_geometric_decomposition_overflow():
-    with pytest.raises(GeometricOverflowError):
-        geometric_decomposition(geometric_grid(420, 1.001, 0.01))
+    # p_l overflows first at tau = 1.001; at tau = 10, tau^l does, as a
+    # float power or as an int power converted to a float
+    for grid in (geometric_grid(420, 1.001, 0.01), GeometricGrid(400, 10.0, 0.1),
+                 GeometricGrid(400, 10, 0.1)):
+        with pytest.raises(GeometricOverflowError):
+            geometric_decomposition(grid)
 
 
 # ---------------------------------------------------------------- grids misc
