@@ -30,13 +30,21 @@ Nothing is pivoted, and U_n(x_j) never vanishes: at a root
 U_{n-1} = i T_n, so U_n = x U_{n-1} + T_n = T_n (1 + i x_j), where T_n and
 U_{n-1} have no common zero and 1 + i x_j = 0 would need x_j = i, while
 Im x_j < 0.  (A non-finite V^{-1} would still stop `decompose`, in
-`cond2_estimate`.)  `build_V` and `build_Vinv_fast` share one
-recurrence, which runs to k = n for the latter.  Only the ceil(n/2)
-representative roots are evaluated: `find_roots` mirrors
-x_{n-1-j} = -conj(x_j) bitwise, so column n-1-j of V and row n-1-j of
-V^{-1} are the conjugates of column and row j and are filled as such.  An
-O(n^3) dense inversion (`build_Vinv_reference`) is kept as the independent
-cross-check path.
+`cond2_estimate`.)
+
+Only the h = ceil(n/2) representative roots are evaluated: `find_roots`
+mirrors x_{n-1-j} = -conj(x_j) bitwise, so column n-1-j of V and row
+n-1-j of V^{-1} are the conjugates of column and row j.  The
+representative halves V[:, :h] and V^{-1}[:h] are the one factor format;
+`_mirror` alone expands a half to the dense matrix.  `decompose` runs the
+recurrence once, to k = n: its first n rows are V[:, :h] as they are,
+and V^{-1}[:h] is those rows scaled, so both factors cost one (n+1) x h
+array and one h x n array, 8 n^2 bytes each.  The diagnostics hold at most
+one dense factor next to them, for cond2's norm: a measured peak of
+33.2 n^2 at n = 512 and 32.3 n^2 at n = 1024 (`_check_memory`).  The
+dense `build_V` and `build_Vinv_fast` are the same halves mirrored.  An
+O(n^3) dense inversion (`build_Vinv_reference`) is kept as the
+independent cross-check path.
 """
 
 from __future__ import annotations
@@ -73,20 +81,34 @@ __all__ = [
 _PIVOT_FLOOR = 1e-300
 
 
-def _chebyshev_rows(xs, P):
-    """Fill P[k, j] = i^k U_k(xs[j]) for every row k of P, in place.
+def _chebyshev_rows(roots: RootSet, rows):
+    """The (rows, h) array P[k, j] = i^k U_k(x_j), k < rows, over the
+    h = ceil(n/2) representative roots x_j.
 
     Times i^k, the recurrence U_k = 2x U_{k-1} - U_{k-2} reads
     P_k = 2ix P_{k-1} + P_{k-2}, which gives i^k U_k with no scaling pass.
     """
-    P[0] = 1.0
+    xs = roots.xs[:roots.n - roots.n // 2]
+    P = np.empty((rows, len(xs)), dtype=complex)
     x2i = 2j * xs
-    if len(P) > 1:
-        P[1] = x2i
-    for k in range(2, len(P)):
+    P[0] = 1.0
+    P[1:2] = x2i                        # no row 1 when rows = 1
+    for k in range(2, rows):
         np.multiply(x2i, P[k - 1], out=P[k])
         P[k] += P[k - 2]
     return P
+
+
+def _mirror(half, n):
+    """The dense n x n matrix whose first h columns are the n x h `half`
+    and whose column n-1-j is conj(half[:, j]) for j < n - h, C-ordered.
+    A factor mirrored by rows, V^{-1}, is `_mirror(rows.T, n).T`
+    (Fortran-ordered).  With h = n it is a copy of `half`."""
+    h = half.shape[1]
+    M = np.empty((n, n), dtype=complex)
+    M[:, :h] = half
+    np.conj(half[:, :n - h][:, ::-1], out=M[:, h:])
+    return M
 
 
 def build_V(roots: RootSet):
@@ -95,17 +117,12 @@ def build_V(roots: RootSet):
 
     The recurrence runs on the h = ceil(n/2) representative columns only:
     `find_roots` makes x_{n-1-j} = -conj(x_j) bitwise, so
-    v_{n-1-j} = conj(v_j) exactly, and the other columns are filled as
+    v_{n-1-j} = conj(v_j) exactly, and `_mirror` fills the other columns as
     those conjugates.  For odd n the middle root has Re x = 0, so 2ix and
     its column are real.  The real steps (a)/(c) of the solver rely on
     V[:, n-1-j] == conj(V[:, j]).
     """
-    n = roots.n
-    q = n // 2
-    V = np.empty((n, n), dtype=complex)
-    _chebyshev_rows(roots.xs[:n - q], V[:, :n - q])
-    np.conj(V[:, :q][:, ::-1], out=V[:, n - q:])
-    return V
+    return _mirror(_chebyshev_rows(roots, roots.n), roots.n)
 
 
 def _powers_of_minus_i(n):
@@ -114,29 +131,30 @@ def _powers_of_minus_i(n):
     return np.array([1, -1j, -1, 1j])[np.arange(n) % 4]
 
 
-def build_Vinv_fast(roots: RootSet):
-    """V^{-1} in O(n^2) by the explicit formula (module docstring):
-    V^{-1}[j, k] = gamma_j (-1)^k i^k U_k(x_j), plus i(-i)^{n-1}/p_n'(x_j)
-    at k = n-1, for the h = ceil(n/2) representative roots.
-
-    The Chebyshev rows P[k, j] = i^k U_k(x_j) run to k = n, one row past
-    `build_V`'s, for U_n.  The result is Fortran-ordered, the layout
-    SpectralDecomposition stores the representative rows V^{-1}[:h] in.
-    """
+def _inverse_rows(roots: RootSet, P):
+    """The representative rows V^{-1}[:h], Fortran-ordered, from the
+    (n+1, h) Chebyshev rows P of `_chebyshev_rows`: row j is
+    gamma_j (-1)^k P[k, j] (k < n), plus i(-i)^{n-1}/p_n'(x_j) at k = n-1
+    (module docstring).  Row n of P is U_n's, for gamma_j."""
     n = roots.n
-    h = (n + 1) // 2
-    xs = roots.xs[:h]
-    P = _chebyshev_rows(xs, np.empty((n + 1, h), dtype=complex))
+    h = P.shape[1]
     minus_i = _powers_of_minus_i(n + 1)
     dp = p_prime(roots.thetas[:h], n)
     # alpha_j / p_n'(x_j), with U_n(x_j) = (-i)^n P[n, j]
-    gamma = -2.0 * (1.0 + 1j * xs) / (minus_i[n] * P[n] * dp)
-    Vinv = np.empty((n, n), dtype=complex, order="F")
-    np.multiply(P[0:n:2].T, gamma[:, None], out=Vinv[:h, 0::2])
-    np.multiply(P[1:n:2].T, -gamma[:, None], out=Vinv[:h, 1::2])   # (-1)^k
-    Vinv[:h, n - 1] += 1j * minus_i[n - 1] / dp
-    np.conj(Vinv[:n - h][::-1], out=Vinv[h:])           # no n x n/2 temporary
-    return Vinv
+    gamma = -2.0 * (1.0 + 1j * roots.xs[:h]) / (minus_i[n] * P[n] * dp)
+    rows = np.empty((n, h), dtype=complex)          # V^{-1}[:h].T
+    np.multiply(P[0:n:2], gamma, out=rows[0::2])
+    np.multiply(P[1:n:2], -gamma, out=rows[1::2])   # (-1)^k
+    rows[n - 1] += 1j * minus_i[n - 1] / dp
+    return rows.T
+
+
+def build_Vinv_fast(roots: RootSet):
+    """Dense V^{-1} in O(n^2) by the explicit formula (module docstring),
+    Fortran-ordered: `_inverse_rows` over a recurrence one row longer than
+    `build_V`'s, the other rows mirrored as conjugates."""
+    rows = _inverse_rows(roots, _chebyshev_rows(roots, roots.n + 1))
+    return _mirror(rows.T, roots.n).T
 
 
 def build_Vinv_reference(V):
@@ -191,10 +209,15 @@ def cond2_estimate(V, Vinv):
     approaches each norm from below; against the full SVD it is within 1e-2
     relative for every n up to 400 and within 1e-4 at the n of the
     growth-law diagnostics.
+    V and Vinv are dense, or the representative halves V[:, :h] and
+    Vinv[:h] of a mirrored pair; `_mirror` expands a half only while its
+    own norm is taken, so one dense factor is held at a time.
     Raises SingularMatrixError for a zero V or a non-finite V^{-1}.
     """
-    smax = _norm2(np.asarray(V))
-    smax_inv = _norm2(np.asarray(Vinv))
+    V, Vinv = np.asarray(V), np.asarray(Vinv)
+    n = len(V)
+    smax = _norm2(V if V.shape[1] == n else _mirror(V, n))
+    smax_inv = _norm2(Vinv if len(Vinv) == n else _mirror(Vinv.T, n).T)
     if not (0.0 < smax < np.inf and 0.0 < smax_inv < np.inf):
         raise SingularMatrixError("V or V^{-1} is zero or not finite")
     return float(smax * smax_inv)
@@ -278,13 +301,8 @@ class _Factor:
     def __get__(self, dec, owner=None):
         if dec is None:
             raise AttributeError(self.name)     # a field without a default
-        cols = getattr(dec, self.half)
-        cols = cols.T if self.rows else cols
-        n, q = dec.n, dec.q
-        M = np.empty((n, n), dtype=complex)
-        M[:, :n - q] = cols
-        np.conj(cols[:, :q][:, ::-1], out=M[:, n - q:])
-        return M.T if self.rows else M
+        half = getattr(dec, self.half)
+        return _mirror(half.T, dec.n).T if self.rows else _mirror(half, dec.n)
 
     def __set__(self, dec, value):
         if hasattr(dec, self.half):
@@ -467,23 +485,22 @@ def _check_memory(n):
     memory (skipped where os.sysconf cannot tell).
 
     The peak is measured (tracemalloc, n = 511 to 2048).  The build holds
-    V, the (n+1) x n/2 Chebyshev rows of `build_Vinv_fast` and V^{-1} at
-    once (16 + 8 + 16 n^2 bytes): 40 n^2.  Next to V and V^{-1}, a chunk
-    of c = 256 columns of the residual holds three arrays of n x c
-    floats each (the scaled rows of V^{-1}, the kernel's rows and the
-    product): 12 n^2 at n = 512, 6 n^2 at n = 1024.  So the residual sets
-    the peak at n = 511 and 512 (44.9 n^2), and the build from n = 1024 on
-    (40.3 n^2); one count of 45 n^2 covers both modes for n >= 512.  The
-    single chunk of an n <= 256 takes it to 59 n^2, at most 3.9 MB.  The
-    hand-over copies V's representative half next to both dense factors
-    (40 n^2) and V^{-1}'s once V is freed (32 n^2).  Afterwards the
-    decomposition holds 16 n^2: V[:, :h] and V^{-1}[:h], h = ceil(n/2).
+    the (n+1) x h Chebyshev rows, whose first n are V[:, :h], and
+    V^{-1}[:h], 8 n^2 bytes each (h = ceil(n/2)).  cond2 adds one transient
+    dense factor at a time (16 n^2): 32 n^2, measured 33.2 n^2 at n = 511
+    and 512, 32.3 n^2 at 1024 and 32.1 n^2 at 2048.  The residual holds,
+    next to the halves, a chunk of c = 256 columns of three n x c float
+    arrays (the scaled rows of V^{-1}, the kernel's rows and the product):
+    12 n^2 at n = 512, 6 n^2 at n = 1024, below cond2's peak.  So one count
+    of 34 n^2 covers both modes for n >= 511.  The single chunk and the
+    O(n) arrays of an n <= 256 take it up to 60 n^2, at most 2.7 MB.
+    Afterwards the decomposition holds 16 n^2: V[:, :h] and V^{-1}[:h].
     """
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = 45 * n**2
+    need = 34 * n**2
     physical = page * pages
     if page > 0 and pages > 0 and need > physical:
         raise ChebPintError(
@@ -503,15 +520,17 @@ def _timed(times, name, fn, *args, **kwargs):
 def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     """Full spectral decomposition of the n-point stencil matrix B.
 
-    Roots come from `find_roots`, V from the Chebyshev column formula, V^{-1}
-    from the fast O(n^2) path, cond2 from `cond2_estimate`.  The roots,
-    and with them the eigenvalues and both factors, mirror exactly, so all
-    n//2 conjugate pairs are used (q = n//2), by the residual against
-    `assemble_B(n, dt)` too.  The residual is skipped (nan) with
-    `with_residual=False`.  The seconds of each layer are kept in
-    `phase_times`.  ValueError unless n is an integer >= 1 and dt is
-    positive and finite; an n whose peak memory (`_check_memory`) cannot fit
-    in physical memory raises ChebPintError before anything is allocated.
+    Roots come from `find_roots`; one Chebyshev recurrence over the
+    representative roots gives V[:, :h] (phase "build_V") and its scaling
+    V^{-1}[:h] (phase "build_Vinv_fast"); cond2 comes from `cond2_estimate`
+    on these halves.  The roots, and with them the eigenvalues and both
+    factors, mirror exactly, so all n//2 conjugate pairs are used
+    (q = n//2), by the residual against `assemble_B(n, dt)` too.  The
+    residual is skipped (nan) with `with_residual=False`.  The seconds of
+    each layer are kept in `phase_times`.  ValueError unless n is an
+    integer >= 1 and dt is positive and finite; an n whose peak memory
+    (`_check_memory`) cannot fit in physical memory raises ChebPintError
+    before anything is allocated.
     """
     from .timedisc import assemble_B
 
@@ -521,19 +540,16 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     times = {}
     roots = _timed(times, "find_roots", find_roots, n, tol=tol, max_iter=max_iter)
     q = n // 2
-    V = _timed(times, "build_V", build_V, roots)
-    Vinv = _timed(times, "build_Vinv_fast", build_Vinv_fast, roots)
+    # the one recurrence: its first n rows are V[:, :h] as they are
+    P = _timed(times, "build_V", _chebyshev_rows, roots, n + 1)
+    Vinv = _timed(times, "build_Vinv_fast", _inverse_rows, roots, P)
+    V = P[:n]
     eigenvalues = roots.lambdas_unit / dt
     cond2 = _timed(times, "cond2", cond2_estimate, V, Vinv)
     residual = float("nan")
     if with_residual:
         residual = _timed(times, "residual", decomposition_residual,
                           eigenvalues, V, Vinv, assemble_B(n, dt), q=q)
-    # the representative halves, each copied once its dense factor can go:
-    # a constructor given both dense factors would hold them next to both
-    # halves, 48 n^2
-    V = np.ascontiguousarray(V[:, :n - q])
-    Vinv = np.asfortranarray(Vinv[:n - q])
     return SpectralDecomposition(
         n=n,
         dt=dt,
@@ -561,7 +577,8 @@ def save_decomposition(dec, path):
     decomposition that carries its own matrix B (the geometric baseline)
     raises ValueError before the file is opened: the format has no field
     for B, and without it the loaded decomposition's solves would measure
-    their residuals against the stencil.
+    their residuals against the stencil.  V and V^{-1} are expanded from
+    their halves one at a time, each freed before the next.
     """
     if dec.B is not None:
         raise ValueError(
@@ -574,9 +591,18 @@ def save_decomposition(dec, path):
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for arr in (dec.eigenvalues, dec.V, dec.Vinv):
-            fh.write(np.ascontiguousarray(arr, dtype=np.complex128)
-                     .astype("<c16", copy=False).tobytes())
+        _write_rows(fh, np.asarray(dec.eigenvalues)[None])
+        _write_rows(fh, dec.V)          # each dense factor is freed on return
+        _write_rows(fh, dec.Vinv)
+
+
+def _write_rows(fh, M):
+    """Write the rows of M as little-endian complex doubles, a block of
+    about 256 KiB at a time: an F-ordered M is copied one block at a time,
+    a C-ordered one not at all."""
+    rows = max(1, 2**14 // M.shape[1])
+    for lo in range(0, len(M), rows):
+        fh.write(np.ascontiguousarray(M[lo:lo + rows], dtype="<c16"))
 
 
 def _header_float(fields, key):
@@ -593,7 +619,9 @@ def load_decomposition(path):
 
     q is n//2 if the pairs of eigenvalues, V columns and V^{-1} rows are
     bitwise conjugate, and 0 otherwise.  Raises ValueError for anything
-    that is not a complete dump.
+    that is not a complete dump, and for a file longer than the payload
+    its header announces; the size is checked before the payload is read,
+    and only that payload is read.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -616,13 +644,16 @@ def load_decomposition(path):
         dt = check_scale("dump header dt", _header_float(fields, "dt"))
         cond2 = _header_float(fields, "cond2")
         residual = _header_float(fields, "residual")
-        payload = fh.read()
-    expected = 16 * (n + 2 * n * n)
-    if len(payload) != expected:
-        raise ValueError(
-            f"truncated dump: expected {expected} payload bytes, got {len(payload)}"
-        )
-    payload = np.frombuffer(payload, dtype="<c16")
+        expected = 16 * (n + 2 * n * n)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size < expected:
+            raise ValueError(
+                f"truncated dump: expected {expected} payload bytes, got {size}")
+        if size > expected:
+            raise ValueError(
+                f"dump has {size - expected} trailing bytes after its "
+                f"{expected} payload bytes")
+        payload = np.frombuffer(fh.read(expected), dtype="<c16")
     eigenvalues = payload[:n].copy()
     V = payload[n:n + n * n].reshape(n, n)
     Vinv = payload[n + n * n:].reshape(n, n)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.linalg import toeplitz
 
 from .errors import (
     DimensionMismatchError,
@@ -282,10 +283,8 @@ def geometric_decomposition(grid: GeometricGrid):
     p = _toeplitz_column(grid)
     csum = np.cumsum(p**2)
     scale = 1.0 / np.sqrt(csum[::-1])          # column norms of the Toeplitz factor
-    Vt = np.zeros((n, n))
-    for j in range(n):
-        Vt[j:, j] = p[: n - j]
-    V = (Vt * scale[None, :]).astype(complex)
+    # lower-triangular Toeplitz factors: the first row is zero past p_0, q_0
+    V = (toeplitz(p, np.zeros(n)) * scale[None, :]).astype(complex)
     # inverse Toeplitz coefficients: q_0 = 1, q_k = -sum_{l=1..k} p_l q_{k-l}
     q = np.zeros(n)
     q[0] = 1.0
@@ -293,10 +292,7 @@ def geometric_decomposition(grid: GeometricGrid):
         q[k] = -np.dot(p[1:k + 1], q[k - 1::-1])
         if not np.isfinite(q[k]) or abs(q[k]) > _P_OVERFLOW:
             raise GeometricOverflowError(f"|q_{k}| overflow for tau={grid.tau}")
-    Vt_inv = np.zeros((n, n))
-    for j in range(n):
-        Vt_inv[j:, j] = q[: n - j]
-    Vinv = ((1.0 / scale)[:, None] * Vt_inv).astype(complex)
+    Vinv = ((1.0 / scale)[:, None] * toeplitz(q, np.zeros(n))).astype(complex)
     eigenvalues = (2.0 / grid.steps).astype(complex)
 
     B, _, _ = assemble_TR_system(grid)

@@ -1,6 +1,7 @@
 """Property tests of the decomposition: dump round-trip, the refusal of
 malformed dumps with ValueError alone, the mirror symmetry of V and V^{-1},
-and the cond2 estimate against the SVD; of the real steps (a) and (c),
+the bitwise agreement of `decompose`'s stored halves with the dense
+builders, and the cond2 estimate against the SVD; of the real steps (a) and (c),
 SpectralDecomposition.apply_Vinv and apply_V, against the complex products,
 and of step (c)'s skip of the imaginary rows that mirrored solves make
 exactly 0; of the solvers' one-array stencil residual against the sum of
@@ -74,6 +75,20 @@ def test_v_columns_mirror_exactly(n):
         assert np.array_equal(V[:, n - 1 - j], np.conj(V[:, j])), j
     if n % 2:
         assert not V[:, n // 2].imag.any()
+
+
+@_SETTINGS
+@given(n=st.integers(1, 300))
+def test_decompose_factors_are_the_dense_builders_bitwise(n):
+    # decompose's one recurrence gives the halves that build_V and
+    # build_Vinv_fast mirror; tobytes compares the bits, signed zeros too
+    roots = find_roots(n)
+    V, Vinv = build_V(roots), build_Vinv_fast(roots)
+    dec = decompose(n, 0.5, with_residual=False)
+    h = n - n // 2
+    for got, want in ((dec._V_half, V[:, :h]), (dec._Vinv_half, Vinv[:h]),
+                      (dec.V, V), (dec.Vinv, Vinv)):
+        assert got.tobytes() == want.tobytes()
 
 
 @_SETTINGS

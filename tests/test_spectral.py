@@ -189,13 +189,13 @@ def test_decompose_rejects_n_beyond_physical_memory(monkeypatch):
 
     monkeypatch.setattr(spectral, "find_roots", no_roots)
     n = 2**20
-    with pytest.raises(ChebPintError, match=f"n={n} needs {45 * n * n} bytes"):
+    with pytest.raises(ChebPintError, match=f"n={n} needs {34 * n * n} bytes"):
         decompose(n, 1.0)
 
 
-@pytest.mark.parametrize("with_residual, per_n2", [(False, 45), (True, 45)])
-def test_memory_guard_counts_the_peak_of_decompose(with_residual, per_n2):
-    n = 512
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("with_residual, per_n2", [(False, 34), (True, 34)])
+def test_memory_guard_counts_the_peak_of_decompose(n, with_residual, per_n2):
     decompose(n, 1.0 / n, with_residual=with_residual)    # warm up the imports
     tracemalloc.start()
     try:
@@ -216,12 +216,12 @@ def test_memory_guard_counts_the_residual_of_an_odd_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 45 * n * n + 2**20
+    assert peak <= 34 * n * n + 2**20
 
 
 def test_fast_inverse_holds_one_sweep_array_next_to_its_result():
-    # V^{-1} (16 n^2) next to the (n+1) x n/2 recurrence array (8 n^2), and
-    # no second n x n/2 array: 25 n^2 measured
+    # V^{-1} (16 n^2) next to its representative rows (8 n^2), the
+    # (n+1) x n/2 recurrence array freed before: 25 n^2 measured
     n = 512
     roots = find_roots(n)
     build_Vinv_fast(roots)
@@ -256,9 +256,9 @@ def test_apply_V_holds_no_conjugate_half():
 
 
 def test_memory_guard_counts_both_modes_alike(monkeypatch):
-    # one count, 45 n^2, whether or not the residual is computed
+    # one count, 34 n^2, whether or not the residual is computed
     n = 64
-    physical = [45 * n * n]
+    physical = [34 * n * n]
     real_sysconf = os.sysconf
 
     def sysconf(name):
@@ -275,7 +275,7 @@ def test_memory_guard_counts_both_modes_alike(monkeypatch):
     monkeypatch.setattr(spectral, "find_roots", no_roots)
     physical[0] -= 1
     for with_residual in (False, True):
-        with pytest.raises(ChebPintError, match=f"n={n} needs {45 * n * n} bytes"):
+        with pytest.raises(ChebPintError, match=f"n={n} needs {34 * n * n} bytes"):
             decompose(n, 1.0, with_residual=with_residual)
 
 
@@ -291,6 +291,22 @@ def test_decomposition_holds_only_the_representative_halves():
         tracemalloc.stop()
     assert dec.q == n // 2
     assert held <= 16 * n * n + 128 * n
+
+
+def test_decompose_runs_the_chebyshev_recurrence_once(monkeypatch):
+    # V[:, :h] and V^{-1}[:h] both come from one (n+1) x h recurrence
+    calls = []
+    real = spectral._chebyshev_rows
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_chebyshev_rows", spy)
+    for with_residual in (False, True):
+        calls.clear()
+        decompose(9, 0.5, with_residual=with_residual)
+        assert len(calls) == 1
 
 
 def test_decompose_reports_layer_times():
@@ -449,6 +465,51 @@ def test_load_pairs_only_mirrored_eigenvalues(tmp_path):
     got = spectral.decomposition_residual(back.eigenvalues, back.V, back.Vinv, B, q=back.q)
     full = _full_residual(back, B.toarray())
     assert abs(got - full) <= 1e-6 * full + 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [1, 8, 13])
+def test_save_writes_the_dense_factors_row_major(tmp_path, n):
+    dec = decompose(n, 0.5)
+    path = tmp_path / "dec.bin"
+    save_decomposition(dec, path)
+    header = (f"chebpint-decomp 1 n={n} dt={dec.dt!r} cond2={dec.cond2!r} "
+              f"residual={dec.residual!r}\n").encode("ascii")
+    payload = b"".join(np.asarray(a, dtype="<c16").tobytes()
+                       for a in (dec.eigenvalues, dec.V, dec.Vinv))
+    assert path.read_bytes() == header + payload
+
+
+def test_save_holds_one_dense_factor_at_a_time(tmp_path):
+    # each factor is written from its mirror, freed before the next one:
+    # 16 n^2 and a block of rows beyond the decomposition
+    n = 512
+    dec = decompose(n, 0.1, with_residual=False)
+    path = tmp_path / "dec.bin"
+    save_decomposition(dec, path)                           # warm up
+    tracemalloc.start()
+    try:
+        save_decomposition(dec, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * n * n + 2**20
+
+
+def test_load_refuses_trailing_bytes_without_reading_them(tmp_path):
+    path = tmp_path / "dec.bin"
+    save_decomposition(decompose(4, 0.5), path)
+    tail = 50 * 2**20
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size + tail)             # zeros, sparse
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"dump has {tail} trailing bytes "
+                                             f"after its 576 payload bytes"):
+            load_decomposition(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_save_refuses_a_decomposition_with_its_own_B(tmp_path):
