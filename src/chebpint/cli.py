@@ -9,7 +9,8 @@ compare-geometric  error/conditioning comparison against the geometric-step
 bench              wall-clock scaling over worker counts (reported, not judged)
 
 All commands emit machine-readable CSV or JSON (``--out``, ``--format``);
-exit code 0 on success, 1 on bad arguments, 2 on numerical failure.
+exit code 0 on success, 1 on bad arguments or an output file that cannot be
+written, 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -431,7 +432,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:   # OSError: --out, --dump
         print(f"chebpint: invalid arguments: {exc}", file=sys.stderr)
         return 1
     except (ChebPintError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -35,16 +35,18 @@ Im x_j < 0.  (A non-finite V^{-1} would still stop `decompose`, in
 Only the h = ceil(n/2) representative roots are evaluated: `find_roots`
 mirrors x_{n-1-j} = -conj(x_j) bitwise, so column n-1-j of V and row
 n-1-j of V^{-1} are the conjugates of column and row j.  The
-representative halves V[:, :h] and V^{-1}[:h] are the one factor format;
-`_mirror` alone expands a half to the dense matrix.  `decompose` runs the
-recurrence once, to k = n: its first n rows are V[:, :h] as they are,
-and V^{-1}[:h] is those rows scaled, so both factors cost one (n+1) x h
-array and one h x n array, 8 n^2 bytes each.  The diagnostics hold at most
-one dense factor next to them, for cond2's norm: a measured peak of
-33.2 n^2 at n = 512 and 32.3 n^2 at n = 1024 (`_check_memory`).  The
-dense `build_V` and `build_Vinv_fast` are the same halves mirrored.  An
-O(n^3) dense inversion (`build_Vinv_reference`) is kept as the
-independent cross-check path.
+representative halves V[:, :h] and V^{-1}[:h] are the one stored form
+(`SpectralDecomposition.V_half`, `Vinv_half`); `_mirror` alone expands a
+half to the dense matrix.  `decompose` runs the recurrence once, to k = n:
+its first n rows are V[:, :h] as they are, and V^{-1}[:h] is those rows
+scaled, so both factors cost one (n+1) x h array and one h x n array,
+8 n^2 bytes each.  The diagnostics hold at most one dense factor next to
+them, for cond2's norm: a measured peak of 33.2 n^2 at n = 512 and
+32.3 n^2 at n = 1024 (`_check_memory`).  A dump stores the roots, 48 n
+bytes, and its load reruns the same recurrence.  The dense `build_V` and
+`build_Vinv_fast` are the same halves mirrored.  An O(n^3) dense
+inversion (`build_Vinv_reference`) is kept as the independent
+cross-check path.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ import scipy.sparse
 from .chebroots import RootSet, find_roots, p_prime
 from .errors import (
     ChebPintError,
+    DegenerateRootError,
     SingularMatrixError,
     check_count,
     check_scale,
@@ -267,51 +270,6 @@ def _paired_product(V, q, Y):
     return out
 
 
-def _unmirrored(eigenvalues, V, Vinv, q):
-    """The first of "eigenvalues", "V" (its columns) and "Vinv" (its rows)
-    whose q pairs j, n-1-j are not bitwise conjugate, or None.  A factor
-    given as its h = n - q representative columns (rows) alone has no
-    mirrored part to check."""
-    n = len(eigenvalues)
-    h = n - q
-    for name, cols in (("eigenvalues", eigenvalues[None]), ("V", V), ("Vinv", Vinv.T)):
-        if cols.shape[1] == n and not np.array_equal(cols[:, h:][:, ::-1],
-                                                     np.conj(cols[:, :q])):
-            return name
-    return None
-
-
-class _Factor:
-    """A dense n x n factor field of SpectralDecomposition, held as its
-    representative half: the h = n - q first columns, or rows when `rows`.
-
-    The constructor sets the value it is given, which __post_init__ checks
-    and halves, and the field is read-only after that; a read builds the
-    dense matrix from the half by the conjugate mirror, so it equals what
-    was passed in.
-    """
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __set_name__(self, owner, name):
-        self.name = name
-        self.half = f"_{name}_half"
-
-    def __get__(self, dec, owner=None):
-        if dec is None:
-            raise AttributeError(self.name)     # a field without a default
-        half = getattr(dec, self.half)
-        return _mirror(half.T, dec.n).T if self.rows else _mirror(half, dec.n)
-
-    def __set__(self, dec, value):
-        if hasattr(dec, self.half):
-            raise AttributeError(
-                f"{self.name} is read-only; dataclasses.replace builds a new "
-                f"decomposition")
-        setattr(dec, self.half, value)
-
-
 @dataclass(eq=False)
 class SpectralDecomposition:
     """B = V D V^{-1} for the n-point stencil with step dt.
@@ -325,7 +283,7 @@ class SpectralDecomposition:
     column j and row j; every other index pairs with itself.  `decompose`
     has q = n//2, the real geometric baseline q = 0 (always valid, it just
     saves nothing).  With h = n - q, the rows j < h are the representatives.
-    A q > 0 whose pairs do not mirror raises ValueError naming the field.
+    A q > 0 whose eigenvalue pairs do not mirror raises ValueError.
 
     phase_times holds the seconds of each layer of `decompose` (find_roots,
     build_V, build_Vinv_fast, cond2 and, when computed, residual); it is
@@ -337,14 +295,14 @@ class SpectralDecomposition:
     stencil.
 
     Only the representative halves are stored, as nothing else is read:
-    V[:, :h] in C order and Vinv[:h] in Fortran order, 16 n^2 bytes for
-    q = n//2 (with q = 0 the halves are the whole matrices).  The
-    constructor takes V and Vinv dense, n x n, or as these halves (n x h
-    and h x n); reading dec.V or dec.Vinv builds the dense matrix (C and
-    Fortran order) from its half by the mirror, on every read.  Every
-    product with the factors is real, read through float views of the
-    halves that do not copy: Vf = V[:, :h].view(float) has the columns
-    Re v_k, Im v_k at 2k, 2k+1, and Vinv[:h].T.view(float).T the rows Re,
+    V_half = V[:, :h] (n x h, C order) and Vinv_half = Vinv[:h] (h x n,
+    Fortran order), 16 n^2 bytes for q = n//2; with q = 0 the halves are
+    the whole matrices.  A half has no mirrored part, so it is not checked
+    against one.  The read-only properties V and Vinv build the dense
+    matrix (C and Fortran order) from its half by `_mirror`, on every read.
+    Every product with the factors is real, read through float views of the
+    halves that do not copy: Vf = V_half.view(float) has the columns
+    Re v_k, Im v_k at 2k, 2k+1, and Vinv_half.T.view(float).T the rows Re,
     Im of Vinv[k].
 
     - `apply_Vinv` (step (a)): for a real b, the real product of the latter
@@ -369,8 +327,8 @@ class SpectralDecomposition:
     n: int
     dt: float
     eigenvalues: np.ndarray
-    V: np.ndarray = _Factor(rows=False)
-    Vinv: np.ndarray = _Factor(rows=True)
+    V_half: np.ndarray
+    Vinv_half: np.ndarray
     cond2: float
     residual: float
     roots: RootSet | None = None
@@ -383,23 +341,27 @@ class SpectralDecomposition:
         if not 0 <= q <= n // 2:
             raise ValueError(f"pair count q={q} is not in [0, n//2] for n={n}")
         h = n - q
-        V, Vinv = np.asarray(self._V_half), np.asarray(self._Vinv_half)
-        for name, got, shapes in (
-            ("eigenvalues", np.shape(self.eigenvalues), [(n,)]),
-            ("V", V.shape, [(n, n), (n, h)]),
-            ("Vinv", Vinv.shape, [(n, n), (h, n)]),
-        ):
-            if got not in shapes:
+        for name, shape in (("eigenvalues", (n,)), ("V_half", (n, h)),
+                            ("Vinv_half", (h, n))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
                 raise ValueError(
-                    f"{name} has shape {got}, expected "
-                    f"{' or '.join(map(str, shapes))} for n={n}, q={q}")
-        bad = _unmirrored(np.asarray(self.eigenvalues), V, Vinv, q)
-        if bad is not None:
+                    f"{name} has shape {got}, expected {shape} for n={n}, q={q}")
+        lam = np.asarray(self.eigenvalues)
+        if not np.array_equal(lam[h:][::-1], np.conj(lam[:q])):
             raise ValueError(
-                f"{bad} does not mirror: with q={q}, its pairs j, n-1-j "
+                f"eigenvalues do not mirror: with q={q}, the pairs j, n-1-j "
                 f"(j < q) must be bitwise conjugate")
-        self._V_half = np.ascontiguousarray(V[:, :h], dtype=complex)
-        self._Vinv_half = np.asfortranarray(Vinv[:h], dtype=complex)
+        self.V_half = np.ascontiguousarray(self.V_half, dtype=complex)
+        self.Vinv_half = np.asfortranarray(self.Vinv_half, dtype=complex)
+
+    @property
+    def V(self):
+        return _mirror(self.V_half, self.n)
+
+    @property
+    def Vinv(self):
+        return _mirror(self.Vinv_half.T, self.n).T
 
     @property
     def newton_iters_max(self):
@@ -409,7 +371,7 @@ class SpectralDecomposition:
         """g = V^{-1} b for the real (n, m) blocks b, by one real product;
         a C-contiguous complex (n, m) array."""
         q, h = self.q, self.n - self.q
-        P = self._Vinv_half.T.view(float).T @ b
+        P = self.Vinv_half.T.view(float).T @ b
         G = np.empty((self.n, b.shape[1]), dtype=complex)
         G.real[:h] = P[0::2]
         G.imag[:h] = P[1::2]
@@ -423,17 +385,17 @@ class SpectralDecomposition:
         # only the boolean is kept: a held conjugate half costs an n/2 x m
         # complex array through the product (7% of heat-wide's peak RSS)
         if np.array_equal(W[:q], np.conj(W[h:][::-1])):
-            U = _paired_product(self._V_half, q, W[:h])
+            U = _paired_product(self.V_half, q, W[:h])
             if h == q:
                 return U, 0.0
-            Im = _paired_product(self._V_half[:, q:h], 0, -1j * W[q:h])
+            Im = _paired_product(self.V_half[:, q:h], 0, -1j * W[q:h])
         else:
             wp = np.conj(W[h:][::-1])
             S = np.concatenate([(W[:q] + wp) * 0.5, W[q:h]])
             R = np.concatenate([(W[:q] - wp) * -0.5j, -1j * W[q:h]])
             del wp
-            U = _paired_product(self._V_half, q, S)
-            Im = _paired_product(self._V_half, q, R)
+            U = _paired_product(self.V_half, q, S)
+            Im = _paired_product(self.V_half, q, R)
         return U, float(np.linalg.norm(Im))
 
 
@@ -482,7 +444,10 @@ def decomposition_residual(eigenvalues, V, Vinv, B, q=0):
 
 def _check_memory(n):
     """Raise ChebPintError when the peak of `decompose` exceeds physical
-    memory (skipped where os.sysconf cannot tell).
+    memory (skipped where os.sysconf cannot tell).  `load_decomposition`
+    calls it too, before it reads the roots: its rebuild holds the
+    recurrence array and V^{-1}[:h] alone, measured 17.6 n^2 at n = 512,
+    within the same count, so any dump that `decompose` could write loads.
 
     The peak is measured (tracemalloc, n = 511 to 2048).  The build holds
     the (n+1) x h Chebyshev rows, whose first n are V[:, :h], and
@@ -554,8 +519,8 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
         n=n,
         dt=dt,
         eigenvalues=eigenvalues,
-        V=V,
-        Vinv=Vinv,
+        V_half=V,
+        Vinv_half=Vinv,
         cond2=cond2,
         residual=residual,
         roots=roots,
@@ -565,25 +530,27 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
 
 
 _DUMP_MAGIC = "chebpint-decomp"
-_DUMP_VERSION = 1
+_DUMP_VERSION = 2
+#: the RootSet arrays of a dump, n values each, in file order
+_DUMP_ARRAYS = {"thetas": "<c16", "xs": "<c16", "newton_iters": "<i8",
+                "residuals": "<f8"}
 
 
 def save_decomposition(dec, path):
-    """Dump (n, dt, eigenvalues, V, V^{-1}) to a versioned binary file.
+    """Dump a `decompose` result to a versioned binary file: its roots.
 
-    One ASCII header line, then IEEE-754 little-endian doubles: eigenvalues,
-    V, V^{-1}, each as row-major (re, im) pairs.  The pair count q is not
-    stored: `load_decomposition` derives it from V and V^{-1}.  A
-    decomposition that carries its own matrix B (the geometric baseline)
-    raises ValueError before the file is opened: the format has no field
-    for B, and without it the loaded decomposition's solves would measure
-    their residuals against the stencil.  V and V^{-1} are expanded from
-    their halves one at a time, each freed before the next.
+    One ASCII header line, "chebpint-decomp 2 n=... dt=... cond2=...
+    residual=...", then the n values of each RootSet array, little-endian:
+    thetas and xs as complex doubles, newton_iters as int64 and residuals
+    as doubles, 48 n bytes.  The factors are not stored: they are a
+    function of the roots, which `load_decomposition` rebuilds as
+    `decompose` builds them.  A decomposition without roots (the geometric
+    baseline) raises ValueError before the file is opened.
     """
-    if dec.B is not None:
+    if dec.roots is None:
         raise ValueError(
-            "cannot dump a decomposition that carries its own matrix B "
-            "(the geometric baseline): the dump format has no field for it"
+            "cannot dump a decomposition without roots (the geometric "
+            "baseline): the dump stores the roots, not the factors"
         )
     header = (
         f"{_DUMP_MAGIC} {_DUMP_VERSION} n={dec.n} dt={dec.dt!r} "
@@ -591,18 +558,8 @@ def save_decomposition(dec, path):
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        _write_rows(fh, np.asarray(dec.eigenvalues)[None])
-        _write_rows(fh, dec.V)          # each dense factor is freed on return
-        _write_rows(fh, dec.Vinv)
-
-
-def _write_rows(fh, M):
-    """Write the rows of M as little-endian complex doubles, a block of
-    about 256 KiB at a time: an F-ordered M is copied one block at a time,
-    a C-ordered one not at all."""
-    rows = max(1, 2**14 // M.shape[1])
-    for lo in range(0, len(M), rows):
-        fh.write(np.ascontiguousarray(M[lo:lo + rows], dtype="<c16"))
+        for name, dtype in _DUMP_ARRAYS.items():
+            fh.write(np.asarray(getattr(dec.roots, name), dtype=dtype).tobytes())
 
 
 def _header_float(fields, key):
@@ -617,11 +574,16 @@ def _header_float(fields, key):
 def load_decomposition(path):
     """Read a decomposition dump written by `save_decomposition`.
 
-    q is n//2 if the pairs of eigenvalues, V columns and V^{-1} rows are
-    bitwise conjugate, and 0 otherwise.  Raises ValueError for anything
-    that is not a complete dump, and for a file longer than the payload
-    its header announces; the size is checked before the payload is read,
-    and only that payload is read.
+    The halves are rebuilt from the stored roots by `_chebyshev_rows` and
+    `_inverse_rows`, as in `decompose`, so they, the eigenvalues and q =
+    n//2 come back bitwise; cond2 and the residual are read, not
+    recomputed.  Raises ValueError for anything that is not a complete
+    version-2 dump: a bad header (an older version names itself), a payload
+    shorter or longer than the 48 n bytes the header announces (checked
+    before anything is read), roots that are not finite, xs off their
+    mirror x_{n-1-j} = -conj(x_j) (the constructor's eigenvalue check), or
+    a theta on a spurious zero.  An n whose rebuild cannot fit in memory
+    raises ChebPintError (`_check_memory`) before the payload is read.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -630,9 +592,12 @@ def load_decomposition(path):
         except UnicodeDecodeError:
             raise ValueError(f"dump header is not ASCII: {line[:80]!r}") from None
         parts = header.split()
-        if (len(parts) < 2 or parts[0] != _DUMP_MAGIC
-                or parts[1] != str(_DUMP_VERSION)):
+        if len(parts) < 2 or parts[0] != _DUMP_MAGIC:
             raise ValueError(f"not a chebpint decomposition dump: {header!r}")
+        if parts[1] != str(_DUMP_VERSION):
+            raise ValueError(
+                f"dump version {parts[1]} is not read, only version "
+                f"{_DUMP_VERSION}: re-run `chebpint decompose --dump`")
         fields = dict(p.partition("=")[::2] for p in parts[2:])
         missing = [k for k in ("n", "dt", "cond2", "residual") if k not in fields]
         if missing:
@@ -642,9 +607,12 @@ def load_decomposition(path):
         n = fields["n"]
         n = check_count("dump header n", int(n) if n.isdigit() else n)
         dt = check_scale("dump header dt", _header_float(fields, "dt"))
-        cond2 = _header_float(fields, "cond2")
+        cond2 = check_scale("dump header cond2", _header_float(fields, "cond2"))
         residual = _header_float(fields, "residual")
-        expected = 16 * (n + 2 * n * n)
+        if residual < 0:      # nan is what with_residual=False writes
+            raise ValueError(
+                f"dump header residual must be >= 0 or nan, got {residual!r}")
+        expected = 48 * n
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size < expected:
             raise ValueError(
@@ -653,16 +621,18 @@ def load_decomposition(path):
             raise ValueError(
                 f"dump has {size - expected} trailing bytes after its "
                 f"{expected} payload bytes")
-        payload = np.frombuffer(fh.read(expected), dtype="<c16")
-    eigenvalues = payload[:n].copy()
-    V = payload[n:n + n * n].reshape(n, n)
-    Vinv = payload[n + n * n:].reshape(n, n)
-    # the pairs are used only where the data mirror exactly, so a dump of
-    # any V (an older build_V, one perturbed off its mirror) still loads
-    # exactly; only the representative halves are copied out of the file
-    q = n // 2 if _unmirrored(eigenvalues, V, Vinv, n // 2) is None else 0
+        _check_memory(n)
+        roots = RootSet(n=n, **{
+            name: np.frombuffer(fh.read(n * np.dtype(t).itemsize), t).copy()
+            for name, t in _DUMP_ARRAYS.items()})
+    if not all(np.isfinite(getattr(roots, name)).all() for name in _DUMP_ARRAYS):
+        raise ValueError("dump roots are not all finite")
+    P = _chebyshev_rows(roots, n + 1)
+    try:
+        Vinv = _inverse_rows(roots, P)
+    except DegenerateRootError as exc:
+        raise ValueError(f"dump roots: {exc}") from None
     return SpectralDecomposition(
-        n=n, dt=dt, eigenvalues=eigenvalues, V=V[:, :n - q].copy(),
-        Vinv=np.array(Vinv[:n - q], order="F"),
-        cond2=cond2, residual=residual, roots=None, q=q,
+        n=n, dt=dt, eigenvalues=roots.lambdas_unit / dt, V_half=P[:n],
+        Vinv_half=Vinv, cond2=cond2, residual=residual, roots=roots, q=n // 2,
     )

@@ -300,8 +300,8 @@ def geometric_decomposition(grid: GeometricGrid):
         n=n,
         dt=float(grid.steps[-1]),
         eigenvalues=eigenvalues,
-        V=V,
-        Vinv=Vinv,
+        V_half=V,
+        Vinv_half=Vinv,
         cond2=cond2_estimate(V, Vinv),
         residual=decomposition_residual(eigenvalues, V, Vinv, B),
         roots=None,

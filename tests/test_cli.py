@@ -59,6 +59,18 @@ def test_decompose_dump_round_trip(tmp_path):
     assert dec.n == 12
 
 
+@pytest.mark.parametrize("flag", ["--dump", "--out"])
+def test_decompose_unwritable_path_exits_1(tmp_path, capsys, flag):
+    # the decomposition is computed before the write fails: one line, no
+    # traceback
+    path = tmp_path / "missing" / "x.bin"
+    code = main(["decompose", "--n", "8", "--skip-reference", flag, str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("chebpint: ") and str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_decompose_rejects_zero_dt(capsys):
     # --dt 0 is a value given, not an absent flag: no fallback to 1/n
     code = main(["decompose", "--n", "8", "--dt", "0", "--skip-reference"])

@@ -45,17 +45,35 @@ _DT = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False,
                 allow_infinity=False)
 
 
+def _bits(dec):
+    """Every field of `dec` but phase_times, the roots' arrays one by one:
+    an array as its dtype, shape, memory order and bytes, a float as its
+    IEEE bits (so two nan residuals compare equal)."""
+    def bits(x):
+        if isinstance(x, np.ndarray):
+            return (x.dtype.str, x.shape, x.flags.c_contiguous,
+                    x.flags.f_contiguous, x.tobytes(order="A"))
+        return np.float64(x).tobytes() if isinstance(x, float) else x
+
+    out = {f.name: bits(getattr(dec, f.name)) for f in dataclasses.fields(dec)
+           if f.name not in ("phase_times", "roots")}
+    out.update({f"roots.{f.name}": bits(getattr(dec.roots, f.name))
+                for f in dataclasses.fields(dec.roots)})
+    return out
+
+
 @_SETTINGS
-@given(n=st.integers(1, 64), dt=_DT)
-def test_dump_round_trip_is_exact(n, dt):
-    dec = decompose(n, dt)
+@given(n=st.integers(1, 300), dt=_DT, with_residual=st.booleans())
+def test_dump_round_trip_is_exact(n, dt, with_residual):
+    # the halves are rebuilt from the roots, as decompose builds them
+    dec = decompose(n, dt, with_residual=with_residual)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "dec.bin")
         save_decomposition(dec, path)
         got = load_decomposition(path)
-    assert (got.n, got.dt, got.cond2, got.residual) == (
-        dec.n, dec.dt, dec.cond2, dec.residual)
-    for name in ("eigenvalues", "V", "Vinv"):
+    assert _bits(got) == _bits(dec)
+    assert got.newton_iters_max == dec.newton_iters_max >= 1
+    for name in ("V", "Vinv"):
         assert np.array_equal(getattr(got, name), getattr(dec, name)), name
 
 
@@ -86,7 +104,7 @@ def test_decompose_factors_are_the_dense_builders_bitwise(n):
     V, Vinv = build_V(roots), build_Vinv_fast(roots)
     dec = decompose(n, 0.5, with_residual=False)
     h = n - n // 2
-    for got, want in ((dec._V_half, V[:, :h]), (dec._Vinv_half, Vinv[:h]),
+    for got, want in ((dec.V_half, V[:, :h]), (dec.Vinv_half, Vinv[:h]),
                       (dec.V, V), (dec.Vinv, Vinv)):
         assert got.tobytes() == want.tobytes()
 
@@ -97,7 +115,7 @@ def test_decompose_factors_are_the_dense_builders_bitwise(n):
 def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
     dec = decompose(n, 0.1, with_residual=False)
     if not paired:
-        dec = dataclasses.replace(dec, q=0)
+        dec = dataclasses.replace(dec, q=0, V_half=dec.V, Vinv_half=dec.Vinv)
     assert dec.q == (n // 2 if paired else 0)
     rng = np.random.default_rng(seed)
     # W is not mirrored: step (c) must give both parts of V W for any W
@@ -172,15 +190,20 @@ def test_dump_keeps_pairs_and_solve(n, seed):
 
 _DUMP_FIELDS = ("n", "dt", "cond2", "residual")
 
-# one header token each: no space, separator or control character
+#: one header token each: no space, separator or control character
 _TOKEN = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc")),
                  min_size=1, max_size=8)
+#: a printable ASCII token, so that most dumps get past the ASCII check
+_ASCII_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                       min_size=1, max_size=8)
+_ANY_TOKEN = st.one_of(_ASCII_TOKEN, _TOKEN)
 
 
 def _field_is_bad(key, value):
     """Whether `load_decomposition` must refuse `value` for the header field
-    `key`: not ASCII, an n that is not an integer >= 1, a dt that is not
-    positive and finite, or a cond2 or residual that is not a number."""
+    `key`: not ASCII, an n that is not an integer >= 1, a dt or cond2 that
+    is not positive and finite, or a residual that is not a number >= 0 or
+    nan."""
     if not value.isascii():
         return True
     if key == "n":
@@ -189,35 +212,75 @@ def _field_is_bad(key, value):
         x = float(value)
     except ValueError:
         return True
-    return key == "dt" and not 0.0 < x < np.inf
+    return x < 0 if key == "residual" else not 0.0 < x < np.inf
+
+
+#: numbers `decompose` never writes to the header, next to random tokens
+_BAD_NUMBERS = st.sampled_from(["-1", "0", "-0.0", "nan", "inf", "-inf", "-5"])
+
+#: what a broken payload may hold in its roots
+_CORRUPTIONS = ("non-finite", "mirror", "spurious-zero")
+
+
+def _payload(draw, n, corrupt):
+    """The roots of `find_roots(n)` as a dump payload, and, if `corrupt`,
+    one of them broken: a value of thetas, xs or residuals made nan or
+    infinite, a mirrored x moved by one ulp, or a representative theta put
+    on the spurious zero theta = 0."""
+    roots = find_roots(n)
+    arrays = {k: np.array(getattr(roots, k), dtype=t)
+              for k, t in spectral._DUMP_ARRAYS.items()}
+    kinds = [k for k in _CORRUPTIONS if n > 1 or k != "mirror"]   # n = 1: no pair
+    kind = draw(st.sampled_from(kinds)) if corrupt else None
+    h = n - n // 2
+    if kind == "non-finite":
+        flat = arrays[draw(st.sampled_from(["thetas", "xs", "residuals"]))].view(float)
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "mirror":
+        flat = arrays["xs"][h:].view(float)
+        k = draw(st.integers(0, len(flat) - 1))
+        flat[k] = np.nextafter(flat[k], draw(st.sampled_from([-np.inf, np.inf])))
+    elif kind == "spurious-zero":
+        arrays["thetas"][draw(st.integers(0, h - 1))] = 0.0
+    return b"".join(a.tobytes() for a in arrays.values())
 
 
 @st.composite
 def _malformed_dumps(draw):
-    """A complete dump of n <= 3 with at least one part broken: the magic,
-    the version, a field (dropped or given a bad value) or the payload
-    length (off by up to 20 bytes), its fields shuffled among random extra
-    header tokens."""
+    """A complete version-2 dump of n <= 3 with at least one part broken:
+    the roots it holds (`_payload`), or up to three of the magic, the
+    version, a field (dropped or given a bad value) and the payload length
+    (off by up to 20 bytes), or both; its fields shuffled among random
+    extra header tokens."""
     n = draw(st.integers(1, 3))
-    parts = ("magic", "version", "payload") + _DUMP_FIELDS
-    broken = draw(st.sets(st.sampled_from(parts), min_size=1))
-    magic, version = "chebpint-decomp", "1"
+    corrupt = draw(st.booleans())
+    # at most three parts besides the roots, so that many examples reach
+    # the checks past the header
+    parts = ("magic", "version", "length") + _DUMP_FIELDS
+    broken = draw(st.sets(st.sampled_from(parts), min_size=1 - corrupt, max_size=3))
+    magic, version = "chebpint-decomp", "2"
     if "magic" in broken:
-        magic = draw(_TOKEN.filter(lambda t: t != "chebpint-decomp"))
+        magic = draw(_ANY_TOKEN.filter(lambda t: t != "chebpint-decomp"))
     if "version" in broken:
-        version = draw(_TOKEN.filter(lambda t: t != "1"))
+        version = draw(_ANY_TOKEN.filter(lambda t: t != "2"))
     fields = {"n": str(n), "dt": "0.5", "cond2": "1.0", "residual": "0.0"}
     for key in broken.intersection(_DUMP_FIELDS):
         if draw(st.booleans()):
             del fields[key]
         else:
-            fields[key] = draw(_TOKEN.filter(lambda t, k=key: _field_is_bad(k, t)))
+            fields[key] = draw(st.one_of(_ANY_TOKEN, _BAD_NUMBERS).filter(
+                lambda t, k=key: _field_is_bad(k, t)))
     extra = draw(st.lists(
-        _TOKEN.filter(lambda t: t.partition("=")[0] not in _DUMP_FIELDS), max_size=3))
+        _ASCII_TOKEN.filter(lambda t: t.partition("=")[0] not in _DUMP_FIELDS),
+        max_size=3))
     tokens = draw(st.permutations([f"{k}={v}" for k, v in fields.items()] + extra))
-    delta = draw(st.integers(-20, 20).filter(bool)) if "payload" in broken else 0
+    payload = _payload(draw, n, corrupt)
+    if "length" in broken:
+        delta = draw(st.integers(-20, 20).filter(bool))
+        payload = payload[:delta] if delta < 0 else payload + bytes(delta)
     header = " ".join([magic, version] + tokens)
-    return header.encode() + b"\n" + bytes(16 * (n + 2 * n * n) + delta)
+    return header.encode() + b"\n" + payload
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -528,8 +528,9 @@ def test_sni_solves_only_the_representative_rows(n):
 
     # with q = 0 every row is its own representative, and all n are solved
     prob.operator = spy = _RowSpy(spy.inner)
-    solve_semilinear_sni(prob, dataclasses.replace(dec, q=0), tol=1e-11,
-                         max_iter=10)
+    solve_semilinear_sni(prob, dataclasses.replace(dec, q=0, V_half=dec.V,
+                                                   Vinv_half=dec.Vinv),
+                         tol=1e-11, max_iter=10)
     assert rows(spy.batched) == set(range(n))
 
 
@@ -550,8 +551,8 @@ def test_sni_representatives_match_the_all_shift_oracle(n):
     bench = make_benchmark("semilinear", 15, n=n, T=2.0)
     dec = decompose(n, bench.grid.dt)
     got = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40)
-    oracle = solve_semilinear_sni(bench.semilinear(), dataclasses.replace(dec, q=0),
-                                  tol=1e-8, max_iter=40)
+    unpaired = dataclasses.replace(dec, q=0, V_half=dec.V, Vinv_half=dec.Vinv)
+    oracle = solve_semilinear_sni(bench.semilinear(), unpaired, tol=1e-8, max_iter=40)
     assert got.iterations == oracle.iterations
     diff = np.linalg.norm(got.solution.values - oracle.solution.values)
     assert diff <= 1e-13 * np.linalg.norm(oracle.solution.values)

@@ -389,31 +389,36 @@ def test_decompose_agrees_with_dense_eigensolver():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8])
 def test_factors_read_back_bitwise_as_given(n):
-    # the constructor keeps the halves, and a read rebuilds the rest by
-    # the mirror: the bytes given come back, in C and Fortran order
+    # the constructor keeps the halves it is given, and a read of V or Vinv
+    # mirrors them: the dense builders' bytes come back, in C and Fortran
+    # order
     roots = find_roots(n)
     V, Vinv = build_V(roots), build_Vinv_fast(roots)
+    h = n - n // 2
     dec = spectral.SpectralDecomposition(
-        n=n, dt=0.1, eigenvalues=roots.lambdas_unit / 0.1, V=V, Vinv=Vinv,
-        cond2=1.0, residual=0.0, q=n // 2)
+        n=n, dt=0.1, eigenvalues=roots.lambdas_unit / 0.1, V_half=V[:, :h],
+        Vinv_half=Vinv[:h], cond2=1.0, residual=0.0, q=n // 2)
     assert dec.V.flags.c_contiguous and dec.Vinv.flags.f_contiguous
     assert dec.V.tobytes() == V.tobytes()
     assert dec.Vinv.tobytes(order="F") == Vinv.tobytes(order="F")
-    with pytest.raises(AttributeError, match="V is read-only"):
-        dec.V = V
+    for name in ("V", "Vinv"):
+        with pytest.raises(AttributeError):
+            setattr(dec, name, V)
 
 
-@pytest.mark.parametrize("field", ["eigenvalues", "V", "Vinv"])
+@pytest.mark.parametrize("field", ["eigenvalues"])
 def test_decomposition_rejects_pairs_off_the_mirror(field):
-    # the solves read the representatives alone, so a mirrored half that is
-    # not their conjugate would be dropped silently
+    # the solves read the representatives alone, so a mirrored eigenvalue
+    # that is not their conjugate would be dropped silently; the halves of
+    # V and V^{-1} have no mirrored part to check
     dec = decompose(13, 0.5)
     M = getattr(dec, field).copy()
-    k = {"eigenvalues": (10,), "V": (4, 10), "Vinv": (10, 4)}[field]
-    M[k] = complex(np.nextafter(M[k].real, np.inf), M[k].imag)
-    with pytest.raises(ValueError, match=f"^{field} does not mirror"):
+    M[10] = complex(np.nextafter(M[10].real, np.inf), M[10].imag)
+    with pytest.raises(ValueError, match=f"^{field} do not mirror"):
         dataclasses.replace(dec, **{field: M})
-    assert np.array_equal(getattr(dataclasses.replace(dec, q=0, **{field: M}), field), M)
+    unpaired = dataclasses.replace(dec, q=0, V_half=dec.V, Vinv_half=dec.Vinv,
+                                   **{field: M})
+    assert np.array_equal(getattr(unpaired, field), M)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -430,69 +435,125 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.Vinv, dec.Vinv)
 
 
+def _save_with_roots(dec, path, **arrays):
+    """Dump `dec` with the RootSet arrays given in place of its own."""
+    roots = dataclasses.replace(dec.roots, **arrays)
+    save_decomposition(dataclasses.replace(dec, roots=roots), path)
+
+
+def _one_ulp_up(xs, j):
+    """A copy of the complex array xs with Re xs[j] one ulp larger."""
+    xs = xs.copy()
+    xs[j] = complex(np.nextafter(xs[j].real, np.inf), xs[j].imag)
+    return xs
+
+
 def test_load_uses_pairs_only_where_the_dump_mirrors(tmp_path):
-    # a V column off its mirror by one ulp, as the recurrence alone leaves
-    # it, loads with q = 0: every index then pairs with itself
-    dec = decompose(13, 0.5)
-    V = dec.V
-    V[4, 2] = np.nextafter(V[4, 2].real, 2.0) + 1j * V[4, 2].imag
+    # a dump of decompose loads with its n//2 pairs and solves bitwise as
+    # the decomposition it came from; the rebuild never reads a mirrored
+    # root, so one moved by one ulp is refused by the eigenvalue check
+    n = 13
+    dec = decompose(n, 0.5)
     path = tmp_path / "dec.bin"
-    save_decomposition(dataclasses.replace(dec, V=V, q=0), path)
+    save_decomposition(dec, path)
     back = load_decomposition(path)
-    assert (dec.q, back.q) == (6, 0)
-    # q = 0 runs every index through the self-paired rows of steps (a)/(c)
+    assert back.q == dec.q == 6
     rng = np.random.default_rng(3)
     m = 4
     M = rng.normal(size=(m, m))
     op = make_dense_operator(M @ M.T + m * np.eye(m))
-    rhs = rhs_first_order(rng.normal(size=m), rng.normal(size=(13, m)), 0.5)
+    rhs = rhs_first_order(rng.normal(size=m), rng.normal(size=(n, m)), 0.5)
     want = solve_first_order_linear(dec, op, rhs).solution.values
     have = solve_first_order_linear(back, op, rhs).solution.values
-    assert np.abs(have - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(have, want)
+    _save_with_roots(dec, path, xs=_one_ulp_up(dec.roots.xs, n - 1 - 2))
+    with pytest.raises(ValueError, match="eigenvalues do not mirror"):
+        load_decomposition(path)
 
 
 def test_load_pairs_only_mirrored_eigenvalues(tmp_path):
-    # one eigenvalue off its mirror by one ulp: the dump loads with q = 0,
-    # and the residual over it is the full product
-    n = 13
-    dec = decompose(n, 0.5)
-    dec.eigenvalues.real[2] = np.nextafter(dec.eigenvalues[2].real, 2.0)
+    # a representative root one ulp off: the rebuild reads it, and the
+    # eigenvalues it gives no longer mirror, so the dump is refused
+    dec = decompose(13, 0.5)
     path = tmp_path / "dec.bin"
-    save_decomposition(dec, path)
-    back = load_decomposition(path)
-    assert back.q == 0
-    B = assemble_B(n, 0.5)
-    got = spectral.decomposition_residual(back.eigenvalues, back.V, back.Vinv, B, q=back.q)
-    full = _full_residual(back, B.toarray())
-    assert abs(got - full) <= 1e-6 * full + 4 * np.finfo(float).eps
+    _save_with_roots(dec, path, xs=_one_ulp_up(dec.roots.xs, 2))
+    with pytest.raises(ValueError, match="eigenvalues do not mirror") as exc:
+        load_decomposition(path)
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("kind", ["nan-theta", "inf-x", "nan-residual",
+                                  "theta-on-zero"])
+def test_load_rejects_corrupt_roots(tmp_path, kind):
+    dec = decompose(13, 0.5)
+    arrays = {k: getattr(dec.roots, k).copy() for k in ("thetas", "xs", "residuals")}
+    if kind == "nan-theta":
+        arrays["thetas"][1] = complex(1.0, np.nan)
+    elif kind == "inf-x":
+        arrays["xs"][12] = np.inf
+    elif kind == "nan-residual":
+        arrays["residuals"][6] = np.nan
+    else:
+        arrays["thetas"][3] = 0.0               # a representative index
+    path = tmp_path / "dec.bin"
+    _save_with_roots(dec, path, **arrays)
+    message = "spurious zero" if kind == "theta-on-zero" else "not all finite"
+    with pytest.raises(ValueError, match=message) as exc:
+        load_decomposition(path)
+    assert type(exc.value) is ValueError
 
 
 @pytest.mark.parametrize("n", [1, 8, 13])
-def test_save_writes_the_dense_factors_row_major(tmp_path, n):
+def test_save_writes_the_header_and_the_roots(tmp_path, n):
     dec = decompose(n, 0.5)
     path = tmp_path / "dec.bin"
     save_decomposition(dec, path)
-    header = (f"chebpint-decomp 1 n={n} dt={dec.dt!r} cond2={dec.cond2!r} "
+    header = (f"chebpint-decomp 2 n={n} dt={dec.dt!r} cond2={dec.cond2!r} "
               f"residual={dec.residual!r}\n").encode("ascii")
-    payload = b"".join(np.asarray(a, dtype="<c16").tobytes()
-                       for a in (dec.eigenvalues, dec.V, dec.Vinv))
+    r = dec.roots
+    payload = b"".join(np.asarray(a, dtype=t).tobytes() for a, t in (
+        (r.thetas, "<c16"), (r.xs, "<c16"), (r.newton_iters, "<i8"),
+        (r.residuals, "<f8")))
+    assert len(payload) == 48 * n
     assert path.read_bytes() == header + payload
 
 
-def test_save_holds_one_dense_factor_at_a_time(tmp_path):
-    # each factor is written from its mirror, freed before the next one:
-    # 16 n^2 and a block of rows beyond the decomposition
+def test_load_holds_no_more_than_the_rebuild(tmp_path):
+    # the roots, then the (n+1) x h recurrence and V^{-1}[:h], as in
+    # decompose without its diagnostics: 17.6 n^2 measured at n = 512
     n = 512
-    dec = decompose(n, 0.1, with_residual=False)
     path = tmp_path / "dec.bin"
-    save_decomposition(dec, path)                           # warm up
+    save_decomposition(decompose(n, 0.1, with_residual=False), path)
+    load_decomposition(path)                                # warm up
     tracemalloc.start()
     try:
-        save_decomposition(dec, path)
+        load_decomposition(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 17 * n * n + 2**20
+    assert peak <= 18 * n * n + 2**20
+
+
+def test_load_rejects_n_beyond_physical_memory(monkeypatch, tmp_path):
+    # the guard must fire before the payload is read or anything is built
+    def no_rows(*args, **kwargs):
+        raise AssertionError("_chebyshev_rows reached")
+
+    monkeypatch.setattr(spectral, "_chebyshev_rows", no_rows)
+    n = 2**20
+    path = tmp_path / "big.bin"
+    path.write_bytes(f"chebpint-decomp 2 n={n} dt=1.0 cond2=1.0 "
+                     f"residual=0.0\n".encode("ascii"))
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size + 48 * n)           # zeros, sparse
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChebPintError, match=f"n={n} needs {34 * n * n} bytes"):
+            load_decomposition(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_load_refuses_trailing_bytes_without_reading_them(tmp_path):
@@ -504,7 +565,7 @@ def test_load_refuses_trailing_bytes_without_reading_them(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"dump has {tail} trailing bytes "
-                                             f"after its 576 payload bytes"):
+                                             f"after its 192 payload bytes"):
             load_decomposition(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -513,9 +574,10 @@ def test_load_refuses_trailing_bytes_without_reading_them(tmp_path):
 
 
 def test_save_refuses_a_decomposition_with_its_own_B(tmp_path):
-    # the dump has no field for the geometric baseline's trapezoidal matrix
+    # the dump stores the roots, and the geometric baseline, which carries
+    # its own trapezoidal matrix B, has none
     path = tmp_path / "geo.bin"
-    with pytest.raises(ValueError, match="matrix B"):
+    with pytest.raises(ValueError, match="without roots"):
         save_decomposition(geometric_decomposition(geometric_grid(10, 1.15, 1e-2)), path)
     assert not path.exists()
 
@@ -532,18 +594,21 @@ def test_vinv_is_stored_fortran_ordered(tmp_path):
     save_decomposition(dec, path)
     for d in (dec, load_decomposition(path),
               geometric_decomposition(geometric_grid(9, 1.15, 1e-2)),
-              dataclasses.replace(dec, q=0)):
-        assert d.Vinv.flags.f_contiguous
-        assert d.V.flags.c_contiguous
+              dataclasses.replace(dec, q=0, V_half=dec.V, Vinv_half=dec.Vinv)):
+        assert d.Vinv_half.flags.f_contiguous and d.Vinv.flags.f_contiguous
+        assert d.V_half.flags.c_contiguous and d.V.flags.c_contiguous
 
 
 @pytest.mark.parametrize("field, shape", [
-    ("eigenvalues", (3,)), ("V", (3, 3)), ("Vinv", (4, 3)),
+    ("eigenvalues", (3,)), ("V", (4, 4)), ("Vinv", (3, 4)),
 ])
 def test_decomposition_rejects_bad_shapes(field, shape):
+    # the factors are given as their halves, V_half (n x h) and Vinv_half
+    # (h x n); with n = 4 and h = 2 a dense V is refused too
     dec = decompose(4, 0.5)
-    with pytest.raises(ValueError, match=f"{field} has shape"):
-        dataclasses.replace(dec, **{field: np.zeros(shape, dtype=complex)})
+    name = field if field == "eigenvalues" else f"{field}_half"
+    with pytest.raises(ValueError, match=f"{name} has shape"):
+        dataclasses.replace(dec, **{name: np.zeros(shape, dtype=complex)})
 
 
 @pytest.mark.parametrize("q", [-1, 7])
@@ -562,37 +627,55 @@ def test_load_rejects_garbage(tmp_path):
 
 @pytest.mark.parametrize("dump, message", [
     (b"", "not a chebpint decomposition dump"),
-    (b"chebpint-decomp 1 dt=0.5 cond2=1.0 residual=0.0\n", "lacks the field"),
-    # one complex value matches the payload size n + 2n^2 = 1 of n = -1
-    (b"chebpint-decomp 1 n=-1 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(16),
+    (b"chebpint-decomp 2 dt=0.5 cond2=1.0 residual=0.0\n", "lacks the field"),
+    (b"chebpint-decomp 2 n=-1 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(16),
      "n must be >= 1"),
-    (b"chebpint-decomp 1 n=1 dt=0.5 cond2=1.0 residual=\xff\n", "not ASCII"),
-    # complete n = 1 payloads (3 complex values): only dt is wrong
-    (b"chebpint-decomp 1 n=1 dt=-1.0 cond2=1.0 residual=0.0\n" + bytes(48),
+    (b"chebpint-decomp 2 n=1 dt=0.5 cond2=1.0 residual=\xff\n", "not ASCII"),
+    # complete n = 1 payloads (48 bytes): only the header is wrong
+    (b"chebpint-decomp 2 n=1 dt=-1.0 cond2=1.0 residual=0.0\n" + bytes(48),
      "dt must be positive"),
-    (b"chebpint-decomp 1 n=1 dt=0.0 cond2=1.0 residual=0.0\n" + bytes(48),
+    (b"chebpint-decomp 2 n=1 dt=0.0 cond2=1.0 residual=0.0\n" + bytes(48),
      "dt must be positive"),
-    (b"chebpint-decomp 1 n=1 dt=nan cond2=1.0 residual=0.0\n" + bytes(48),
+    (b"chebpint-decomp 2 n=1 dt=nan cond2=1.0 residual=0.0\n" + bytes(48),
      "dt must be positive"),
-    # a complete n = 4 dump, which loads, holds 36 complex values in 576
-    # payload bytes; these are cut short by one value and by half of one
-    (b"chebpint-decomp 1 n=4 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(560),
+    # a complete n = 4 dump holds 192 payload bytes; these are cut short
+    # by one complex value and by half of one
+    (b"chebpint-decomp 2 n=4 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(176),
      "truncated dump"),
-    (b"chebpint-decomp 1 n=4 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(568),
+    (b"chebpint-decomp 2 n=4 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(184),
      "truncated dump"),
-    (b"chebpint-decomp 1 n=2.5 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
+    (b"chebpint-decomp 2 n=2.5 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
      "n must be >= 1 and an integer, got '2.5'"),
-    (b"chebpint-decomp 1 n=abc dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
+    (b"chebpint-decomp 2 n=abc dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
      "n must be >= 1 and an integer, got 'abc'"),
-    (b"chebpint-decomp 1 n=1 dt=abc cond2=1.0 residual=0.0\n" + bytes(48),
+    (b"chebpint-decomp 2 n=1 dt=abc cond2=1.0 residual=0.0\n" + bytes(48),
      "dump header dt is not a number: 'abc'"),
-    (b"chebpint-decomp 1 n=1 dt=0.5 cond2=abc residual=0.0\n" + bytes(48),
+    (b"chebpint-decomp 2 n=1 dt=0.5 cond2=abc residual=0.0\n" + bytes(48),
      "dump header cond2 is not a number: 'abc'"),
-    (b"chebpint-decomp 1 n=1 dt=0.5 cond2=1.0 residual=abc\n" + bytes(48),
+    (b"chebpint-decomp 2 n=1 dt=0.5 cond2=1.0 residual=abc\n" + bytes(48),
      "dump header residual is not a number: 'abc'"),
+    # values decompose never writes: its cond2 is positive and finite, its
+    # residual >= 0, or nan when skipped
+    (b"chebpint-decomp 2 n=1 dt=0.5 cond2=-1.0 residual=0.0\n" + bytes(48),
+     "cond2 must be positive and finite"),
+    (b"chebpint-decomp 2 n=1 dt=0.5 cond2=0.0 residual=0.0\n" + bytes(48),
+     "cond2 must be positive and finite"),
+    (b"chebpint-decomp 2 n=1 dt=0.5 cond2=nan residual=0.0\n" + bytes(48),
+     "cond2 must be positive and finite"),
+    (b"chebpint-decomp 2 n=1 dt=0.5 cond2=inf residual=0.0\n" + bytes(48),
+     "cond2 must be positive and finite"),
+    (b"chebpint-decomp 2 n=1 dt=0.5 cond2=1.0 residual=-5.0\n" + bytes(48),
+     "residual must be >= 0 or nan"),
+    # a complete n = 1 header over zeros: theta = 0 is no root
+    (b"chebpint-decomp 2 n=1 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
+     "spurious zero"),
+    # version 1 stored the dense factors (16 (n + 2n^2) bytes)
+    (b"chebpint-decomp 1 n=1 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
+     "dump version 1 is not read.*re-run `chebpint decompose --dump`"),
 ], ids=["empty", "no-n", "negative-n", "non-ascii", "negative-dt", "zero-dt",
         "nan-dt", "truncated", "truncated-mid-value", "fractional-n", "text-n",
-        "text-dt", "text-cond2", "text-residual"])
+        "text-dt", "text-cond2", "text-residual", "negative-cond2", "zero-cond2",
+        "nan-cond2", "inf-cond2", "negative-residual", "zero-payload", "version-1"])
 def test_load_rejects_malformed_dump(tmp_path, dump, message):
     path = tmp_path / "bad.bin"
     path.write_bytes(dump)
