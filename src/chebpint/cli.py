@@ -205,6 +205,8 @@ def _bench_once(args, side, n, workers, reps):
     """Decompose and solve the benchmark problem of the CLI arguments at n
     time points; returns the report, the median seconds of `reps` solves
     and the global error against the discrete reference."""
+    # the second-order rhs folds the initial velocity into the first two steps
+    check_count(f"n of --kind {args.kind}", n, 2 if args.kind == "wave" else 1)
     problem = make_benchmark(args.kind, side, n=n, T=args.T)
     grid = problem.grid
     dec = spectral.decompose(n, grid.dt, with_residual=False)

@@ -40,17 +40,20 @@ representative halves V[:, :h] and V^{-1}[:h] are the one stored form
 half to the dense matrix.  `decompose` runs the recurrence once, to k = n:
 its first n rows are V[:, :h] as they are, and V^{-1}[:h] is those rows
 scaled, so both factors cost one (n+1) x h array and one h x n array,
-8 n^2 bytes each.  The diagnostics hold at most one dense factor next to
-them, for cond2's norm: a measured peak of 33.2 n^2 at n = 512 and
-32.3 n^2 at n = 1024 (`_check_memory`).  A dump stores the roots, 48 n
-bytes, and its load reruns the same recurrence.  The dense `build_V` and
-`build_Vinv_fast` are the same halves mirrored.  An O(n^3) dense
+8 n^2 bytes each.  The diagnostics read the halves in place, cond2's
+power iteration by two products with them per product with a factor, and
+form no dense factor: without the residual `decompose` peaks at 17.7 n^2
+at n = 512 and 16.5 n^2 at n = 1024, and the residual's chunk of columns
+adds about 24 n _COLUMNS bytes (`_check_memory`).  A dump stores the
+roots, 48 n bytes, and its load reruns the same recurrence.  The dense
+`build_V` and `build_Vinv_fast` are the same halves mirrored.  An O(n^3) dense
 inversion (`build_Vinv_reference`) is kept as the independent
 cross-check path.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import warnings
@@ -176,27 +179,32 @@ def build_Vinv_reference(V):
     return scipy.linalg.lu_solve((lu, piv), np.eye(V.shape[0], dtype=V.dtype))
 
 
-def _norm2(M, iters=200, rtol=5e-5, seed=7):
-    """||M||_2 by power iteration on M^H M from a seeded random start.
+def _norm(x):
+    """np.linalg.norm(x) of a complex vector by the same arithmetic, as a
+    Python float, without that function's call overhead, which is large
+    next to a product with the halves at small n."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
+def _norm2(z, mul, rmul, iters=200, rtol=5e-5):
+    """||M||_2 by power iteration on M^H M from the unit vector z, where
+    mul and rmul apply M and M^H (in any coordinates that keep the norm).
 
     Both half-steps are normalized, so no intermediate exceeds ||M||_2 and a
     finite M gives a finite norm.  Stops once consecutive estimates agree to
     rtol (5e-5 on the norm is 1e-4 on its square).  Returns a zero or
     non-finite value, silently, for a zero or non-finite M.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=M.shape[1]) + 1j * rng.normal(size=M.shape[1])
-    z /= np.linalg.norm(z)
     prev = 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(iters):
-            y = M @ z
-            a = np.linalg.norm(y)
-            if not 0.0 < a < np.inf:
+            y = mul(z)
+            a = _norm(y)
+            if not 0.0 < a < math.inf:
                 return a
-            w = np.conj(np.conj(y / a) @ M)      # M^H M z / a without forming M^H
-            b = np.linalg.norm(w)
-            est = np.sqrt(a) * np.sqrt(b)
+            w = rmul(y / a)
+            b = _norm(w)
+            est = math.sqrt(a) * math.sqrt(b)
             z = w / b
             if abs(est - prev) <= rtol * est:
                 break
@@ -208,19 +216,43 @@ def cond2_estimate(V, Vinv):
     """2-norm condition number ||V||_2 ||V^{-1}||_2 from V and its inverse.
 
     Power iteration on V^H V gives sigma_max(V) and on V^{-H} V^{-1} gives
-    1/sigma_min(V): O(n^2) per iteration, no factorization.  The estimate
-    approaches each norm from below; against the full SVD it is within 1e-2
-    relative for every n up to 400 and within 1e-4 at the n of the
-    growth-law diagnostics.
-    V and Vinv are dense, or the representative halves V[:, :h] and
-    Vinv[:h] of a mirrored pair; `_mirror` expands a half only while its
-    own norm is taken, so one dense factor is held at a time.
-    Raises SingularMatrixError for a zero V or a non-finite V^{-1}.
+    1/sigma_min(V), both from one seeded random start: O(n^2) per
+    iteration, no factorization.  The estimate approaches each norm from
+    below; against the full SVD it is within 1e-2 relative for every n up to
+    400 and within 1e-4 at the n of the growth-law diagnostics.
+
+    V and Vinv are the representative halves Vh = V[:, :h] (n x h) and
+    Wh = V^{-1}[:h] (h x n) of a mirrored pair, q = n - h: column n-1-j of
+    V and row n-1-j of V^{-1} are conj(Vh[:, j]) and conj(Wh[j]) for j < q.
+    Dense factors are the halves with q = 0.  A vector x on the mirrored
+    side (the argument of V, the image of V^{-1}) is held as
+    u = [x[:h], conj(x[h:][::-1])], which keeps its norm, so each product is
+    two products with the halves, neither copied nor reversed:
+
+        V x            = Vh u[:h] + conj(Vh[:, :q] u[h:])
+        u of V^H y     = conj([conj(y) Vh,  y Vh[:, :q]])
+        u of V^{-1} z  = [Wh z,  Wh[:q] conj(z)]
+        V^{-H} x       = conj(conj(u[:h]) Wh) + conj(u[h:]) Wh[:q]
+
+    With q = 0 the second terms are empty and the iteration is the dense
+    one.  The whole halves go through `dot`, which has less call overhead
+    than `@` at small n; their column slices through `@`, as `dot` would
+    copy them.  Raises ValueError unless Vinv is h x n, and
+    SingularMatrixError for a zero V or a non-finite V^{-1}.
     """
     V, Vinv = np.asarray(V), np.asarray(Vinv)
-    n = len(V)
-    smax = _norm2(V if V.shape[1] == n else _mirror(V, n))
-    smax_inv = _norm2(Vinv if len(Vinv) == n else _mirror(Vinv.T, n).T)
+    n, h = V.shape
+    if Vinv.shape != (h, n):            # the halves of one pair, or both dense
+        raise ValueError(f"Vinv has shape {Vinv.shape}, expected {(h, n)} for V")
+    Vq, Wq = V[:, :n - h], Vinv[:n - h]
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    z /= np.linalg.norm(z)
+    smax = _norm2(np.concatenate([z[:h], np.conj(z[h:][::-1])]),
+                  lambda u: V.dot(u[:h]) + np.conj(Vq @ u[h:]),
+                  lambda y: np.conj(np.concatenate([np.conj(y).dot(V), y @ Vq])))
+    smax_inv = _norm2(z, lambda x: np.concatenate([Vinv.dot(x), Wq @ np.conj(x)]),
+                      lambda u: np.conj(np.conj(u[:h]).dot(Vinv)) + np.conj(u[h:]) @ Wq)
     if not (0.0 < smax < np.inf and 0.0 < smax_inv < np.inf):
         raise SingularMatrixError("V or V^{-1} is zero or not finite")
     return float(smax * smax_inv)
@@ -399,35 +431,37 @@ class SpectralDecomposition:
         return U, float(np.linalg.norm(Im))
 
 
-def decomposition_residual(eigenvalues, V, Vinv, B, q=0):
+def decomposition_residual(eigenvalues, V, Vinv, B):
     """||B - V diag(eigenvalues) V^{-1}||_F / ||B||_F for the real stencil
     matrix B, sparse or dense; only its nonzero entries are touched.
 
     B and the eigenvalues are divided by s = max|B| first: the ratio does
     not change, and the norms neither overflow nor underflow for any dt.
 
-    q is the pair count of `SpectralDecomposition` (the default 0 assumes
-    no structure).  With w_k the rows of V^{-1}, the rows y_k = lambda_k w_k
-    of D V^{-1} mirror as the w_k do, so the real part of V D V^{-1} is
-    `_paired_product` over the representative rows y_k, k < h: 2n^3 flops
-    instead of 8n^3 for q = n//2.  The imaginary part comes from the
-    self-paired indices alone, the kernel over V[:, q:h] with the rows
-    -i y_k (rank n % 2 for `decompose`).  Both run in chunks of _COLUMNS
-    columns of V^{-1}, each minus the entries of B (in CSC form) in its
-    columns, so no n x n temporary is formed.
+    V and Vinv are the representative halves V[:, :h] and V^{-1}[:h] of
+    `cond2_estimate`, the pair count q = n - h read from V's shape, so
+    dense factors have q = 0 and no structure is assumed of them.  With w_k
+    the rows of V^{-1}, the rows y_k = lambda_k w_k of D V^{-1} mirror as
+    the w_k do, so the real part of V D V^{-1} is `_paired_product` over the
+    representative rows y_k, k < h: 2n^3 flops instead of 8n^3 for
+    q = n//2.  The imaginary part comes from the self-paired indices alone,
+    the kernel over V[:, q:h] with the rows -i y_k (rank n % 2 for
+    `decompose`).  Both run in chunks of _COLUMNS columns of V^{-1}, each
+    minus the entries of B (in CSC form) in its columns, so no n x n
+    temporary is formed.
     """
     B = scipy.sparse.csc_array(B)
     s = np.abs(B.data).max()
     data = B.data / s
     lam = np.asarray(eigenvalues) / s
     V = np.ascontiguousarray(V, dtype=complex)     # eig's vectors are F-ordered
-    n = len(lam)
-    h = n - q
+    n, h = V.shape
+    q = n - h
     ptr = B.indptr
     sq = 0.0
     for lo in range(0, n, _COLUMNS):
         hi = min(lo + _COLUMNS, n)
-        Y = lam[:h, None] * Vinv[:h, lo:hi]
+        Y = lam[:h, None] * Vinv[:, lo:hi]
         if h > q:
             T = _paired_product(V[:, q:h], 0, -1j * Y[q:])
             sq += np.vdot(T, T)
@@ -443,34 +477,31 @@ def decomposition_residual(eigenvalues, V, Vinv, B, q=0):
 
 
 def _check_memory(n):
-    """Raise ChebPintError when the peak of `decompose` exceeds physical
-    memory (skipped where os.sysconf cannot tell).  `load_decomposition`
-    calls it too, before it reads the roots: its rebuild holds the
-    recurrence array and V^{-1}[:h] alone, measured 17.6 n^2 at n = 512,
-    within the same count, so any dump that `decompose` could write loads.
+    """Raise ChebPintError when building the decomposition of n points can
+    exceed physical memory (skipped where os.sysconf cannot tell).
+    `decompose`, in both modes, and `load_decomposition`, before it reads
+    the roots, use this one count.
 
-    The peak is measured (tracemalloc, n = 511 to 2048).  The build holds
-    the (n+1) x h Chebyshev rows, whose first n are V[:, :h], and
-    V^{-1}[:h], 8 n^2 bytes each (h = ceil(n/2)).  cond2 adds one transient
-    dense factor at a time (16 n^2): 32 n^2, measured 33.2 n^2 at n = 511
-    and 512, 32.3 n^2 at 1024 and 32.1 n^2 at 2048.  The residual holds,
-    next to the halves, a chunk of c = 256 columns of three n x c float
-    arrays (the scaled rows of V^{-1}, the kernel's rows and the product):
-    12 n^2 at n = 512, 6 n^2 at n = 1024, below cond2's peak.  So one count
-    of 34 n^2 covers both modes for n >= 511.  The single chunk and the
-    O(n) arrays of an n <= 256 take it up to 60 n^2, at most 2.7 MB.
-    Afterwards the decomposition holds 16 n^2: V[:, :h] and V^{-1}[:h].
+    Both build the (n+1) x h Chebyshev rows, whose first n are V[:, :h],
+    and V^{-1}[:h], 16 n^2 bytes together (h = ceil(n/2)), and keep them:
+    cond2 reads them in place.  The residual adds, next to them, a chunk of
+    c = _COLUMNS columns of three n x c float arrays (the scaled rows of
+    V^{-1}, the kernel's rows and the product), 24 n c bytes.  The count,
+    16 n^2 + 27 n c, covers the peaks measured by tracemalloc from n = 64 to
+    4096: 17.70 n^2 at n = 512 and 16.14 n^2 at 2048 without the residual,
+    28.88 n^2 and 19.12 n^2 with it, and at most 16 n^2 + 26.9 n c (at
+    n = 257).  A load peaks as `decompose` without the residual.
     """
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    need = 34 * n**2
+    need = 16 * n**2 + 27 * _COLUMNS * n
     physical = page * pages
     if page > 0 and pages > 0 and need > physical:
         raise ChebPintError(
-            f"n={n} needs {need} bytes at the peak of decompose, more than the "
-            f"{physical} bytes of physical memory"
+            f"n={n} needs {need} bytes to build its decomposition, more than "
+            f"the {physical} bytes of physical memory"
         )
 
 
@@ -504,7 +535,6 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     _check_memory(n)
     times = {}
     roots = _timed(times, "find_roots", find_roots, n, tol=tol, max_iter=max_iter)
-    q = n // 2
     # the one recurrence: its first n rows are V[:, :h] as they are
     P = _timed(times, "build_V", _chebyshev_rows, roots, n + 1)
     Vinv = _timed(times, "build_Vinv_fast", _inverse_rows, roots, P)
@@ -514,7 +544,7 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     residual = float("nan")
     if with_residual:
         residual = _timed(times, "residual", decomposition_residual,
-                          eigenvalues, V, Vinv, assemble_B(n, dt), q=q)
+                          eigenvalues, V, Vinv, assemble_B(n, dt))
     return SpectralDecomposition(
         n=n,
         dt=dt,
@@ -524,7 +554,7 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
         cond2=cond2,
         residual=residual,
         roots=roots,
-        q=q,
+        q=n // 2,
         phase_times=times,
     )
 
@@ -580,9 +610,11 @@ def load_decomposition(path):
     recomputed.  Raises ValueError for anything that is not a complete
     version-2 dump: a bad header (an older version names itself), a payload
     shorter or longer than the 48 n bytes the header announces (checked
-    before anything is read), roots that are not finite, xs off their
-    mirror x_{n-1-j} = -conj(x_j) (the constructor's eigenvalue check), or
-    a theta on a spurious zero.  An n whose rebuild cannot fit in memory
+    before anything is read), roots that are not finite, roots off their
+    mirror as `find_roots` writes it (theta_{n-1-j} = pi - conj(theta_j),
+    the same Newton count and residual, and x_{n-1-j} = -conj(x_j) by the
+    constructor's eigenvalue check), a negative Newton count or residual,
+    or a theta on a spurious zero.  An n whose rebuild cannot fit in memory
     raises ChebPintError (`_check_memory`) before the payload is read.
     """
     with open(path, "rb") as fh:
@@ -627,6 +659,17 @@ def load_decomposition(path):
             for name, t in _DUMP_ARRAYS.items()})
     if not all(np.isfinite(getattr(roots, name)).all() for name in _DUMP_ARRAYS):
         raise ValueError("dump roots are not all finite")
+    # as find_roots writes them; xs mirror through the eigenvalues, which
+    # the constructor checks
+    q = n // 2
+    for name, mirror in (("thetas", np.pi - np.conj(roots.thetas[:q])),
+                         ("newton_iters", roots.newton_iters[:q]),
+                         ("residuals", roots.residuals[:q])):
+        values = getattr(roots, name)
+        if not np.array_equal(values[n - q:], mirror[::-1]):
+            raise ValueError(f"dump {name}[{n - q}:] do not mirror {name}[:{q}]")
+        if name != "thetas" and values.min() < 0:
+            raise ValueError(f"dump {name} must be >= 0")
     P = _chebyshev_rows(roots, n + 1)
     try:
         Vinv = _inverse_rows(roots, P)

@@ -214,6 +214,9 @@ def test_exit_code_bad_n_list():
     ["convergence", "--kind", "heat", "--m", "16", "--n-list", "0"],
     ["decompose", "--n", "0", "--skip-reference"],
     ["decompose", "--n", "-3", "--skip-reference"],
+    # the second-order rhs needs two steps
+    ["convergence", "--kind", "wave", "--m", "16", "--n-list", "1"],
+    ["bench", "--kind", "wave", "--m", "16", "--n", "1", "--workers-list", "1"],
 ])
 def test_exit_code_empty_budget_or_grid(argv):
     assert main(argv) == 1

@@ -219,14 +219,16 @@ def _field_is_bad(key, value):
 _BAD_NUMBERS = st.sampled_from(["-1", "0", "-0.0", "nan", "inf", "-inf", "-5"])
 
 #: what a broken payload may hold in its roots
-_CORRUPTIONS = ("non-finite", "mirror", "spurious-zero")
+_CORRUPTIONS = ("non-finite", "mirror", "negative", "spurious-zero")
 
 
 def _payload(draw, n, corrupt):
     """The roots of `find_roots(n)` as a dump payload, and, if `corrupt`,
     one of them broken: a value of thetas, xs or residuals made nan or
-    infinite, a mirrored x moved by one ulp, or a representative theta put
-    on the spurious zero theta = 0."""
+    infinite, a mirrored value of any array moved by one ulp (one count
+    for newton_iters), newton_iters or residuals all negative (so that
+    they still mirror), or a representative theta put on the spurious zero
+    theta = 0."""
     roots = find_roots(n)
     arrays = {k: np.array(getattr(roots, k), dtype=t)
               for k, t in spectral._DUMP_ARRAYS.items()}
@@ -238,9 +240,16 @@ def _payload(draw, n, corrupt):
         flat[draw(st.integers(0, len(flat) - 1))] = draw(
             st.sampled_from([np.nan, np.inf, -np.inf]))
     elif kind == "mirror":
-        flat = arrays["xs"][h:].view(float)
+        name = draw(st.sampled_from(list(arrays)))
+        flat = arrays[name][h:]
+        flat = flat if name == "newton_iters" else flat.view(float)
         k = draw(st.integers(0, len(flat) - 1))
-        flat[k] = np.nextafter(flat[k], draw(st.sampled_from([-np.inf, np.inf])))
+        step = draw(st.sampled_from([-1, 1]))
+        flat[k] = (flat[k] + step if name == "newton_iters"
+                   else np.nextafter(flat[k], step * np.inf))
+    elif kind == "negative":
+        arrays[draw(st.sampled_from(["newton_iters", "residuals"]))][:] = -draw(
+            st.integers(1, 9))
     elif kind == "spurious-zero":
         arrays["thetas"][draw(st.integers(0, h - 1))] = 0.0
     return b"".join(a.tobytes() for a in arrays.values())

@@ -130,15 +130,55 @@ def test_cond2_power_iteration_matches_svd():
 
 
 def test_cond2_singular():
-    # a zero V or a non-finite V^{-1} raises, and warns of nothing
+    # a zero V or a non-finite V^{-1} raises, and warns of nothing, whether
+    # they are dense or the halves V[:, :h] and V^{-1}[:h]
+    dec = decompose(5, 0.5, with_residual=False)
+    V, Vinv = dec.V_half, dec.Vinv_half
     cases = [(np.zeros((4, 4)), np.eye(4)),
              (np.eye(4), np.full((4, 4), np.nan)),
-             (np.eye(4), np.full((4, 4), np.inf))]
+             (np.eye(4), np.full((4, 4), np.inf)),
+             (np.zeros_like(V), Vinv),
+             (V, np.full_like(Vinv, np.nan)),
+             (V, np.full_like(Vinv, np.inf))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for V, Vinv in cases:
             with pytest.raises(SingularMatrixError):
                 cond2_estimate(V, Vinv)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 257, 512])
+def test_cond2_of_the_halves_is_the_dense_cond2(n):
+    # the halves' products against the dense power iteration, which is the
+    # same iteration with no mirrored terms
+    dec = decompose(n, 1.0 / n, with_residual=False)
+    dense = cond2_estimate(dec.V, dec.Vinv)
+    assert dec.cond2 == cond2_estimate(dec.V_half, dec.Vinv_half)
+    assert abs(dec.cond2 - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("pair", ["dense-half", "half-dense"])
+def test_cond2_refuses_a_dense_factor_with_a_half(pair):
+    # q comes from V's shape, so a mixed pair would give the norm of a half
+    dec = decompose(8, 0.125, with_residual=False)
+    V, Vinv = (dec.V, dec.Vinv_half) if pair == "dense-half" else (dec.V_half, dec.Vinv)
+    with pytest.raises(ValueError, match="Vinv has shape"):
+        cond2_estimate(V, Vinv)
+
+
+@pytest.mark.parametrize("n", [1023, 1024])
+def test_cond2_reads_the_halves_in_place(n):
+    # beyond its inputs, only vectors: no half is mirrored, copied or
+    # reversed (a dense factor would be 16 n^2 bytes)
+    dec = decompose(n, 1.0 / n, with_residual=False)
+    cond2_estimate(dec.V_half, dec.Vinv_half)               # warm up
+    tracemalloc.start()
+    try:
+        cond2_estimate(dec.V_half, dec.Vinv_half)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * n * n
 
 
 # --------------------------------------------------------------- decompose
@@ -182,6 +222,12 @@ def test_decompose_residual_finite_at_extreme_dt(dt):
     assert residual <= 1e-12
 
 
+def _guard_count(n):
+    """The bytes `_check_memory` counts for n points: the halves, and the
+    residual's chunk of _COLUMNS columns."""
+    return 16 * n * n + 27 * spectral._COLUMNS * n
+
+
 def test_decompose_rejects_n_beyond_physical_memory(monkeypatch):
     # the guard must fire before anything is computed or allocated
     def no_roots(*args, **kwargs):
@@ -189,13 +235,15 @@ def test_decompose_rejects_n_beyond_physical_memory(monkeypatch):
 
     monkeypatch.setattr(spectral, "find_roots", no_roots)
     n = 2**20
-    with pytest.raises(ChebPintError, match=f"n={n} needs {34 * n * n} bytes"):
+    with pytest.raises(ChebPintError, match=f"n={n} needs {_guard_count(n)} bytes"):
         decompose(n, 1.0)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
-@pytest.mark.parametrize("with_residual, per_n2", [(False, 34), (True, 34)])
-def test_memory_guard_counts_the_peak_of_decompose(n, with_residual, per_n2):
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_memory_guard_counts_the_peak_of_decompose(n, with_residual):
+    # without the residual, the halves (16 n^2) and O(n) beside them: cond2
+    # holds no dense factor
     decompose(n, 1.0 / n, with_residual=with_residual)    # warm up the imports
     tracemalloc.start()
     try:
@@ -203,7 +251,8 @@ def test_memory_guard_counts_the_peak_of_decompose(n, with_residual, per_n2):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= per_n2 * n * n + 2**20
+    assert peak <= _guard_count(n) + 2**20
+    assert with_residual or peak <= 18 * n * n + 2**20
 
 
 def test_memory_guard_counts_the_residual_of_an_odd_n():
@@ -216,7 +265,7 @@ def test_memory_guard_counts_the_residual_of_an_odd_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 34 * n * n + 2**20
+    assert peak <= _guard_count(n) + 2**20
 
 
 def test_fast_inverse_holds_one_sweep_array_next_to_its_result():
@@ -256,9 +305,9 @@ def test_apply_V_holds_no_conjugate_half():
 
 
 def test_memory_guard_counts_both_modes_alike(monkeypatch):
-    # one count, 34 n^2, whether or not the residual is computed
+    # one count, whether or not the residual is computed
     n = 64
-    physical = [34 * n * n]
+    physical = [_guard_count(n)]
     real_sysconf = os.sysconf
 
     def sysconf(name):
@@ -275,7 +324,7 @@ def test_memory_guard_counts_both_modes_alike(monkeypatch):
     monkeypatch.setattr(spectral, "find_roots", no_roots)
     physical[0] -= 1
     for with_residual in (False, True):
-        with pytest.raises(ChebPintError, match=f"n={n} needs {34 * n * n} bytes"):
+        with pytest.raises(ChebPintError, match=f"n={n} needs {_guard_count(n)} bytes"):
             decompose(n, 1.0, with_residual=with_residual)
 
 
@@ -349,7 +398,8 @@ def test_paired_residual_over_chunks_and_pair_counts(n, monkeypatch):
     full = _full_residual(dec, B.toarray())
     for q in sorted({0, 1, n // 3, n // 2}):
         if q <= n // 2:
-            got = spectral.decomposition_residual(dec.eigenvalues, dec.V, dec.Vinv, B, q=q)
+            got = spectral.decomposition_residual(
+                dec.eigenvalues, dec.V[:, :n - q], dec.Vinv[:n - q], B)
             assert abs(got - full) <= 1e-6 * full + 4 * np.finfo(float).eps, q
 
 
@@ -493,11 +543,36 @@ def test_load_rejects_corrupt_roots(tmp_path, kind):
         arrays["xs"][12] = np.inf
     elif kind == "nan-residual":
         arrays["residuals"][6] = np.nan
-    else:
-        arrays["thetas"][3] = 0.0               # a representative index
+    else:                    # a representative index, and its mirror
+        arrays["thetas"][3], arrays["thetas"][9] = 0.0, np.pi
     path = tmp_path / "dec.bin"
     _save_with_roots(dec, path, **arrays)
     message = "spurious zero" if kind == "theta-on-zero" else "not all finite"
+    with pytest.raises(ValueError, match=message) as exc:
+        load_decomposition(path)
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("changes, message", [
+    # loaded before, reading newton_iters_max = 1 and a characteristic
+    # residual of 4.3
+    ({"thetas": {12: 0.3 + 0.1j}, "newton_iters": {0: -7}},
+     r"dump thetas\[7:\] do not mirror thetas\[:6\]"),
+    ({"newton_iters": {0: -7}}, r"dump newton_iters\[7:\] do not mirror"),
+    ({"residuals": {11: 1e-3}}, r"dump residuals\[7:\] do not mirror"),
+    ({"newton_iters": {0: -7, 12: -7}}, "dump newton_iters must be >= 0"),
+    ({"residuals": {1: -1.0, 11: -1.0}}, "dump residuals must be >= 0"),
+], ids=["theta-and-count", "count", "residual", "negative-count",
+        "negative-residual"])
+def test_load_checks_the_whole_mirror_of_the_roots(tmp_path, changes, message):
+    # thetas, newton_iters and residuals mirror as find_roots writes them
+    dec = decompose(13, 0.5)
+    arrays = {name: getattr(dec.roots, name).copy() for name in changes}
+    for name, values in changes.items():
+        for j, value in values.items():
+            arrays[name][j] = value
+    path = tmp_path / "dec.bin"
+    _save_with_roots(dec, path, **arrays)
     with pytest.raises(ValueError, match=message) as exc:
         load_decomposition(path)
     assert type(exc.value) is ValueError
@@ -520,7 +595,8 @@ def test_save_writes_the_header_and_the_roots(tmp_path, n):
 
 def test_load_holds_no_more_than_the_rebuild(tmp_path):
     # the roots, then the (n+1) x h recurrence and V^{-1}[:h], as in
-    # decompose without its diagnostics: 17.6 n^2 measured at n = 512
+    # decompose without its diagnostics: 17.7 n^2 measured at n = 512,
+    # within the guard's count
     n = 512
     path = tmp_path / "dec.bin"
     save_decomposition(decompose(n, 0.1, with_residual=False), path)
@@ -532,6 +608,7 @@ def test_load_holds_no_more_than_the_rebuild(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 18 * n * n + 2**20
+    assert peak <= _guard_count(n) + 2**20
 
 
 def test_load_rejects_n_beyond_physical_memory(monkeypatch, tmp_path):
@@ -548,7 +625,7 @@ def test_load_rejects_n_beyond_physical_memory(monkeypatch, tmp_path):
         fh.truncate(path.stat().st_size + 48 * n)           # zeros, sparse
     tracemalloc.start()
     try:
-        with pytest.raises(ChebPintError, match=f"n={n} needs {34 * n * n} bytes"):
+        with pytest.raises(ChebPintError, match=f"n={n} needs {_guard_count(n)} bytes"):
             load_decomposition(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
