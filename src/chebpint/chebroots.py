@@ -47,6 +47,7 @@ __all__ = [
     "rho_and_derivative",
     "refined_guesses",
     "find_roots",
+    "mirror_roots",
     "p_prime",
     "characteristic_residuals",
 ]
@@ -190,11 +191,12 @@ def find_roots(n, tol=1e-10, max_iter=50):
 
     Newton runs simultaneously on the h = ceil(n/2) representatives
     j < h in the theta variable, on the deflated residual
-    rho(theta)/sin(theta).  The other indices are their mirrors,
-    theta_{n-1-j} = pi - conj(theta_j) and x_{n-1-j} = -conj(x_j), with the
-    Newton counts and residuals copied, so the symmetry holds bitwise; for
-    odd n the middle root has Re theta = pi/2 and Re x = 0 exactly.  The
-    eigenvalues i*x_j then satisfy lambda_{n-1-j} = conj(lambda_j) bitwise.
+    rho(theta)/sin(theta).  `mirror_roots` fills the other indices from
+    them, theta_{n-1-j} = pi - conj(theta_j) and x_{n-1-j} = -conj(x_j),
+    with the Newton counts and residuals copied, so the symmetry holds
+    bitwise; for odd n the middle root has Re theta = pi/2 and Re x = 0
+    exactly.  The eigenvalues i*x_j then satisfy
+    lambda_{n-1-j} = conj(lambda_j) bitwise.
 
     A root is accepted once |rho| <= tol and the last update satisfied
     |dtheta| <= tol*max(1,|theta|), or once updates stagnate at the
@@ -252,8 +254,8 @@ def find_roots(n, tol=1e-10, max_iter=50):
         last_step = np.where(active, mag, last_step)
         iters[active] += 1
 
-    if n % 2:
-        theta.real[-1] = 0.5 * np.pi        # the self-mirrored root
+    if n % 2:       # mirror_roots' middle rule, before rho and cos read it
+        theta.real[-1] = 0.5 * np.pi
     rho, _ = rho_and_derivative(theta, n)
     rho = np.atleast_1d(rho)
     resid = np.abs(rho)
@@ -262,24 +264,37 @@ def find_roots(n, tol=1e-10, max_iter=50):
         idx = np.flatnonzero(still_bad) + 1
         raise NonConvergenceError(idx.tolist(), resid[still_bad].tolist(), max_iter)
 
-    x = np.cos(theta)
-    if n % 2:
-        x.real[-1] = 0.0
-    q = n // 2
-    thetas = np.concatenate([theta, (np.pi - np.conj(theta[:q]))[::-1]])
-    x = np.concatenate([x, -np.conj(x[:q])[::-1]])
-    iters = np.concatenate([iters, iters[:q][::-1]])
-    resid = np.concatenate([resid, resid[:q][::-1]])
+    roots = mirror_roots(n, theta, np.cos(theta), iters, resid)
     if n > 1:
+        x = roots.xs
         order = np.lexsort((x.imag, x.real))
-        xs = x[order]
-        gaps = np.abs(np.diff(xs))
+        gaps = np.abs(np.diff(x[order]))
         k = int(np.argmin(gaps))
         if gaps[k] < _DUPLICATE_TOL:
             pair = (int(order[k]) + 1, int(order[k + 1]) + 1)
             raise DuplicateRootsError(pair, float(gaps[k]))
+    return roots
 
-    return RootSet(n=n, thetas=thetas, xs=x, newton_iters=iters, residuals=resid)
+
+def mirror_roots(n, thetas, xs, newton_iters, residuals):
+    """The RootSet of all n roots from the values of the h = ceil(n/2)
+    representatives: the first h entries of each array, the rest ignored.
+
+    Index n-1-j is the mirror of j < n//2: theta_{n-1-j} = pi - conj(theta_j),
+    x_{n-1-j} = -conj(x_j), and the same Newton count and residual.  For odd
+    n the middle root pairs with itself and is put on the axis exactly,
+    Re theta = pi/2 and Re x = 0.  This is the one writer of the mirror:
+    `find_roots` builds its roots with it, and `load_decomposition` refuses
+    stored roots that differ from it.
+    """
+    h, q = n - n // 2, n // 2
+    thetas, xs = np.array(thetas[:h], dtype=complex), np.array(xs[:h], dtype=complex)
+    if n % 2:
+        thetas.real[-1], xs.real[-1] = 0.5 * np.pi, 0.0
+    iters, resid = np.asarray(newton_iters[:h]), np.asarray(residuals[:h])
+    return RootSet(n, *(np.concatenate([a, mirror[::-1]]) for a, mirror in (
+        (thetas, np.pi - np.conj(thetas[:q])), (xs, -np.conj(xs[:q])),
+        (iters, iters[:q]), (resid, resid[:q]))))
 
 
 def p_prime(theta, n):

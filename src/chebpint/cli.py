@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -87,24 +88,13 @@ def _fmt(value):
 
 def _emit(rows, config, out_path, fmt):
     if fmt == "json":
-        payload = json.dumps({"config": config, "rows": rows}, indent=2)
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
-        return
-    # CSV: header is the key union in first-seen order (rows may add
-    # failure columns mid-table)
-    keys = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(k, "")) for k in keys))
-    text = "\n".join(lines)
+        text = json.dumps({"config": config, "rows": rows}, indent=2)
+    else:
+        # CSV: header is the key union in first-seen order (rows may add
+        # failure columns mid-table)
+        keys = list(dict.fromkeys(k for row in rows for k in row))
+        text = "\n".join([",".join(keys)] + [
+            ",".join(_fmt(row.get(k, "")) for k in keys) for row in rows])
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -124,7 +114,7 @@ def _median_time(fn, reps=3):
 
 
 def _square_side(m):
-    side = int(round(np.sqrt(m)))
+    side = math.isqrt(max(m, 0))
     if side * side != m:
         raise ValueError(f"--m must be a perfect square for 2D benchmarks, got {m}")
     return side
@@ -255,7 +245,7 @@ def _wave_reference(A, u0, t_points):
 
 
 def cmd_compare_geometric(args):
-    m = args.m
+    m = check_count("--m", args.m, 3)
     dx = 2.0 / m
     op = make_laplacian_1d_periodic(m, dx)
     A = op.dense()
@@ -277,11 +267,8 @@ def cmd_compare_geometric(args):
             gdec = timedisc.geometric_decomposition(grid)
             btilde = np.zeros((n, 2 * m))
             btilde[0] = w0 / grid.steps[0] - (Q @ w0) / 2.0
-            b = np.empty_like(btilde)
-            b[0] = 2.0 * btilde[0]
-            for j in range(1, n):
-                b[j] = 2.0 * btilde[j] - b[j - 1]
-            rep = solve_first_order_linear(gdec, q_op, BlockVector(b), args.workers)
+            b = BlockVector(timedisc.solve_B2(btilde))
+            rep = solve_first_order_linear(gdec, q_op, b, args.workers)
             u_geo = rep.solution.values[:, :m]
             row["geo_error"] = float(np.abs(u_geo - ref_geo).max())
             row["geo_cond2"] = gdec.cond2

@@ -63,7 +63,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .chebroots import RootSet, find_roots, p_prime
+from .chebroots import RootSet, find_roots, mirror_roots, p_prime
 from .errors import (
     ChebPintError,
     DegenerateRootError,
@@ -85,6 +85,7 @@ __all__ = [
 ]
 
 _PIVOT_FLOOR = 1e-300
+_EPS = np.finfo(float).eps
 
 
 def _chebyshev_rows(roots: RootSet, rows):
@@ -310,12 +311,17 @@ class SpectralDecomposition:
     and its inverse; cond2 estimates Cond_2(V); residual is
     ||B - V D V^{-1}||_F / ||B||_F.
 
-    q counts the conjugate pairs: for j < q, eigenvalue n-1-j, column n-1-j
-    of V and row n-1-j of Vinv are bitwise the conjugates of eigenvalue j,
-    column j and row j; every other index pairs with itself.  `decompose`
-    has q = n//2, the real geometric baseline q = 0 (always valid, it just
-    saves nothing).  With h = n - q, the rows j < h are the representatives.
-    A q > 0 whose eigenvalue pairs do not mirror raises ValueError.
+    The fields are dt, eigenvalues, the halves V_half and Vinv_half (below),
+    cond2, residual, roots, phase_times and B.  Two read-only properties
+    follow from the arrays: n = len(eigenvalues), and the pair count
+    q = n - h, where h is the width of V_half.  For j < q, eigenvalue n-1-j,
+    column n-1-j of V and row n-1-j of Vinv are bitwise the conjugates of
+    eigenvalue j, column j and row j; every other index pairs with itself.
+    `decompose` stores h = ceil(n/2) (q = n//2), the real geometric
+    baseline the whole matrices (q = 0, always valid, it just saves
+    nothing).  The rows j < h are the representatives.  The constructor
+    raises ValueError unless V_half is n x h with ceil(n/2) <= h <= n,
+    Vinv_half is h x n and the q eigenvalue pairs mirror.
 
     phase_times holds the seconds of each layer of `decompose` (find_roots,
     build_V, build_Vinv_fast, cond2 and, when computed, residual); it is
@@ -328,9 +334,9 @@ class SpectralDecomposition:
 
     Only the representative halves are stored, as nothing else is read:
     V_half = V[:, :h] (n x h, C order) and Vinv_half = Vinv[:h] (h x n,
-    Fortran order), 16 n^2 bytes for q = n//2; with q = 0 the halves are
-    the whole matrices.  A half has no mirrored part, so it is not checked
-    against one.  The read-only properties V and Vinv build the dense
+    Fortran order), 16 n^2 bytes for h = ceil(n/2); with h = n the halves
+    are the whole matrices.  A half has no mirrored part, so it is not
+    checked against one.  The read-only properties V and Vinv build the dense
     matrix (C and Fortran order) from its half by `_mirror`, on every read.
     Every product with the factors is real, read through float views of the
     halves that do not copy: Vf = V_half.view(float) has the columns
@@ -356,7 +362,6 @@ class SpectralDecomposition:
     Instances are treated as immutable and may be shared across workers.
     """
 
-    n: int
     dt: float
     eigenvalues: np.ndarray
     V_half: np.ndarray
@@ -364,28 +369,36 @@ class SpectralDecomposition:
     cond2: float
     residual: float
     roots: RootSet | None = None
-    q: int = 0
     phase_times: dict = field(default_factory=dict)
     B: np.ndarray | None = None
 
     def __post_init__(self):
-        n, q = self.n, self.q
-        if not 0 <= q <= n // 2:
-            raise ValueError(f"pair count q={q} is not in [0, n//2] for n={n}")
-        h = n - q
+        lam = np.asarray(self.eigenvalues)
+        shape = np.shape(self.V_half)
+        n, h = lam.size, shape[1] if len(shape) == 2 else 0
+        if not n - n // 2 <= h <= n:
+            raise ValueError(f"V_half has shape {shape}, expected (n, h) with "
+                             f"{n - n // 2} <= h <= n = {n}")
         for name, shape in (("eigenvalues", (n,)), ("V_half", (n, h)),
                             ("Vinv_half", (h, n))):
             got = np.shape(getattr(self, name))
             if got != shape:
-                raise ValueError(
-                    f"{name} has shape {got}, expected {shape} for n={n}, q={q}")
-        lam = np.asarray(self.eigenvalues)
+                raise ValueError(f"{name} has shape {got}, expected {shape}")
+        q = n - h
         if not np.array_equal(lam[h:][::-1], np.conj(lam[:q])):
             raise ValueError(
                 f"eigenvalues do not mirror: with q={q}, the pairs j, n-1-j "
                 f"(j < q) must be bitwise conjugate")
         self.V_half = np.ascontiguousarray(self.V_half, dtype=complex)
         self.Vinv_half = np.asfortranarray(self.Vinv_half, dtype=complex)
+
+    @property
+    def n(self):
+        return len(self.eigenvalues)
+
+    @property
+    def q(self):
+        return self.n - self.V_half.shape[1]
 
     @property
     def V(self):
@@ -546,7 +559,6 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
         residual = _timed(times, "residual", decomposition_residual,
                           eigenvalues, V, Vinv, assemble_B(n, dt))
     return SpectralDecomposition(
-        n=n,
         dt=dt,
         eigenvalues=eigenvalues,
         V_half=V,
@@ -554,7 +566,6 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
         cond2=cond2,
         residual=residual,
         roots=roots,
-        q=n // 2,
         phase_times=times,
     )
 
@@ -605,17 +616,19 @@ def load_decomposition(path):
     """Read a decomposition dump written by `save_decomposition`.
 
     The halves are rebuilt from the stored roots by `_chebyshev_rows` and
-    `_inverse_rows`, as in `decompose`, so they, the eigenvalues and q =
-    n//2 come back bitwise; cond2 and the residual are read, not
+    `_inverse_rows`, as in `decompose`, so they and the eigenvalues come
+    back bitwise, with h = ceil(n/2); cond2 and the residual are read, not
     recomputed.  Raises ValueError for anything that is not a complete
     version-2 dump: a bad header (an older version names itself), a payload
     shorter or longer than the 48 n bytes the header announces (checked
-    before anything is read), roots that are not finite, roots off their
-    mirror as `find_roots` writes it (theta_{n-1-j} = pi - conj(theta_j),
-    the same Newton count and residual, and x_{n-1-j} = -conj(x_j) by the
-    constructor's eigenvalue check), a negative Newton count or residual,
-    or a theta on a spurious zero.  An n whose rebuild cannot fit in memory
-    raises ChebPintError (`_check_memory`) before the payload is read.
+    before anything is read), roots that are not finite, a stored array
+    that is not bitwise `chebroots.mirror_roots` of its own first h values
+    (the one form `find_roots` writes), a negative Newton count or
+    residual, a representative x_j farther than 4 eps max(1, |x_j|) from
+    cos(theta_j), or a theta on a spurious zero.  Neither cos nor |rho| is
+    compared bitwise, so a dump written with another libm loads.  An n
+    whose rebuild cannot fit in memory raises ChebPintError
+    (`_check_memory`) before the payload is read.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -654,28 +667,28 @@ def load_decomposition(path):
                 f"dump has {size - expected} trailing bytes after its "
                 f"{expected} payload bytes")
         _check_memory(n)
-        roots = RootSet(n=n, **{
-            name: np.frombuffer(fh.read(n * np.dtype(t).itemsize), t).copy()
-            for name, t in _DUMP_ARRAYS.items()})
-    if not all(np.isfinite(getattr(roots, name)).all() for name in _DUMP_ARRAYS):
+        stored = {name: np.frombuffer(fh.read(n * np.dtype(t).itemsize), t)
+                  for name, t in _DUMP_ARRAYS.items()}
+    if not all(np.isfinite(a).all() for a in stored.values()):
         raise ValueError("dump roots are not all finite")
-    # as find_roots writes them; xs mirror through the eigenvalues, which
-    # the constructor checks
-    q = n // 2
-    for name, mirror in (("thetas", np.pi - np.conj(roots.thetas[:q])),
-                         ("newton_iters", roots.newton_iters[:q]),
-                         ("residuals", roots.residuals[:q])):
-        values = getattr(roots, name)
-        if not np.array_equal(values[n - q:], mirror[::-1]):
-            raise ValueError(f"dump {name}[{n - q}:] do not mirror {name}[:{q}]")
-        if name != "thetas" and values.min() < 0:
+    roots = mirror_roots(n, **stored)
+    h = n - n // 2
+    for name, values in stored.items():
+        if values.tobytes() != getattr(roots, name).tobytes():
+            raise ValueError(f"dump {name} are not mirror_roots of {name}[:{h}]")
+        if name in ("newton_iters", "residuals") and values.min() < 0:
             raise ValueError(f"dump {name} must be >= 0")
+    xs = roots.xs[:h]
+    off = np.abs(xs - np.cos(roots.thetas[:h])) > 4 * _EPS * np.maximum(1.0, np.abs(xs))
+    if off.any():
+        j = int(np.argmax(off))
+        raise ValueError(f"dump xs[{j}] = {complex(xs[j])!r} is not cos(thetas[{j}])")
     P = _chebyshev_rows(roots, n + 1)
     try:
         Vinv = _inverse_rows(roots, P)
     except DegenerateRootError as exc:
         raise ValueError(f"dump roots: {exc}") from None
     return SpectralDecomposition(
-        n=n, dt=dt, eigenvalues=roots.lambdas_unit / dt, V_half=P[:n],
-        Vinv_half=Vinv, cond2=cond2, residual=residual, roots=roots, q=n // 2,
+        dt=dt, eigenvalues=roots.lambdas_unit / dt, V_half=P[:n],
+        Vinv_half=Vinv, cond2=cond2, residual=residual, roots=roots,
     )

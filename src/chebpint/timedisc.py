@@ -42,6 +42,7 @@ __all__ = [
     "rhs_first_order",
     "rhs_second_order",
     "geometric_grid",
+    "solve_B2",
     "assemble_TR_system",
     "geometric_decomposition",
 ]
@@ -224,27 +225,26 @@ def geometric_grid(n, tau, dt_last):
     return GeometricGrid(n=n, tau=tau, dt_last=dt_last)
 
 
-def assemble_TR_system(grid: GeometricGrid):
-    """Trapezoidal-rule all-at-once factors on a geometric grid.
+def solve_B2(X):
+    """B2^{-1} X for the trapezoidal rule's averaging matrix B2 (one-halves
+    on the diagonal and the subdiagonal) and the (n, ...) array X, by
+    forward substitution: row j is 2 X[j] - row j-1."""
+    out = np.empty(np.shape(X))
+    out[0] = 2.0 * X[0]
+    for j in range(1, len(out)):
+        out[j] = 2.0 * X[j] - out[j - 1]
+    return out
 
-    B1 is bidiagonal with rows (-1/dt_j, 1/dt_j), B2 is the lower bidiagonal
-    averaging matrix of one-halves, and B = B2^{-1} B1 (dense).
+
+def assemble_TR_system(grid: GeometricGrid):
+    """The trapezoidal rule's all-at-once matrix B = B2^{-1} B1 on a
+    geometric grid, dense.
+
+    B1 is lower bidiagonal with rows (-1/dt_j, 1/dt_j), and B2 is the
+    averaging matrix of `solve_B2`, which applies its inverse.
     """
-    steps = grid.steps
-    n = grid.n
-    inv = 1.0 / steps
-    B1 = sparse.diags([inv], [0], shape=(n, n), format="lil")
-    for j in range(1, n):
-        B1[j, j - 1] = -inv[j]
-    B1 = B1.tocsr()
-    B2 = sparse.diags([np.full(n, 0.5), np.full(n - 1, 0.5)], [0, -1]).tocsr()
-    # forward substitution for B2^{-1} B1 (B2 is lower bidiagonal)
-    B1d = B1.toarray()
-    B = np.empty((n, n))
-    B[0] = 2.0 * B1d[0]
-    for j in range(1, n):
-        B[j] = 2.0 * B1d[j] - B[j - 1]
-    return B, B1, B2
+    inv = 1.0 / grid.steps
+    return solve_B2(np.diag(inv) - np.diag(inv[1:], -1))
 
 
 def _toeplitz_column(grid: GeometricGrid):
@@ -275,9 +275,9 @@ def geometric_decomposition(grid: GeometricGrid):
     substitution on the Toeplitz factor (exact, O(n^2)) rather than any
     closed-form coefficient formula.  cond2 and the residual against the
     trapezoidal-rule B come from the same diagnostics as `decompose`.  The
-    factors are real and every index pairs with itself (q = 0).  The
-    decomposition carries B, so the solvers' residuals are taken against
-    it and not against the hybrid stencil.
+    factors are real and stored whole, so every index pairs with itself
+    (q = 0).  The decomposition carries B, so the solvers' residuals are
+    taken against it and not against the hybrid stencil.
     """
     n = grid.n
     p = _toeplitz_column(grid)
@@ -295,9 +295,8 @@ def geometric_decomposition(grid: GeometricGrid):
     Vinv = ((1.0 / scale)[:, None] * toeplitz(q, np.zeros(n))).astype(complex)
     eigenvalues = (2.0 / grid.steps).astype(complex)
 
-    B, _, _ = assemble_TR_system(grid)
+    B = assemble_TR_system(grid)
     return SpectralDecomposition(
-        n=n,
         dt=float(grid.steps[-1]),
         eigenvalues=eigenvalues,
         V_half=V,
@@ -305,6 +304,5 @@ def geometric_decomposition(grid: GeometricGrid):
         cond2=cond2_estimate(V, Vinv),
         residual=decomposition_residual(eigenvalues, V, Vinv, B),
         roots=None,
-        q=0,
         B=B,
     )

@@ -8,6 +8,7 @@ from chebpint.chebroots import (
     cheb_eval,
     characteristic_residuals,
     find_roots,
+    mirror_roots,
     p_prime,
     refined_guesses,
     rho_and_derivative,
@@ -213,6 +214,26 @@ def test_find_roots_mirrors_bitwise(n):
     assert np.array_equal(lam[::-1], np.conj(lam))
     if n % 2:
         assert rs.xs[q].real == 0.0 and rs.thetas[q].real == np.pi / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+def test_mirror_roots_reads_only_the_representatives(n):
+    # find_roots' arrays are mirror_roots of themselves, bitwise; the values
+    # past h = ceil(n/2) are not read, and the middle root of odd n is put
+    # on the axis
+    rs = find_roots(n)
+    names = ("thetas", "xs", "newton_iters", "residuals")
+    arrays = [getattr(rs, k).copy() for k in names]
+    for a in arrays:
+        a[n - n // 2:] = 7
+    h = n - n // 2
+    if n % 2:
+        arrays[0][h - 1] += 0.25
+        arrays[1][h - 1] += 0.25
+    got = mirror_roots(n, *arrays)
+    assert got.n == n
+    for k in names:
+        assert getattr(got, k).tobytes() == getattr(rs, k).tobytes(), k
 
 
 def test_eigenvalue_conjugate_pairing():

@@ -136,6 +136,18 @@ def test_convergence_rejects_non_square_m(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--kind", "heat", "--n-list", "4"],
+    ["bench", "--kind", "heat", "--n", "4", "--workers-list", "1"],
+])
+def test_negative_m_is_not_a_perfect_square(argv, capsys):
+    # a negative --m has no square root: the same message as any other
+    # non-square, not a failed float-to-int conversion
+    assert main(argv + ["--m", "-4"]) == 1
+    err = capsys.readouterr().err
+    assert "--m must be a perfect square for 2D benchmarks, got -4" in err
+
+
 # -------------------------------------------------------- compare-geometric
 
 def test_compare_geometric_small(tmp_path):
@@ -217,9 +229,15 @@ def test_exit_code_bad_n_list():
     # the second-order rhs needs two steps
     ["convergence", "--kind", "wave", "--m", "16", "--n-list", "1"],
     ["bench", "--kind", "wave", "--m", "16", "--n", "1", "--workers-list", "1"],
+    # the periodic grid needs three points, checked before dx = 2 / m
+    ["compare-geometric", "--m", "0", "--n-max", "4"],
+    ["compare-geometric", "--m", "2", "--n-max", "4"],
 ])
-def test_exit_code_empty_budget_or_grid(argv):
+def test_exit_code_empty_budget_or_grid(argv, capsys):
     assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("chebpint:") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -115,7 +115,7 @@ def test_decompose_factors_are_the_dense_builders_bitwise(n):
 def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
     dec = decompose(n, 0.1, with_residual=False)
     if not paired:
-        dec = dataclasses.replace(dec, q=0, V_half=dec.V, Vinv_half=dec.Vinv)
+        dec = dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv)
     assert dec.q == (n // 2 if paired else 0)
     rng = np.random.default_rng(seed)
     # W is not mirrored: step (c) must give both parts of V W for any W
@@ -219,7 +219,8 @@ def _field_is_bad(key, value):
 _BAD_NUMBERS = st.sampled_from(["-1", "0", "-0.0", "nan", "inf", "-inf", "-5"])
 
 #: what a broken payload may hold in its roots
-_CORRUPTIONS = ("non-finite", "mirror", "negative", "spurious-zero")
+_CORRUPTIONS = ("non-finite", "mirror", "negative", "spurious-zero",
+                "middle-theta", "x-off-cos")
 
 
 def _payload(draw, n, corrupt):
@@ -227,12 +228,16 @@ def _payload(draw, n, corrupt):
     one of them broken: a value of thetas, xs or residuals made nan or
     infinite, a mirrored value of any array moved by one ulp (one count
     for newton_iters), newton_iters or residuals all negative (so that
-    they still mirror), or a representative theta put on the spurious zero
-    theta = 0."""
+    they still mirror), a representative theta put on the spurious zero
+    theta = 0, the middle theta of an odd n moved off Re theta = pi/2 by
+    one ulp, or a representative x moved off cos(theta) by 1e-6 (with its
+    mirror, so that the mirror holds)."""
     roots = find_roots(n)
     arrays = {k: np.array(getattr(roots, k), dtype=t)
               for k, t in spectral._DUMP_ARRAYS.items()}
-    kinds = [k for k in _CORRUPTIONS if n > 1 or k != "mirror"]   # n = 1: no pair
+    # n = 1 has no pair, an even n no middle root
+    kinds = [k for k in _CORRUPTIONS if (n > 1 or k != "mirror")
+             and (n % 2 or k != "middle-theta")]
     kind = draw(st.sampled_from(kinds)) if corrupt else None
     h = n - n // 2
     if kind == "non-finite":
@@ -252,6 +257,16 @@ def _payload(draw, n, corrupt):
             st.integers(1, 9))
     elif kind == "spurious-zero":
         arrays["thetas"][draw(st.integers(0, h - 1))] = 0.0
+    elif kind == "middle-theta":
+        theta = arrays["thetas"][h - 1]
+        arrays["thetas"][h - 1] = complex(
+            np.nextafter(theta.real, draw(st.sampled_from([-np.inf, np.inf]))),
+            theta.imag)
+    elif kind == "x-off-cos":
+        j = draw(st.integers(0, h - 1))
+        arrays["xs"][j] += draw(st.sampled_from([1e-6, -1e-6j]))
+        if j < n // 2:
+            arrays["xs"][n - 1 - j] = -np.conj(arrays["xs"][j])
     return b"".join(a.tobytes() for a in arrays.values())
 
 

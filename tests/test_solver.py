@@ -241,11 +241,11 @@ def test_geometric_baseline_matches_dense_trapezoidal_oracle():
     n, m = 10, 3
     grid = geometric_grid(n, 1.15, 0.1)
     gdec = geometric_decomposition(grid)
-    assert gdec.q == 0
+    assert gdec.q == 0 and gdec.n == n
     M = rng.normal(size=(m, m))
     A = M @ M.T + m * np.eye(m)
     b = rng.normal(size=(n, m))
-    B, _, _ = assemble_TR_system(grid)
+    B = assemble_TR_system(grid)
     expected = np.linalg.solve(np.kron(B, np.eye(m)) + np.kron(np.eye(n), A),
                                b.ravel()).reshape(n, m)
     rep = solve_first_order_linear(gdec, make_dense_operator(A), BlockVector(b))
@@ -528,7 +528,7 @@ def test_sni_solves_only_the_representative_rows(n):
 
     # with q = 0 every row is its own representative, and all n are solved
     prob.operator = spy = _RowSpy(spy.inner)
-    solve_semilinear_sni(prob, dataclasses.replace(dec, q=0, V_half=dec.V,
+    solve_semilinear_sni(prob, dataclasses.replace(dec, V_half=dec.V,
                                                    Vinv_half=dec.Vinv),
                          tol=1e-11, max_iter=10)
     assert rows(spy.batched) == set(range(n))
@@ -547,11 +547,11 @@ def test_linear_drivers_solve_every_row(order):
 
 @pytest.mark.parametrize("n", [15, 16])
 def test_sni_representatives_match_the_all_shift_oracle(n):
-    # q = 0 makes SNI solve all n shifts, the mirrored ones too
+    # dense halves (q = 0) make SNI solve all n shifts, the mirrored ones too
     bench = make_benchmark("semilinear", 15, n=n, T=2.0)
     dec = decompose(n, bench.grid.dt)
     got = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40)
-    unpaired = dataclasses.replace(dec, q=0, V_half=dec.V, Vinv_half=dec.Vinv)
+    unpaired = dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv)
     oracle = solve_semilinear_sni(bench.semilinear(), unpaired, tol=1e-8, max_iter=40)
     assert got.iterations == oracle.iterations
     diff = np.linalg.norm(got.solution.values - oracle.solution.values)

@@ -439,21 +439,33 @@ def test_decompose_agrees_with_dense_eigensolver():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8])
 def test_factors_read_back_bitwise_as_given(n):
-    # the constructor keeps the halves it is given, and a read of V or Vinv
-    # mirrors them: the dense builders' bytes come back, in C and Fortran
-    # order
+    # the constructor keeps the halves it is given, n and q follow from
+    # their shapes, and a read of V or Vinv mirrors them: the dense
+    # builders' bytes come back, in C and Fortran order
     roots = find_roots(n)
     V, Vinv = build_V(roots), build_Vinv_fast(roots)
     h = n - n // 2
     dec = spectral.SpectralDecomposition(
-        n=n, dt=0.1, eigenvalues=roots.lambdas_unit / 0.1, V_half=V[:, :h],
-        Vinv_half=Vinv[:h], cond2=1.0, residual=0.0, q=n // 2)
+        dt=0.1, eigenvalues=roots.lambdas_unit / 0.1, V_half=V[:, :h],
+        Vinv_half=Vinv[:h], cond2=1.0, residual=0.0)
+    assert (dec.n, dec.q) == (n, n // 2)
     assert dec.V.flags.c_contiguous and dec.Vinv.flags.f_contiguous
     assert dec.V.tobytes() == V.tobytes()
     assert dec.Vinv.tobytes(order="F") == Vinv.tobytes(order="F")
-    for name in ("V", "Vinv"):
+    for name in ("V", "Vinv", "n", "q"):
         with pytest.raises(AttributeError):
             setattr(dec, name, V)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_dense_halves_pair_nothing(n):
+    # the whole matrices are halves of width n: q = 0, every index its own
+    # representative, and the dense factors read back as given
+    dec = decompose(n, 0.1, with_residual=False)
+    dense = dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv)
+    assert (dense.n, dense.q, dec.q) == (n, 0, n // 2)
+    assert dense.V.tobytes() == dec.V.tobytes()
+    assert dense.Vinv.tobytes(order="F") == dec.Vinv.tobytes(order="F")
 
 
 @pytest.mark.parametrize("field", ["eigenvalues"])
@@ -466,7 +478,7 @@ def test_decomposition_rejects_pairs_off_the_mirror(field):
     M[10] = complex(np.nextafter(M[10].real, np.inf), M[10].imag)
     with pytest.raises(ValueError, match=f"^{field} do not mirror"):
         dataclasses.replace(dec, **{field: M})
-    unpaired = dataclasses.replace(dec, q=0, V_half=dec.V, Vinv_half=dec.Vinv,
+    unpaired = dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv,
                                    **{field: M})
     assert np.array_equal(getattr(unpaired, field), M)
 
@@ -501,7 +513,8 @@ def _one_ulp_up(xs, j):
 def test_load_uses_pairs_only_where_the_dump_mirrors(tmp_path):
     # a dump of decompose loads with its n//2 pairs and solves bitwise as
     # the decomposition it came from; the rebuild never reads a mirrored
-    # root, so one moved by one ulp is refused by the eigenvalue check
+    # root, so one moved by one ulp is refused: it is not mirror_roots of
+    # the representatives
     n = 13
     dec = decompose(n, 0.5)
     path = tmp_path / "dec.bin"
@@ -517,19 +530,27 @@ def test_load_uses_pairs_only_where_the_dump_mirrors(tmp_path):
     have = solve_first_order_linear(back, op, rhs).solution.values
     assert np.array_equal(have, want)
     _save_with_roots(dec, path, xs=_one_ulp_up(dec.roots.xs, n - 1 - 2))
-    with pytest.raises(ValueError, match="eigenvalues do not mirror"):
+    with pytest.raises(ValueError, match=r"dump xs are not mirror_roots of xs\[:7\]"):
         load_decomposition(path)
 
 
 def test_load_pairs_only_mirrored_eigenvalues(tmp_path):
-    # a representative root one ulp off: the rebuild reads it, and the
-    # eigenvalues it gives no longer mirror, so the dump is refused
+    # a representative root one ulp off, its mirror not, is refused; moved
+    # with its mirror it is within 4 eps of cos(theta), as a dump written
+    # with another libm may be, and loads with eigenvalues that mirror
     dec = decompose(13, 0.5)
     path = tmp_path / "dec.bin"
-    _save_with_roots(dec, path, xs=_one_ulp_up(dec.roots.xs, 2))
-    with pytest.raises(ValueError, match="eigenvalues do not mirror") as exc:
+    xs = _one_ulp_up(dec.roots.xs, 2)
+    _save_with_roots(dec, path, xs=xs)
+    with pytest.raises(ValueError, match="dump xs are not mirror_roots") as exc:
         load_decomposition(path)
     assert type(exc.value) is ValueError
+    xs[10] = -np.conj(xs[2])
+    _save_with_roots(dec, path, xs=xs)
+    back = load_decomposition(path)
+    assert back.roots.xs.tobytes() == xs.tobytes()
+    assert back.q == 6
+    assert np.array_equal(back.eigenvalues[7:][::-1], np.conj(back.eigenvalues[:6]))
 
 
 @pytest.mark.parametrize("kind", ["nan-theta", "inf-x", "nan-residual",
@@ -545,6 +566,8 @@ def test_load_rejects_corrupt_roots(tmp_path, kind):
         arrays["residuals"][6] = np.nan
     else:                    # a representative index, and its mirror
         arrays["thetas"][3], arrays["thetas"][9] = 0.0, np.pi
+        # x = cos(theta), so that only the spurious zero is wrong
+        arrays["xs"][3], arrays["xs"][9] = 1.0, -1.0
     path = tmp_path / "dec.bin"
     _save_with_roots(dec, path, **arrays)
     message = "spurious zero" if kind == "theta-on-zero" else "not all finite"
@@ -557,15 +580,26 @@ def test_load_rejects_corrupt_roots(tmp_path, kind):
     # loaded before, reading newton_iters_max = 1 and a characteristic
     # residual of 4.3
     ({"thetas": {12: 0.3 + 0.1j}, "newton_iters": {0: -7}},
-     r"dump thetas\[7:\] do not mirror thetas\[:6\]"),
-    ({"newton_iters": {0: -7}}, r"dump newton_iters\[7:\] do not mirror"),
-    ({"residuals": {11: 1e-3}}, r"dump residuals\[7:\] do not mirror"),
+     r"dump thetas are not mirror_roots of thetas\[:7\]"),
+    ({"newton_iters": {0: -7}}, r"dump newton_iters are not mirror_roots"),
+    ({"residuals": {11: 1e-3}}, r"dump residuals are not mirror_roots"),
     ({"newton_iters": {0: -7, 12: -7}}, "dump newton_iters must be >= 0"),
     ({"residuals": {1: -1.0, 11: -1.0}}, "dump residuals must be >= 0"),
+    # the middle root pairs with itself: Re theta = pi/2 and Re x = 0
+    ({"thetas": {6: 1.5 + 0.1j}}, r"dump thetas are not mirror_roots"),
+    ({"xs": {6: 1e-3 - 0.1j}}, r"dump xs are not mirror_roots"),
+    # no mirror covers the imaginary part of the middle root: these loaded
+    # before, and the factors rebuilt from them had ||Vinv V - I|| = 0.13
+    # and 0.11 (2.6e-14 as saved; x_6 is -0.1849j)
+    ({"thetas": {6: np.pi / 2 + 0.1j}}, r"dump xs\[6\] = .* is not cos\(thetas\[6\]\)"),
+    ({"xs": {6: complex(0.0, -0.1749)}},
+     r"dump xs\[6\] = .* is not cos\(thetas\[6\]\)"),
 ], ids=["theta-and-count", "count", "residual", "negative-count",
-        "negative-residual"])
+        "negative-residual", "middle-theta-off-axis", "middle-x-off-axis",
+        "middle-theta-off-cos", "middle-x-off-cos"])
 def test_load_checks_the_whole_mirror_of_the_roots(tmp_path, changes, message):
-    # thetas, newton_iters and residuals mirror as find_roots writes them
+    # the stored roots are mirror_roots of their representatives, as
+    # find_roots writes them, and each representative x is cos(theta)
     dec = decompose(13, 0.5)
     arrays = {name: getattr(dec.roots, name).copy() for name in changes}
     for name, values in changes.items():
@@ -671,28 +705,34 @@ def test_vinv_is_stored_fortran_ordered(tmp_path):
     save_decomposition(dec, path)
     for d in (dec, load_decomposition(path),
               geometric_decomposition(geometric_grid(9, 1.15, 1e-2)),
-              dataclasses.replace(dec, q=0, V_half=dec.V, Vinv_half=dec.Vinv)):
+              dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv)):
         assert d.Vinv_half.flags.f_contiguous and d.Vinv.flags.f_contiguous
         assert d.V_half.flags.c_contiguous and d.V.flags.c_contiguous
 
 
-@pytest.mark.parametrize("field, shape", [
-    ("eigenvalues", (3,)), ("V", (4, 4)), ("Vinv", (3, 4)),
-])
-def test_decomposition_rejects_bad_shapes(field, shape):
+@pytest.mark.parametrize("field, shape, named", [
+    ("eigenvalues", (4, 1), "eigenvalues"), ("V", (3, 2), "V_half"),
+    ("Vinv", (3, 4), "Vinv_half"), ("V", (4, 4), "Vinv_half"),
+], ids=["eigenvalues-shape0", "V-shape1", "Vinv-shape2", "V-dense"])
+def test_decomposition_rejects_bad_shapes(field, shape, named):
     # the factors are given as their halves, V_half (n x h) and Vinv_half
-    # (h x n); with n = 4 and h = 2 a dense V is refused too
+    # (h x n), n = len(eigenvalues); with n = 4 a dense V sets h = 4, so
+    # the half V^{-1} (2 x 4) is refused with it
     dec = decompose(4, 0.5)
     name = field if field == "eigenvalues" else f"{field}_half"
-    with pytest.raises(ValueError, match=f"{name} has shape"):
+    with pytest.raises(ValueError, match=f"^{named} has shape"):
         dataclasses.replace(dec, **{name: np.zeros(shape, dtype=complex)})
 
 
 @pytest.mark.parametrize("q", [-1, 7])
 def test_decomposition_rejects_pair_count_out_of_range(q):
+    # q = n - h: a V_half wider than n, or narrower than ceil(n/2), has no
+    # pair count in [0, n//2]
     dec = decompose(13, 0.5)
-    with pytest.raises(ValueError, match="pair count"):
-        dataclasses.replace(dec, q=q)
+    h = 13 - q
+    with pytest.raises(ValueError, match=r"^V_half has shape .* 7 <= h <= n = 13"):
+        dataclasses.replace(dec, V_half=np.zeros((13, h), dtype=complex),
+                            Vinv_half=np.zeros((h, 13), dtype=complex))
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -743,9 +783,10 @@ def test_load_rejects_garbage(tmp_path):
      "cond2 must be positive and finite"),
     (b"chebpint-decomp 2 n=1 dt=0.5 cond2=1.0 residual=-5.0\n" + bytes(48),
      "residual must be >= 0 or nan"),
-    # a complete n = 1 header over zeros: theta = 0 is no root
+    # a complete n = 1 header over zeros: the one root pairs with itself,
+    # so its theta has real part pi/2, not 0
     (b"chebpint-decomp 2 n=1 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
-     "spurious zero"),
+     r"dump thetas are not mirror_roots of thetas\[:1\]"),
     # version 1 stored the dense factors (16 (n + 2n^2) bytes)
     (b"chebpint-decomp 1 n=1 dt=0.5 cond2=1.0 residual=0.0\n" + bytes(48),
      "dump version 1 is not read.*re-run `chebpint decompose --dump`"),

@@ -20,6 +20,7 @@ from chebpint.timedisc import (
     geometric_grid,
     rhs_first_order,
     rhs_second_order,
+    solve_B2,
 )
 
 
@@ -227,22 +228,41 @@ def test_geometric_grid_validation():
 
 # ----------------------------------------------------------------- TR system
 
+def _tr_factors(grid):
+    """The trapezoidal rule's B1 (rows -1/dt_j, 1/dt_j) and averaging B2
+    (one-halves on the diagonal and the subdiagonal), dense, built here
+    as the oracle of B = B2^{-1} B1."""
+    n, inv = grid.n, 1.0 / grid.steps
+    B1 = np.diag(inv)
+    B2 = 0.5 * np.eye(n)
+    for j in range(1, n):
+        B1[j, j - 1] = -inv[j]
+        B2[j, j - 1] = 0.5
+    return B1, B2
+
+
 def test_assemble_TR_n1():
-    B, B1, B2 = assemble_TR_system(geometric_grid(1, 1.5, 0.2))
-    assert B1.toarray() == pytest.approx(np.array([[5.0]]))
-    assert B2.toarray() == pytest.approx(np.array([[0.5]]))
-    assert B == pytest.approx(np.array([[10.0]]))
+    grid = geometric_grid(1, 1.5, 0.2)
+    B1, B2 = _tr_factors(grid)
+    assert B1 == pytest.approx(np.array([[5.0]]))
+    assert B2 == pytest.approx(np.array([[0.5]]))
+    assert assemble_TR_system(grid) == pytest.approx(np.array([[10.0]]))
 
 
 def test_assemble_TR_defining_identity():
     grid = geometric_grid(9, 1.15, 0.01)
-    B, B1, B2 = assemble_TR_system(grid)
-    assert np.abs(B2.toarray() @ B - B1.toarray()).max() < 1e-12
+    B = assemble_TR_system(grid)
+    B1, B2 = _tr_factors(grid)
+    assert np.abs(B2 @ B - B1).max() < 1e-12
+    # solve_B2 is B2^{-1} on any (n, m) array, as the geometric CLI's
+    # right-hand side uses it
+    X = np.random.default_rng(5).normal(size=(9, 4))
+    assert np.abs(B2 @ solve_B2(X) - X).max() < 1e-12
 
 
 def test_assemble_TR_eigenvalues():
     grid = geometric_grid(8, 1.15, 0.01)
-    B, _, _ = assemble_TR_system(grid)
+    B = assemble_TR_system(grid)
     lam = np.sort(np.linalg.eigvals(B).real)
     assert np.abs(np.linalg.eigvals(B).imag).max() < 1e-9
     assert lam == pytest.approx(np.sort(2.0 / grid.steps), rel=1e-9)
@@ -268,7 +288,7 @@ def test_geometric_decomposition_residual_small_n():
     for n in (2, 7, 20):
         grid = geometric_grid(n, 1.15, 0.01)
         dec = geometric_decomposition(grid)
-        B, _, _ = assemble_TR_system(grid)
+        B = assemble_TR_system(grid)
         rel = (np.linalg.norm(B @ dec.V - dec.V * dec.eigenvalues[None, :])
                / np.linalg.norm(B))
         assert rel < 1e-8
