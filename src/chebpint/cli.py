@@ -117,6 +117,8 @@ def _square_side(m):
     side = math.isqrt(max(m, 0))
     if side * side != m:
         raise ValueError(f"--m must be a perfect square for 2D benchmarks, got {m}")
+    if side < 1:
+        raise ValueError(f"--m must be >= 1, got {m}")
     return side
 
 
@@ -427,6 +429,9 @@ def main(argv=None):
     except (ChebPintError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"chebpint: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:   # the last resort: sizes no guard counts
+        print(f"chebpint: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -418,11 +418,14 @@ def _semilinear_benchmark(points_per_dim):
     P = ((X**2 - 1.0) * (Y**2 - 1.0)).ravel()
     S = ((X**2 - 1.0) + (Y**2 - 1.0)).ravel()
 
+    # products, not powers: u**3 goes through the general power, 0.63 ms
+    # against 0.18 ms for u*u*u on a 32 x 63^2 solution, and each SNI
+    # sweep evaluates f and the Jacobian once
     def f(u):
-        return u**3 - u
+        return u * u * u - u
 
     def jac_diag(u):
-        return 3.0 * u**2 - 1.0
+        return 3.0 * (u * u) - 1.0
 
     def source(t):
         return (-2.0 * np.exp(-t) * P

@@ -360,6 +360,9 @@ class SpectralDecomposition:
       n from `decompose`); both parts stay exact for any w.
 
     Instances are treated as immutable and may be shared across workers.
+    eigenvalues, V_half and Vinv_half are read-only views, so an in-place
+    write raises ValueError instead of breaking the mirror the constructor
+    checked, and the arrays a caller passed in stay writable.
     """
 
     dt: float
@@ -389,8 +392,13 @@ class SpectralDecomposition:
             raise ValueError(
                 f"eigenvalues do not mirror: with q={q}, the pairs j, n-1-j "
                 f"(j < q) must be bitwise conjugate")
-        self.V_half = np.ascontiguousarray(self.V_half, dtype=complex)
-        self.Vinv_half = np.asfortranarray(self.Vinv_half, dtype=complex)
+        for name, array in (
+                ("eigenvalues", lam),
+                ("V_half", np.ascontiguousarray(self.V_half, dtype=complex)),
+                ("Vinv_half", np.asfortranarray(self.Vinv_half, dtype=complex))):
+            view = array.view()
+            view.flags.writeable = False
+            setattr(self, name, view)
 
     @property
     def n(self):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from chebpint import cli
 from chebpint.cli import main
 
 
@@ -148,6 +149,19 @@ def test_negative_m_is_not_a_perfect_square(argv, capsys):
     assert "--m must be a perfect square for 2D benchmarks, got -4" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--kind", "heat", "--n-list", "4"],
+    ["bench", "--kind", "heat", "--n", "4", "--workers-list", "1"],
+])
+def test_zero_m_names_the_flag(argv, capsys):
+    # 0 is a perfect square, but no grid: the message names --m, not the
+    # library's points_per_dim
+    assert main(argv + ["--m", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("chebpint:") == 1 and "--m must be >= 1, got 0" in err
+    assert "points_per_dim" not in err and "Traceback" not in err
+
+
 # -------------------------------------------------------- compare-geometric
 
 def test_compare_geometric_small(tmp_path):
@@ -269,6 +283,17 @@ def test_exit_code_numerical_failure():
     code = main(["convergence", "--kind", "semilinear", "--m", "16",
                  "--n-list", "4", "--tol", "1e-300", "--max-iter", "3"])
     assert code == 2
+
+
+def test_memory_error_is_one_line(monkeypatch, capsys):
+    # the last resort for a size no memory guard counts: no traceback
+    def out_of_memory(args):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "cmd_compare_geometric", out_of_memory)
+    assert main(["compare-geometric"]) == 1
+    err = capsys.readouterr().err
+    assert err == "chebpint: out of memory: Unable to allocate 745. GiB\n"
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):

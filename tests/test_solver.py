@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from chebpint import solver
 from chebpint.errors import (
     DimensionMismatchError,
     MaxIterationsError,
@@ -616,9 +617,9 @@ def test_sni_rejects_nonlinearity_of_the_wrong_shape(name):
         solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=5)
 
 
-def _per_shift_fixed_point(op, sigma, d, c, g, w, rtol):
-    """Reference: one shift's fixed point on the per-shift solve.
-    Returns (w, updates, fell_back)."""
+def _per_shift_fixed_point(op, sigma, d, c, g, w, rtol, rho):
+    """Reference: one shift's fixed point on the per-shift solve, from the
+    contraction estimate rho.  Returns (w, updates, fell_back, rho)."""
     shift, e = sigma + c, d - c
     if w is None:
         w = op.shifted_solve(shift, g)
@@ -626,17 +627,22 @@ def _per_shift_fixed_point(op, sigma, d, c, g, w, rtol):
     for updates in range(1, _FP_MAX_SWEEPS + 1):
         w_new = op.shifted_solve(shift, g - e * w)
         step = np.linalg.norm(w_new - w)
-        if step <= rtol * np.linalg.norm(w_new):
-            return w_new, updates, False
+        if step < last < np.inf:
+            rho = step / last
+        predicted = step * min(1.0, rho / (1.0 - min(rho, 0.5)))
+        if predicted <= rtol * np.linalg.norm(w_new):
+            return w_new, updates, False, rho
         if not step < last:
             break
         w, last = w_new, step
-    return op.shifted_diag_solve(sigma, d, g), updates, True
+    return op.shifted_diag_solve(sigma, d, g), updates, True, rho
 
 
 def test_fixed_point_chunk_matches_the_per_shift_loop():
-    # Jacobians spread over [-3, 8] and [-20, 8]: rows converge after varied
-    # update counts, stall (an update stops shrinking) or hit the update cap
+    # Jacobians spread over [-3, 8] and [-20, 8]: rows converge after one or
+    # more updates, stall (an update stops shrinking) or hit the update cap;
+    # the contraction estimates start at 1, or the next sweep carries them
+    # with its warm starts to a right-hand side changed by about rtol
     rng = np.random.default_rng(53)
     m, n = 6, 16
     M = rng.normal(size=(m, m))
@@ -645,22 +651,53 @@ def test_fixed_point_chunk_matches_the_per_shift_loop():
     G0 = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     W0 = G0[::-1].copy()
     seen = set()
-    for low, cold, rtol in ((-3.0, True, 1e-13), (-3.0, False, 1e-8),
-                            (-20.0, True, 1e-13)):
+    for low, cold, rtol, carried in ((-3.0, True, 1e-13, False),
+                                     (-3.0, False, 1e-8, True),
+                                     (-3.0, False, 1e-8, False),
+                                     (-20.0, True, 1e-13, False)):
         d = np.linspace(low, 8.0, m)
         c = 0.5 * (d.min() + d.max())
-        G, W = G0.copy(), W0.copy()
+        if carried:
+            G_in, W_in, rho_in = G0 * (1 + 2e-8), W.copy(), rho.copy()
+        else:
+            G_in, W_in, rho_in = G0, W0, np.ones(n)
+        G, W, rho = G_in.copy(), W_in.copy(), rho_in.copy()
         updates = np.zeros(n, dtype=int)
         fell_back = np.ones(n, dtype=bool)   # stale flags of a last sweep
-        _fixed_point_chunk(op, sigmas, d, c, G, W, cold, rtol, updates, fell_back)
+        _fixed_point_chunk(op, sigmas, d, c, G, W, cold, rtol, rho, updates,
+                           fell_back)
         for j in range(n):
-            w, count, fell = _per_shift_fixed_point(
-                op, sigmas[j], d, c, G0[j], None if cold else W0[j], rtol)
+            w, count, fell, r = _per_shift_fixed_point(
+                op, sigmas[j], d, c, G_in[j], None if cold else W_in[j], rtol,
+                rho_in[j])
             assert np.array_equal(G[j], w) and np.array_equal(W[j], w), (low, cold, j)
-            assert (updates[j], fell_back[j]) == (count, fell), (low, cold, j)
+            assert (updates[j], fell_back[j], rho[j]) == (count, fell, r), (low, cold, j)
             seen.add("capped" if count == _FP_MAX_SWEEPS else
-                     "stalled" if fell else "converged")
-    assert seen == {"converged", "stalled", "capped"}
+                     "stalled" if fell else
+                     "one update" if count == 1 else "converged")
+    assert seen == {"one update", "converged", "stalled", "capped"}
+
+
+def test_fixed_point_chunk_with_a_constant_jacobian_is_one_solve():
+    # d - c = 0: the cold solve is already exact, so no row is updated
+    rng = np.random.default_rng(7)
+    m, n = 6, 16
+    M = rng.normal(size=(m, m))
+    op = _RowSpy(make_dense_operator(M @ M.T + np.eye(m)))
+    sigmas = decompose(n, 0.05).eigenvalues
+    G0 = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    G, W, rho = G0.copy(), np.empty_like(G0), np.full(n, 0.3)
+    updates = np.ones(n, dtype=int)
+    fell_back = np.ones(n, dtype=bool)
+    _fixed_point_chunk(op, sigmas, np.full(m, 2.5), 2.5, G, W, True, 1e-13,
+                       rho, updates, fell_back)
+    # one batched solve of the n rows: an update would solve rows again
+    assert np.array_equal(op.batched, sigmas + 2.5)
+    expected = G0.copy()
+    op.inner.shifted_solve_batch(sigmas + 2.5, expected)
+    assert np.array_equal(G, expected) and np.array_equal(W, expected)
+    assert not updates.any() and not fell_back.any() and op.exact == []
+    assert np.array_equal(rho, np.full(n, 0.3))
 
 
 def test_sni_benchmark_needs_no_exact_diagonal_solve():
@@ -692,10 +729,10 @@ def _dense_newton_oracle(A, u0, g, dt, f, jac_diag):
     return u.reshape(n, m)
 
 
-def test_sni_forcing_term_matches_full_newton_oracle():
-    # a spatially varying Jacobian: some shifts fall back to the exact solve,
-    # and sweeps after the first stop their fixed points at 0.1 * rel_k
-    rng = np.random.default_rng(53)
+def _dense_cubic_problem(seed):
+    """f(u) = s*u + 0.3u^3 with s spread over [-3, 8] on a dense m = 6
+    operator, n = 16: returns the problem, A, u0, g and dt."""
+    rng = np.random.default_rng(seed)
     m, n, dt = 6, 16, 0.05
     M = rng.normal(size=(m, m))
     A = M @ M.T + np.eye(m)
@@ -705,7 +742,14 @@ def test_sni_forcing_term_matches_full_newton_oracle():
     prob = _linear_semilinear_problem(A, u0, g, dt)
     prob.f = lambda u: s * u + 0.3 * u**3
     prob.jac_diag = lambda u: s + 0.9 * u**2
-    rep = solve_semilinear_sni(prob, decompose(n, dt), tol=1e-11, max_iter=30)
+    return prob, A, u0, g, dt
+
+
+def test_sni_forcing_term_matches_full_newton_oracle():
+    # a spatially varying Jacobian: some shifts fall back to the exact solve,
+    # and sweeps after the first stop their fixed points at 0.1 * rel_k
+    prob, A, u0, g, dt = _dense_cubic_problem(53)
+    rep = solve_semilinear_sni(prob, decompose(16, dt), tol=1e-11, max_iter=30)
     expected = _dense_newton_oracle(A, u0, g, dt, prob.f, prob.jac_diag)
     assert np.abs(rep.solution.values - expected).max() < 1e-9
     assert rep.residual_history[-1] <= 1e-11
@@ -718,6 +762,17 @@ def test_sni_forcing_term_matches_full_newton_oracle():
     assert sum(r["fallbacks"] for r in sweeps) > 0
 
 
+@pytest.mark.parametrize("seed, sweeps", [(61, 11), (53, 12)])
+def test_sni_dense_problems_keep_their_sweep_counts(seed, sweeps):
+    # an inner stop on the predicted error costs these problems at most one
+    # sweep over the 10 and 11 that a stop on a confirming update took
+    prob, A, u0, g, dt = _dense_cubic_problem(seed)
+    rep = solve_semilinear_sni(prob, decompose(16, dt), tol=1e-11, max_iter=30)
+    expected = _dense_newton_oracle(A, u0, g, dt, prob.f, prob.jac_diag)
+    assert np.abs(rep.solution.values - expected).max() < 1e-9
+    assert rep.iterations <= sweeps
+
+
 def test_sni_benchmark_sweeps_unchanged_by_forcing_term():
     # the sni-semilinear workload: 8 sweeps with or without the forcing term
     bench = make_benchmark("semilinear", 63, n=32, T=2.0)
@@ -726,25 +781,67 @@ def test_sni_benchmark_sweeps_unchanged_by_forcing_term():
     assert rep.residual_history[-1] <= 1e-8
     assert len(rep.sweeps) == rep.iterations == 8
     assert all(r["fallbacks"] == 0 for r in rep.sweeps)
-    assert all(1 <= r["updates_max"] <= r["updates_total"] for r in rep.sweeps)
-    # the 16 representative shifts took 240 updates in all
-    assert sum(r["updates_total"] for r in rep.sweeps) < 3 * 16 * 8
+    # jac(0) is constant, so sweep 0's cold solves are exact
+    assert rep.sweeps[0]["updates_total"] == 0
+    assert all(1 <= r["updates_max"] <= r["updates_total"] for r in rep.sweeps[1:])
+    # the 16 representative shifts took 128 updates in all
+    assert sum(r["updates_total"] for r in rep.sweeps) <= 144
 
 
-def test_sni_sweep_records_do_not_depend_on_worker_count():
-    # each worker writes the counts of its own shifts; five workers on 16
-    # shifts with frequent thread switches would expose a lost update
+def _amplitude_problem(bench, a):
+    """The benchmark's semilinear problem for the solution a * exp(-t) * P:
+    its forcing is made for a = 1, so the linear part scales by a and the
+    cubic part by a**3."""
+    prob = bench.semilinear()
+    base, cube = prob.source, bench.u0**3
+    prob.source = lambda t: a * base(t) + (a**3 - a) * np.exp(-3.0 * t) * cube
+    prob.u0 = a * bench.u0
+    return prob
+
+
+@pytest.mark.parametrize("a", [0.97, 1.0, 1.08])
+def test_sni_benchmark_spectral_solves_per_solve(a):
+    # at most one update per representative shift per sweep after the first
+    # warm sweep: at most 160 spectral solves, where 256 were taken before
+    bench = make_benchmark("semilinear", 63, n=32, T=2.0)
+    prob = _amplitude_problem(bench, a)
+    prob.operator = spy = _RowSpy(prob.operator)
+    rep = solve_semilinear_sni(prob, decompose(32, bench.grid.dt), tol=1e-8,
+                               max_iter=50, workers=2)
+    assert rep.residual_history[-1] <= 1e-8
+    assert len(spy.batched) <= 160
+    assert rep.iterations <= 9 and spy.diag_solves == 0
+    if a == 1.0:
+        assert rep.iterations == 8
+
+
+def test_sni_sweep_records_do_not_depend_on_worker_count(monkeypatch):
+    # each worker writes the counts and contraction estimates of its own
+    # shifts; five workers on 16 shifts with frequent thread switches would
+    # expose a lost update
+    chunk = solver._fixed_point_chunk
+
+    def spy(op, sigmas, d, c, G, W, cold, rtol, rho, *rest):
+        chunk(op, sigmas, d, c, G, W, cold, rtol, rho, *rest)
+        for sigma, r in zip(sigmas, rho):
+            estimates[-1].setdefault(sigma, []).append(r)
+
+    monkeypatch.setattr(solver, "_fixed_point_chunk", spy)
     bench = make_benchmark("semilinear", 15, n=16, T=2.0)
     dec = decompose(16, bench.grid.dt)
+    estimates = [{}]
     base = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40,
                                 workers=1)
+    assert any(r < 1.0 for rs in estimates[0].values() for r in rs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (2, 5):
+            estimates.append({})
             got = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8,
                                        max_iter=40, workers=workers)
             assert base.sweeps and got.sweeps == base.sweeps, workers
+            assert estimates[-1] == estimates[0], workers
             assert np.array_equal(got.solution.values, base.solution.values)
     finally:
         sys.setswitchinterval(interval)

@@ -457,6 +457,28 @@ def test_factors_read_back_bitwise_as_given(n):
             setattr(dec, name, V)
 
 
+def test_decomposition_arrays_are_read_only_views():
+    # an in-place write would break the mirror the constructor checked; the
+    # stored arrays are views, so the caller's own arrays stay writable
+    roots = find_roots(8)
+    V, Vinv = build_V(roots), build_Vinv_fast(roots)
+    given = {"eigenvalues": roots.lambdas_unit / 0.1,
+             "V_half": V[:, :4].copy(),
+             "Vinv_half": np.asfortranarray(Vinv[:4])}
+    dec = spectral.SpectralDecomposition(dt=0.1, cond2=1.0, residual=0.0,
+                                         **given)
+    built = decompose(8, 0.1, with_residual=False)
+    for name, array in given.items():
+        stored = getattr(dec, name)
+        assert np.shares_memory(stored, array), name
+        for read_only in (stored, getattr(built, name)):
+            with pytest.raises(ValueError, match="read-only"):
+                read_only[0] = 0.0
+        assert array.flags.writeable, name
+        array[0] = 0.0
+        assert np.all(stored[0] == 0.0), name
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 8])
 def test_dense_halves_pair_nothing(n):
     # the whole matrices are halves of width n: q = 0, every index its own
