@@ -112,7 +112,8 @@ def rho_and_derivative(theta, n):
 
 
 def refined_guesses(n):
-    """Near-exact seeds from the scalar characterization of the roots.
+    """Near-exact seeds of the h = ceil(n/2) representative roots, from the
+    scalar characterization of the roots.
 
     Writing theta_j = alpha_j + i*b_j/n, the roots with j <= (n+1)/2 are
     parameterized by the unique solution b_j of the monotone real equation
@@ -120,10 +121,10 @@ def refined_guesses(n):
         n*arcsin(tanh(b)*cosh(b/n)) + arcsin(tanh(b/n)*cosh(b)) = j*pi
 
     on (0, b_max], where b_max solves sinh(b)*sinh(b/n) = 1; then
-    alpha_j = arcsin(tanh(b_j)*cosh(b_j/n)).  The remaining indices follow
-    from the mirror symmetry alpha_{n+1-j} = pi - alpha_j, b_{n+1-j} = b_j.
-    Bisection on the monotone equation makes every seed land in the right
-    Newton basin regardless of n, an integer >= 1.
+    alpha_j = arcsin(tanh(b_j)*cosh(b_j/n)).  The other indices are their
+    mirrors, which `mirror_roots` writes.  Bisection on the monotone
+    equation makes every seed land in the right Newton basin regardless of
+    n, an integer >= 1.
     """
     n = check_count("n", n)
 
@@ -156,17 +157,8 @@ def refined_guesses(n):
             break
         blo, bhi = nlo, nhi
     b = 0.5 * (blo + bhi)
-
-    beta = b / n
     alpha = np.arcsin(np.clip(np.tanh(b) * np.cosh(b / n), 0.0, 1.0))
-
-    alpha_all = np.empty(n)
-    beta_all = np.empty(n)
-    alpha_all[:half] = alpha
-    beta_all[:half] = beta
-    alpha_all[n - half:] = np.pi - alpha[::-1]
-    beta_all[n - half:] = beta[::-1]
-    return alpha_all + 1j * beta_all
+    return alpha + 1j * (b / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +214,7 @@ def find_roots(n, tol=1e-10, max_iter=50):
     max_iter = check_count("max_iter", max_iter)
 
     h = (n + 1) // 2
-    theta = refined_guesses(n)[:h].astype(complex)
+    theta = refined_guesses(n)
 
     iters = np.zeros(h, dtype=int)
     active = np.ones(h, dtype=bool)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from . import spectral, timedisc
-from .errors import ChebPintError, check_count
+from .errors import ChebPintError, check_count, check_scale
 from .solver import (
     global_error,
     solve_first_order_linear,
@@ -44,7 +44,9 @@ _FLOAT_FMT = "{:.16e}"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; the CLI contract wants 1.
+    """argparse exits with code 2 on usage errors; the CLI contract wants 1,
+    and after the usage the one ``chebpint: invalid arguments: ...`` line
+    that `main` prints for any other bad argument.
 
     Prefix matching is off, so ``--n`` is never read as ``--n-list``.
     """
@@ -55,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"chebpint: invalid arguments: {message}", file=sys.stderr)
         sys.exit(1)
 
 
@@ -113,6 +115,13 @@ def _median_time(fn, reps=3):
     return result, float(np.median(times))
 
 
+def _check_budget(args):
+    """--tol and --max-iter, checked under their flag names before the first
+    solve, whichever kind reads them."""
+    check_scale("--tol", args.tol)
+    check_count("--max-iter", args.max_iter)
+
+
 def _square_side(m):
     side = math.isqrt(max(m, 0))
     if side * side != m:
@@ -127,6 +136,7 @@ def _square_side(m):
 def cmd_decompose(args):
     # n is checked before the default dt = 1/n divides by it
     n, tol = check_count("n", args.n), args.tol
+    _check_budget(args)
     dt = 1.0 / n if args.dt is None else args.dt
     reps = 3 if n <= 1024 else 1
 
@@ -212,6 +222,7 @@ def _bench_once(args, side, n, workers, reps):
 
 
 def cmd_convergence(args):
+    _check_budget(args)
     side = _square_side(args.m)
     n_list = args.n_list
     workers = args.workers
@@ -305,6 +316,7 @@ def cmd_compare_geometric(args):
 # ------------------------------------------------------------------- bench
 
 def cmd_bench(args):
+    _check_budget(args)
     side = _square_side(args.m)
     workers_list = args.workers_list
     if workers_list != sorted(workers_list) or workers_list[0] != 1:

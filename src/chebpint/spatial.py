@@ -318,20 +318,18 @@ class BenchmarkProblem:
     """A manufactured problem on the unit-square-like domains.
 
     ``source(t)`` samples the closed-form forcing on the grid;
-    ``exact_solution(t)`` samples the closed-form solution;
     ``discrete_reference(t_points)`` evaluates the exact solution of the
     *semi-discretized* system (the quantity the time stepper actually
     approaches), which for the wave and semilinear problems coincides with
-    the sampled solution because their solutions are per-direction
-    polynomials of degree <= 3 that the 5-point stencil differentiates
-    exactly.
+    the sampled closed-form solution because their solutions are
+    per-direction polynomials of degree <= 3 that the 5-point stencil
+    differentiates exactly.
     """
 
     kind: str
     operator: SpatialOperator
     u0: np.ndarray
     source: Callable
-    exact_solution: Callable
     discrete_reference: Callable
     u0dot: np.ndarray | None = None
     f: Callable | None = None
@@ -367,9 +365,6 @@ def _heat_benchmark(points_per_dim):
     def source(t):
         return np.exp(-t) * R
 
-    def exact(t):
-        return np.exp(-t) * R
-
     def discrete_reference(t_points):
         # modal solution of u' + mu*u = e^{-t}, u(0) = 1
         t = np.asarray(t_points)
@@ -379,8 +374,7 @@ def _heat_benchmark(points_per_dim):
 
     return BenchmarkProblem(
         kind="heat", operator=op, u0=R.copy(),
-        source=source, exact_solution=exact,
-        discrete_reference=discrete_reference,
+        source=source, discrete_reference=discrete_reference,
     )
 
 
@@ -395,16 +389,13 @@ def _wave_benchmark(points_per_dim):
     def source(t):
         return np.sin(2.0 * np.pi * t) * (-4.0 * np.pi**2 * P - 2.0 * S)
 
-    def exact(t):
-        return np.sin(2.0 * np.pi * t) * P
-
     def discrete_reference(t_points):
         t = np.asarray(t_points)
         return np.sin(2.0 * np.pi * t)[:, None] * P[None, :]
 
     return BenchmarkProblem(
         kind="wave", operator=op, u0=np.zeros(op.m),
-        u0dot=2.0 * np.pi * P, source=source, exact_solution=exact,
+        u0dot=2.0 * np.pi * P, source=source,
         discrete_reference=discrete_reference,
     )
 
@@ -432,17 +423,14 @@ def _semilinear_benchmark(points_per_dim):
                 + np.exp(-3.0 * t) * P**3
                 - 2.0 * np.exp(-t) * S)
 
-    def exact(t):
-        return np.exp(-t) * P
-
     def discrete_reference(t_points):
         t = np.asarray(t_points)
         return np.exp(-t)[:, None] * P[None, :]
 
     return BenchmarkProblem(
         kind="semilinear", operator=op, u0=P.copy(),
-        source=source, exact_solution=exact,
-        discrete_reference=discrete_reference, f=f, jac_diag=jac_diag,
+        source=source, discrete_reference=discrete_reference, f=f,
+        jac_diag=jac_diag,
     )
 
 

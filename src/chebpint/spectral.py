@@ -34,21 +34,57 @@ Im x_j < 0.  (A non-finite V^{-1} would still stop `decompose`, in
 
 Only the h = ceil(n/2) representative roots are evaluated: `find_roots`
 mirrors x_{n-1-j} = -conj(x_j) bitwise, so column n-1-j of V and row
-n-1-j of V^{-1} are the conjugates of column and row j.  The
-representative halves V[:, :h] and V^{-1}[:h] are the one stored form
-(`SpectralDecomposition.V_half`, `Vinv_half`); `_mirror` alone expands a
-half to the dense matrix.  `decompose` runs the recurrence once, to k = n:
-its first n rows are V[:, :h] as they are, and V^{-1}[:h] is those rows
-scaled, so both factors cost one (n+1) x h array and one h x n array,
-8 n^2 bytes each.  The diagnostics read the halves in place, cond2's
-power iteration by two products with them per product with a factor, and
-form no dense factor: without the residual `decompose` peaks at 17.7 n^2
-at n = 512 and 16.5 n^2 at n = 1024, and the residual's chunk of columns
-adds about 24 n _COLUMNS bytes (`_check_memory`).  A dump stores the
-roots, 48 n bytes, and its load reruns the same recurrence.  The dense
-`build_V` and `build_Vinv_fast` are the same halves mirrored.  An O(n^3) dense
-inversion (`build_Vinv_reference`) is kept as the independent
-cross-check path.
+n-1-j of V^{-1} are the conjugates of column and row j.
+
+The stored form.  A decomposition stores the representative halves
+V_half = V[:, :h] (n x h, C order) and Vinv_half = V^{-1}[:h] (h x n,
+Fortran order), and nothing else of the factors.  With the pair count
+q = n - h, column n-1-j of V and row n-1-j of V^{-1} are
+conj(V_half[:, j]) and conj(Vinv_half[j]) for j < q, and every index in
+[q, h) pairs with itself.  `decompose` stores h = ceil(n/2) (q = n//2);
+dense factors are the halves with h = n (q = 0), as the real geometric
+baseline stores them.  Every reader of the factors is real, through two
+float views of the halves that do not copy:
+
+    Vf = V_half.view(float)            n x 2h, columns Re v_k, Im v_k
+    Wf = Vinv_half.T.view(float).T     2h x n, rows Re w_k, Im w_k
+
+where v_k is column k of V and w_k row k of V^{-1}.  A pair j adds
+v_j y_j + conj(v_j y_j) = 2 Re(v_j y_j) to V y for a mirrored y, and
+2 (Re v_j Re v_j^T + Im v_j Im v_j^T) to V V^H, so the readers that sum
+over the pairs weight their 2q entries:
+
+- `apply_Vinv` (step (a)): for a real b, Wf b holds Re g_k, Im g_k of
+  g = V^{-1} b for k < h, and g_{n-1-j} = conj(g_j): 2n^2 m flops instead
+  of 8n^2 m.
+- `_paired_product`, the one kernel behind step (c) and
+  `decomposition_residual`: for a mirrored y, Re(V y) = Vf X with the real
+  rows X[2k] = c_k Re y_k, X[2k+1] = -c_k Im y_k (c_k = 2 for a pair, 1
+  for a self-paired index): 2n^2 m flops instead of 8n^2 m.
+- `apply_V` (step (c)): any w is s + i r with s and r mirrored,
+  s_j = (w_j + conj w_p)/2 and r_j = -i(w_j - conj w_p)/2 for a pair
+  (p = n-1-j), s_k = w_k and r_k = -i w_k for a self-paired k.  V s and
+  V r are real, so Re(V w) and Im(V w) are each one kernel call.  When w
+  mirrors, as the solves of mirrored shifts give, r is 0 on the pairs and
+  Im(V w) comes from the self-paired columns alone (none for even n from
+  `decompose`); both parts stay exact for any w.
+- `cond2_estimate`: ||V||_2 is the largest singular value of Vf with its
+  2q pair columns scaled by sqrt(2), and ||V^{-1}||_2 that of Wf with its
+  2q pair rows scaled, when V V^H is real: the self-paired columns
+  V[:, q:h] must be real, as `decompose`'s middle column of odd n is
+  exactly, or mirrored among themselves, as a dense mirrored `build_V` is.
+
+`_mirror` alone expands a half to the dense matrix, for the dense builders
+`build_V` and `build_Vinv_fast`.  `decompose` runs the recurrence once,
+to k = n: its first n rows are V[:, :h] as they are, and V^{-1}[:h] is
+those rows scaled, so both factors cost one (n+1) x h array and one
+h x n array, 8 n^2 bytes each.  The diagnostics read the halves in place
+and form no dense factor: without the residual `decompose` peaks at
+17.7 n^2 at n = 512 and 16.5 n^2 at n = 1024, and the residual's chunk of
+columns adds about 24 n _COLUMNS bytes (`_check_memory`).  A dump stores
+the roots, 48 n bytes, and its load reruns the same recurrence.  An
+O(n^3) dense inversion (`build_Vinv_reference`) is kept as the
+independent cross-check path.
 """
 
 from __future__ import annotations
@@ -181,15 +217,15 @@ def build_Vinv_reference(V):
 
 
 def _norm(x):
-    """np.linalg.norm(x) of a complex vector by the same arithmetic, as a
+    """np.linalg.norm(x) of a real vector by the same arithmetic, as a
     Python float, without that function's call overhead, which is large
     next to a product with the halves at small n."""
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
 
 
 def _norm2(z, mul, rmul, iters=200, rtol=5e-5):
-    """||M||_2 by power iteration on M^H M from the unit vector z, where
-    mul and rmul apply M and M^H (in any coordinates that keep the norm).
+    """||M||_2 by power iteration on M^T M from the vector z, where mul and
+    rmul apply the real M and M^T.
 
     Both half-steps are normalized, so no intermediate exceeds ||M||_2 and a
     finite M gives a finite norm.  Stops once consecutive estimates agree to
@@ -197,6 +233,7 @@ def _norm2(z, mul, rmul, iters=200, rtol=5e-5):
     non-finite value, silently, for a zero or non-finite M.
     """
     prev = 0.0
+    z = z / _norm(z)
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(iters):
             y = mul(z)
@@ -214,46 +251,39 @@ def _norm2(z, mul, rmul, iters=200, rtol=5e-5):
 
 
 def cond2_estimate(V, Vinv):
-    """2-norm condition number ||V||_2 ||V^{-1}||_2 from V and its inverse.
+    """2-norm condition number ||V||_2 ||V^{-1}||_2 from the halves V[:, :h]
+    and V^{-1}[:h] of a mirrored pair, or from dense factors (h = n).
 
-    Power iteration on V^H V gives sigma_max(V) and on V^{-H} V^{-1} gives
-    1/sigma_min(V), both from one seeded random start: O(n^2) per
-    iteration, no factorization.  The estimate approaches each norm from
-    below; against the full SVD it is within 1e-2 relative for every n up to
-    400 and within 1e-4 at the n of the growth-law diagnostics.
+    ||V||_2 and ||V^{-1}||_2 are the largest singular values of the float
+    views Vf and Wf with their 2q pair columns and rows scaled by sqrt(2)
+    (module docstring), each by power iteration from a seeded random start:
+    one real product each way per iteration, with the weights applied to
+    the vector, so no factor is copied.  The estimate approaches each norm
+    from below; against the full SVD it is within 1e-2 relative for every n
+    up to 400 and within 1e-4 at the n of the growth-law diagnostics.
 
-    V and Vinv are the representative halves Vh = V[:, :h] (n x h) and
-    Wh = V^{-1}[:h] (h x n) of a mirrored pair, q = n - h: column n-1-j of
-    V and row n-1-j of V^{-1} are conj(Vh[:, j]) and conj(Wh[j]) for j < q.
-    Dense factors are the halves with q = 0.  A vector x on the mirrored
-    side (the argument of V, the image of V^{-1}) is held as
-    u = [x[:h], conj(x[h:][::-1])], which keeps its norm, so each product is
-    two products with the halves, neither copied nor reversed:
-
-        V x            = Vh u[:h] + conj(Vh[:, :q] u[h:])
-        u of V^H y     = conj([conj(y) Vh,  y Vh[:, :q]])
-        u of V^{-1} z  = [Wh z,  Wh[:q] conj(z)]
-        V^{-H} x       = conj(conj(u[:h]) Wh) + conj(u[h:]) Wh[:q]
-
-    With q = 0 the second terms are empty and the iteration is the dense
-    one.  The whole halves go through `dot`, which has less call overhead
-    than `@` at small n; their column slices through `@`, as `dot` would
-    copy them.  Raises ValueError unless Vinv is h x n, and
-    SingularMatrixError for a zero V or a non-finite V^{-1}.
+    Raises ValueError unless Vinv is h x n and V's self-paired columns
+    V[:, q:h] are real or mirrored among themselves (the norms would be
+    wrong, silently), and SingularMatrixError for a zero V or a non-finite
+    V^{-1}.
     """
-    V, Vinv = np.asarray(V), np.asarray(Vinv)
+    V = np.ascontiguousarray(V, dtype=complex)
+    Vinv = np.asfortranarray(Vinv, dtype=complex)
     n, h = V.shape
     if Vinv.shape != (h, n):            # the halves of one pair, or both dense
         raise ValueError(f"Vinv has shape {Vinv.shape}, expected {(h, n)} for V")
-    Vq, Wq = V[:, :n - h], Vinv[:n - h]
+    q = n - h
+    S = V[:, q:h]
+    if S.imag.any() and not np.array_equal(S[:, ::-1], np.conj(S)):
+        raise ValueError(f"V's self-paired columns V[:, {q}:{h}] are neither "
+                         f"real nor mirrored among themselves")
+    Vf, Wf = V.view(float), Vinv.T.view(float).T
+    weight = np.where(np.arange(2 * h) < 2 * q, math.sqrt(2.0), 1.0)
     rng = np.random.default_rng(7)
-    z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    z /= np.linalg.norm(z)
-    smax = _norm2(np.concatenate([z[:h], np.conj(z[h:][::-1])]),
-                  lambda u: V.dot(u[:h]) + np.conj(Vq @ u[h:]),
-                  lambda y: np.conj(np.concatenate([np.conj(y).dot(V), y @ Vq])))
-    smax_inv = _norm2(z, lambda x: np.concatenate([Vinv.dot(x), Wq @ np.conj(x)]),
-                      lambda u: np.conj(np.conj(u[:h]).dot(Vinv)) + np.conj(u[h:]) @ Wq)
+    smax = _norm2(rng.normal(size=2 * h), lambda u: Vf.dot(weight * u),
+                  lambda y: weight * y.dot(Vf))
+    smax_inv = _norm2(rng.normal(size=n), lambda x: weight * Wf.dot(x),
+                      lambda y: (weight * y).dot(Wf))
     if not (0.0 < smax < np.inf and 0.0 < smax_inv < np.inf):
         raise SingularMatrixError("V or V^{-1} is zero or not finite")
     return float(smax * smax_inv)
@@ -281,7 +311,7 @@ def _paired_product(V, q, Y):
     representative rows are Y: y_j = Y[j] and y_{n-1-j} = conj(Y[j]) for
     each pair j < q, y_k = Y[k] for each self-paired k in [q, h).
 
-    Only V[:, :h] is read, through its float view (SpectralDecomposition):
+    Only V[:, :h] is read, through its float view Vf (module docstring):
     one real GEMM with the rows 2 Re y_j, -2 Im y_j and Re y_k, -Im y_k per
     chunk of _COLUMNS columns.  V[:, :h] must have a contiguous last axis.
     """
@@ -307,21 +337,19 @@ def _paired_product(V, q, Y):
 class SpectralDecomposition:
     """B = V D V^{-1} for the n-point stencil with step dt.
 
-    eigenvalues[j] = i*x_j/dt; V and Vinv are the complex eigenvector matrix
-    and its inverse; cond2 estimates Cond_2(V); residual is
-    ||B - V D V^{-1}||_F / ||B||_F.
+    eigenvalues[j] = i*x_j/dt; V is the complex eigenvector matrix; cond2
+    estimates Cond_2(V); residual is ||B - V D V^{-1}||_F / ||B||_F.
 
-    The fields are dt, eigenvalues, the halves V_half and Vinv_half (below),
-    cond2, residual, roots, phase_times and B.  Two read-only properties
-    follow from the arrays: n = len(eigenvalues), and the pair count
-    q = n - h, where h is the width of V_half.  For j < q, eigenvalue n-1-j,
-    column n-1-j of V and row n-1-j of Vinv are bitwise the conjugates of
-    eigenvalue j, column j and row j; every other index pairs with itself.
-    `decompose` stores h = ceil(n/2) (q = n//2), the real geometric
-    baseline the whole matrices (q = 0, always valid, it just saves
-    nothing).  The rows j < h are the representatives.  The constructor
-    raises ValueError unless V_half is n x h with ceil(n/2) <= h <= n,
-    Vinv_half is h x n and the q eigenvalue pairs mirror.
+    The fields are dt, eigenvalues, the halves V_half and Vinv_half of the
+    stored form (module docstring), cond2, residual, roots, phase_times and
+    B.  Two read-only properties follow from the arrays: n =
+    len(eigenvalues), and the pair count q = n - h, where h is the width of
+    V_half.  For j < q, eigenvalue n-1-j is bitwise the conjugate of
+    eigenvalue j.  The constructor raises ValueError unless V_half is n x h
+    with ceil(n/2) <= h <= n, Vinv_half is h x n and the q eigenvalue pairs
+    mirror; a half has no mirrored part, so it is not checked against one.
+    The dense factors of a decomposition with roots are
+    `build_V(dec.roots)` and `build_Vinv_fast(dec.roots)`.
 
     phase_times holds the seconds of each layer of `decompose` (find_roots,
     build_V, build_Vinv_fast, cond2 and, when computed, residual); it is
@@ -331,33 +359,6 @@ class SpectralDecomposition:
     hybrid stencil `assemble_B(n, dt)`: the geometric baseline sets its
     trapezoidal matrix, and the solvers' residuals apply it.  None means the
     stencil.
-
-    Only the representative halves are stored, as nothing else is read:
-    V_half = V[:, :h] (n x h, C order) and Vinv_half = Vinv[:h] (h x n,
-    Fortran order), 16 n^2 bytes for h = ceil(n/2); with h = n the halves
-    are the whole matrices.  A half has no mirrored part, so it is not
-    checked against one.  The read-only properties V and Vinv build the dense
-    matrix (C and Fortran order) from its half by `_mirror`, on every read.
-    Every product with the factors is real, read through float views of the
-    halves that do not copy: Vf = V_half.view(float) has the columns
-    Re v_k, Im v_k at 2k, 2k+1, and Vinv_half.T.view(float).T the rows Re,
-    Im of Vinv[k].
-
-    - `apply_Vinv` (step (a)): for a real b, the real product of the latter
-      view with b holds Re g_k, Im g_k of g = V^{-1} b for k < h, and
-      g_{n-1-j} = conj(g_j): 2n^2 m flops instead of 8n^2 m.
-    - `_paired_product`, the one kernel behind step (c) and
-      `decomposition_residual`: if y_{n-1-j} = conj(y_j), a pair adds
-      v_j y_j + conj(v_j y_j) = 2 Re(v_j y_j), so Re(V y) = Vf @ X with
-      the real rows X[2k] = c_k Re y_k, X[2k+1] = -c_k Im y_k (c_k = 2 for
-      a pair, 1 for a self-paired index): 2n^2 m flops instead of 8n^2 m.
-    - `apply_V` (step (c)): any w is s + i r with s and r mirrored,
-      s_j = (w_j + conj w_p)/2 and r_j = -i(w_j - conj w_p)/2 for a pair
-      (p = n-1-j), s_k = w_k and r_k = -i w_k for a self-paired k.  V s and
-      V r are real, so Re(V w) and Im(V w) are each one kernel call.  When
-      w mirrors, as the solves of mirrored shifts give, r is 0 on the pairs
-      and Im(V w) comes from the self-paired columns alone (none for even
-      n from `decompose`); both parts stay exact for any w.
 
     Instances are treated as immutable and may be shared across workers.
     eigenvalues, V_half and Vinv_half are read-only views, so an in-place
@@ -409,14 +410,6 @@ class SpectralDecomposition:
         return self.n - self.V_half.shape[1]
 
     @property
-    def V(self):
-        return _mirror(self.V_half, self.n)
-
-    @property
-    def Vinv(self):
-        return _mirror(self.Vinv_half.T, self.n).T
-
-    @property
     def newton_iters_max(self):
         return int(self.roots.newton_iters.max()) if self.roots is not None else -1
 
@@ -459,8 +452,8 @@ def decomposition_residual(eigenvalues, V, Vinv, B):
     B and the eigenvalues are divided by s = max|B| first: the ratio does
     not change, and the norms neither overflow nor underflow for any dt.
 
-    V and Vinv are the representative halves V[:, :h] and V^{-1}[:h] of
-    `cond2_estimate`, the pair count q = n - h read from V's shape, so
+    V and Vinv are the halves V[:, :h] and V^{-1}[:h] of the stored form
+    (module docstring), the pair count q = n - h read from V's shape, so
     dense factors have q = 0 and no structure is assumed of them.  With w_k
     the rows of V^{-1}, the rows y_k = lambda_k w_k of D V^{-1} mirror as
     the w_k do, so the real part of V D V^{-1} is `_paired_product` over the
@@ -534,15 +527,25 @@ def _timed(times, name, fn, *args, **kwargs):
     return out
 
 
+def _halves(roots: RootSet, dt, times):
+    """V[:, :h], V^{-1}[:h] and the eigenvalues i x_j / dt from one
+    recurrence over the representative roots, to k = n: its first n rows
+    are V[:, :h] as they are (phase "build_V" of `times`), and
+    `_inverse_rows` scales them (phase "build_Vinv_fast")."""
+    P = _timed(times, "build_V", _chebyshev_rows, roots, roots.n + 1)
+    Vinv = _timed(times, "build_Vinv_fast", _inverse_rows, roots, P)
+    return P[:roots.n], Vinv, roots.lambdas_unit / dt
+
+
 def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     """Full spectral decomposition of the n-point stencil matrix B.
 
-    Roots come from `find_roots`; one Chebyshev recurrence over the
-    representative roots gives V[:, :h] (phase "build_V") and its scaling
-    V^{-1}[:h] (phase "build_Vinv_fast"); cond2 comes from `cond2_estimate`
-    on these halves.  The roots, and with them the eigenvalues and both
-    factors, mirror exactly, so all n//2 conjugate pairs are used
-    (q = n//2), by the residual against `assemble_B(n, dt)` too.  The
+    Roots come from `find_roots`; `_halves` gives V[:, :h] and V^{-1}[:h]
+    from one Chebyshev recurrence over the representative roots; cond2
+    comes from `cond2_estimate` on these halves.  The roots, and with them
+    the eigenvalues and both factors, mirror exactly, so all n//2 conjugate
+    pairs are used (q = n//2), by the residual against `assemble_B(n, dt)`
+    too.  The
     residual is skipped (nan) with `with_residual=False`.  The seconds of
     each layer are kept in `phase_times`.  ValueError unless n is an
     integer >= 1 and dt is positive and finite; an n whose peak memory
@@ -556,11 +559,7 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
     _check_memory(n)
     times = {}
     roots = _timed(times, "find_roots", find_roots, n, tol=tol, max_iter=max_iter)
-    # the one recurrence: its first n rows are V[:, :h] as they are
-    P = _timed(times, "build_V", _chebyshev_rows, roots, n + 1)
-    Vinv = _timed(times, "build_Vinv_fast", _inverse_rows, roots, P)
-    V = P[:n]
-    eigenvalues = roots.lambdas_unit / dt
+    V, Vinv, eigenvalues = _halves(roots, dt, times)
     cond2 = _timed(times, "cond2", cond2_estimate, V, Vinv)
     residual = float("nan")
     if with_residual:
@@ -623,20 +622,20 @@ def _header_float(fields, key):
 def load_decomposition(path):
     """Read a decomposition dump written by `save_decomposition`.
 
-    The halves are rebuilt from the stored roots by `_chebyshev_rows` and
-    `_inverse_rows`, as in `decompose`, so they and the eigenvalues come
-    back bitwise, with h = ceil(n/2); cond2 and the residual are read, not
-    recomputed.  Raises ValueError for anything that is not a complete
-    version-2 dump: a bad header (an older version names itself), a payload
-    shorter or longer than the 48 n bytes the header announces (checked
-    before anything is read), roots that are not finite, a stored array
-    that is not bitwise `chebroots.mirror_roots` of its own first h values
-    (the one form `find_roots` writes), a negative Newton count or
-    residual, a representative x_j farther than 4 eps max(1, |x_j|) from
-    cos(theta_j), or a theta on a spurious zero.  Neither cos nor |rho| is
-    compared bitwise, so a dump written with another libm loads.  An n
-    whose rebuild cannot fit in memory raises ChebPintError
-    (`_check_memory`) before the payload is read.
+    The halves are rebuilt from the stored roots by `_halves`, as in
+    `decompose`, so they and the eigenvalues come back bitwise, with
+    h = ceil(n/2); cond2 and the residual are read, not recomputed.
+    Raises ValueError for anything that is not a complete version-2 dump:
+    a bad header (an older version names itself), a payload shorter or
+    longer than the 48 n bytes the header announces (checked before
+    anything is read), roots that are not finite, a stored array that is
+    not bitwise `chebroots.mirror_roots` of its own first h values (the one
+    form `find_roots` writes), a negative Newton count or residual, a
+    representative x_j farther than 4 eps max(1, |x_j|) from cos(theta_j),
+    or a theta on a spurious zero.  Neither cos nor |rho| is compared
+    bitwise, so a dump written with another libm loads.  An n whose rebuild
+    cannot fit in memory raises ChebPintError (`_check_memory`) before the
+    payload is read.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -691,12 +690,11 @@ def load_decomposition(path):
     if off.any():
         j = int(np.argmax(off))
         raise ValueError(f"dump xs[{j}] = {complex(xs[j])!r} is not cos(thetas[{j}])")
-    P = _chebyshev_rows(roots, n + 1)
     try:
-        Vinv = _inverse_rows(roots, P)
+        V, Vinv, eigenvalues = _halves(roots, dt, {})
     except DegenerateRootError as exc:
         raise ValueError(f"dump roots: {exc}") from None
     return SpectralDecomposition(
-        dt=dt, eigenvalues=roots.lambdas_unit / dt, V_half=P[:n],
-        Vinv_half=Vinv, cond2=cond2, residual=residual, roots=roots,
+        dt=dt, eigenvalues=eigenvalues, V_half=V, Vinv_half=Vinv,
+        cond2=cond2, residual=residual, roots=roots,
     )

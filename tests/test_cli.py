@@ -278,6 +278,49 @@ def test_exit_code_bad_geometric_grid(argv):
     assert exc.value.code == 1
 
 
+#: a small valid call of each subcommand, and its numeric flags: True for
+#: the integer ones
+_CALLS = {
+    "decompose": (["decompose", "--n", "4", "--skip-reference"],
+                  {"--n": True, "--tol": False, "--max-iter": True, "--dt": False}),
+    "convergence": (["convergence", "--m", "16", "--n-list", "4"],
+                    {"--tol": False, "--max-iter": True, "--m": True,
+                     "--n-list": True, "--T": False, "--workers": True}),
+    "compare-geometric": (["compare-geometric", "--n-max", "4", "--m", "8"],
+                          {"--tau": False, "--dt-last": False, "--n-max": True,
+                           "--m": True, "--workers": True}),
+    "bench": (["bench", "--m", "16", "--n", "4", "--workers-list", "1"],
+              {"--tol": False, "--max-iter": True, "--m": True, "--n": True,
+               "--T": False, "--workers-list": True}),
+}
+
+
+def _bad_numeric_flags():
+    for command, (argv, flags) in _CALLS.items():
+        kinds = [["--kind", kind] for kind in ("heat", "wave", "semilinear")]
+        for kind in kinds if command in ("convergence", "bench") else [[]]:
+            for flag, integer in flags.items():
+                for value in ("0", "-1", "nan", "inf") + (("2.5",) if integer else ()):
+                    name = " ".join([command] + kind[1:] + [flag, value])
+                    yield pytest.param(argv + kind + [flag, value], flag, id=name)
+
+
+@pytest.mark.parametrize("argv, flag", _bad_numeric_flags())
+def test_exit_code_bad_numeric_flag(argv, flag, capsys):
+    # every numeric flag of every subcommand and kind, with a value no flag
+    # accepts (2.5 for the integer ones): exit 1 and one line, before any
+    # solve; --tol and --max-iter are named as flags, whichever kind reads them
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("chebpint:") == 1 and "Traceback" not in err
+    if flag in ("--tol", "--max-iter"):
+        assert flag in err and "max_iter" not in err
+
+
 def test_exit_code_numerical_failure():
     # unreachable tolerance forces the simplified Newton loop over budget
     code = main(["convergence", "--kind", "semilinear", "--m", "16",

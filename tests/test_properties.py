@@ -73,8 +73,6 @@ def test_dump_round_trip_is_exact(n, dt, with_residual):
         got = load_decomposition(path)
     assert _bits(got) == _bits(dec)
     assert got.newton_iters_max == dec.newton_iters_max >= 1
-    for name in ("V", "Vinv"):
-        assert np.array_equal(getattr(got, name), getattr(dec, name)), name
 
 
 @_SETTINGS
@@ -105,7 +103,7 @@ def test_decompose_factors_are_the_dense_builders_bitwise(n):
     dec = decompose(n, 0.5, with_residual=False)
     h = n - n // 2
     for got, want in ((dec.V_half, V[:, :h]), (dec.Vinv_half, Vinv[:h]),
-                      (dec.V, V), (dec.Vinv, Vinv)):
+                      (build_V(dec.roots), V), (build_Vinv_fast(dec.roots), Vinv)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -114,14 +112,15 @@ def test_decompose_factors_are_the_dense_builders_bitwise(n):
        cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
     dec = decompose(n, 0.1, with_residual=False)
+    V, Vinv = build_V(dec.roots), build_Vinv_fast(dec.roots)
     if not paired:
-        dec = dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv)
+        dec = dataclasses.replace(dec, V_half=V, Vinv_half=Vinv)
     assert dec.q == (n // 2 if paired else 0)
     rng = np.random.default_rng(seed)
     # W is not mirrored: step (c) must give both parts of V W for any W
     W = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     W0 = W.copy()
-    VW = dec.V @ W
+    VW = V @ W
     scale = np.abs(VW).max()
     # chunks of `cols` columns, so most blocks cross chunk boundaries
     with mock.patch.object(spectral, "_COLUMNS", cols):
@@ -134,7 +133,7 @@ def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
     assert abs(im - np.linalg.norm(VW.imag)) <= 1e-13 * np.linalg.norm(VW)
     b = rng.normal(size=(n, m))
     G = dec.apply_Vinv(b)
-    assert (np.abs(G - dec.Vinv @ b) <= 1e-13 * (np.abs(dec.Vinv) @ np.abs(b))).all()
+    assert (np.abs(G - Vinv @ b) <= 1e-13 * (np.abs(Vinv) @ np.abs(b))).all()
 
 
 @_SETTINGS
@@ -142,6 +141,7 @@ def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_step_c_skips_only_exact_zeros(n, m, cols, seed):
     dec = decompose(n, 0.1, with_residual=False)
+    V = build_V(dec.roots)
     q, h = dec.q, n - dec.q
     rng = np.random.default_rng(seed)
     # mirrored, as the solves of mirrored shifts give: w_{n-1-j} = conj(w_j)
@@ -151,7 +151,7 @@ def test_step_c_skips_only_exact_zeros(n, m, cols, seed):
     W[h:] = np.conj(W[:q][::-1])
     with mock.patch.object(spectral, "_COLUMNS", cols):
         U, im = dec.apply_V(W)
-        VW = dec.V @ W
+        VW = V @ W
         assert im == 0.0
         assert np.abs(U - VW.real).max() <= 1e-13 * np.abs(VW).max()
         # one ulp in one entry of one mirrored row breaks the mirror, and
@@ -164,7 +164,7 @@ def test_step_c_skips_only_exact_zeros(n, m, cols, seed):
         else:
             W[r, c] = complex(re, np.nextafter(imag, np.inf))
         _, im = dec.apply_V(W)
-    VW = dec.V @ W
+    VW = V @ W
     assert abs(im - np.linalg.norm(VW.imag)) <= 1e-13 * np.linalg.norm(VW)
     assert im > 0.0
 

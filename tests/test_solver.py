@@ -33,7 +33,7 @@ from chebpint.spatial import (
     make_benchmark,
     make_dense_operator,
 )
-from chebpint.spectral import decompose
+from chebpint.spectral import build_V, build_Vinv_fast, decompose
 from chebpint.timedisc import (
     BlockVector,
     TimeGrid,
@@ -529,9 +529,9 @@ def test_sni_solves_only_the_representative_rows(n):
 
     # with q = 0 every row is its own representative, and all n are solved
     prob.operator = spy = _RowSpy(spy.inner)
-    solve_semilinear_sni(prob, dataclasses.replace(dec, V_half=dec.V,
-                                                   Vinv_half=dec.Vinv),
-                         tol=1e-11, max_iter=10)
+    dense = dataclasses.replace(dec, V_half=build_V(dec.roots),
+                                Vinv_half=build_Vinv_fast(dec.roots))
+    solve_semilinear_sni(prob, dense, tol=1e-11, max_iter=10)
     assert rows(spy.batched) == set(range(n))
 
 
@@ -552,7 +552,8 @@ def test_sni_representatives_match_the_all_shift_oracle(n):
     bench = make_benchmark("semilinear", 15, n=n, T=2.0)
     dec = decompose(n, bench.grid.dt)
     got = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40)
-    unpaired = dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv)
+    unpaired = dataclasses.replace(dec, V_half=build_V(dec.roots),
+                                   Vinv_half=build_Vinv_fast(dec.roots))
     oracle = solve_semilinear_sni(bench.semilinear(), unpaired, tol=1e-8, max_iter=40)
     assert got.iterations == oracle.iterations
     diff = np.linalg.norm(got.solution.values - oracle.solution.values)

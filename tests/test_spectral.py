@@ -149,19 +149,50 @@ def test_cond2_singular():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 257, 512])
 def test_cond2_of_the_halves_is_the_dense_cond2(n):
-    # the halves' products against the dense power iteration, which is the
-    # same iteration with no mirrored terms
+    # the halves (q = n//2) and the dense mirrored pair (q = 0) weight
+    # different columns of the float views, and both estimate the SVD's
     dec = decompose(n, 1.0 / n, with_residual=False)
-    dense = cond2_estimate(dec.V, dec.Vinv)
+    V = build_V(dec.roots)
+    dense = cond2_estimate(V, build_Vinv_fast(dec.roots))
+    s = np.linalg.svd(V, compute_uv=False)
+    exact = s[0] / s[-1]
     assert dec.cond2 == cond2_estimate(dec.V_half, dec.Vinv_half)
-    assert abs(dec.cond2 - dense) <= 1e-12 * dense
+    assert abs(dec.cond2 - dense) <= 1e-4 * dense
+    assert abs(dec.cond2 - exact) <= 1e-4 * exact
+    assert abs(dense - exact) <= 1e-4 * exact
+
+
+def test_cond2_refuses_a_complex_V_with_no_mirror():
+    # the float views give the norm of Re(V V^H), which is V V^H only when
+    # the self-paired columns are real or mirrored among themselves: a
+    # general complex V read 4.10 where its SVD gives 5.30
+    rng = np.random.default_rng(0)
+    V = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    with pytest.raises(ValueError, match="neither real nor mirrored"):
+        cond2_estimate(V, np.linalg.inv(V))
+    # a mirrored half whose self-paired middle column is not real
+    dec = decompose(7, 1.0 / 7, with_residual=False)
+    V = dec.V_half.copy()
+    V[1, 3] += 1e-3j
+    with pytest.raises(ValueError, match=r"V\[:, 3:4\]"):
+        cond2_estimate(V, dec.Vinv_half)
+
+
+def test_cond2_of_the_geometric_baseline_is_the_svd():
+    # real dense factors: every index its own representative, no weights
+    dec = geometric_decomposition(geometric_grid(20, 1.15, 1e-2))
+    s = np.linalg.svd(dec.V_half, compute_uv=False)
+    exact = s[0] / s[-1]
+    assert dec.q == 0
+    assert abs(dec.cond2 - exact) <= 1e-4 * exact
 
 
 @pytest.mark.parametrize("pair", ["dense-half", "half-dense"])
 def test_cond2_refuses_a_dense_factor_with_a_half(pair):
     # q comes from V's shape, so a mixed pair would give the norm of a half
     dec = decompose(8, 0.125, with_residual=False)
-    V, Vinv = (dec.V, dec.Vinv_half) if pair == "dense-half" else (dec.V_half, dec.Vinv)
+    V, Vinv = build_V(dec.roots), build_Vinv_fast(dec.roots)
+    V, Vinv = (V, dec.Vinv_half) if pair == "dense-half" else (dec.V_half, Vinv)
     with pytest.raises(ValueError, match="Vinv has shape"):
         cond2_estimate(V, Vinv)
 
@@ -186,7 +217,7 @@ def test_cond2_reads_the_halves_in_place(n):
 def test_decompose_n1():
     dec = decompose(1, 1.0)
     assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(dec.V - 1).max() < 1e-13
+    assert np.abs(build_V(dec.roots) - 1).max() < 1e-13
     assert dec.cond2 == pytest.approx(1.0)
     assert dec.residual < 1e-14
 
@@ -372,12 +403,13 @@ def test_decompose_mirrors_bitwise(n):
     q = n // 2
     assert dec.q == q
     assert np.array_equal(dec.eigenvalues[n - q:][::-1], np.conj(dec.eigenvalues[:q]))
-    assert np.array_equal(dec.V[:, n - q:][:, ::-1], np.conj(dec.V[:, :q]))
-    assert np.array_equal(dec.Vinv[n - q:][::-1], np.conj(dec.Vinv[:q]))
+    V, Vinv = build_V(dec.roots), build_Vinv_fast(dec.roots)
+    assert np.array_equal(V[:, n - q:][:, ::-1], np.conj(V[:, :q]))
+    assert np.array_equal(Vinv[n - q:][::-1], np.conj(Vinv[:q]))
 
 
 def _full_residual(dec, B):
-    M = dec.V @ np.diag(dec.eigenvalues) @ dec.Vinv
+    M = build_V(dec.roots) @ np.diag(dec.eigenvalues) @ build_Vinv_fast(dec.roots)
     return np.linalg.norm(M - B) / np.linalg.norm(B)
 
 
@@ -396,10 +428,11 @@ def test_paired_residual_over_chunks_and_pair_counts(n, monkeypatch):
     dec = decompose(n, 0.1, with_residual=False)
     B = assemble_B(n, 0.1)
     full = _full_residual(dec, B.toarray())
+    V, Vinv = build_V(dec.roots), build_Vinv_fast(dec.roots)
     for q in sorted({0, 1, n // 3, n // 2}):
         if q <= n // 2:
             got = spectral.decomposition_residual(
-                dec.eigenvalues, dec.V[:, :n - q], dec.Vinv[:n - q], B)
+                dec.eigenvalues, V[:, :n - q], Vinv[:n - q], B)
             assert abs(got - full) <= 1e-6 * full + 4 * np.finfo(float).eps, q
 
 
@@ -416,7 +449,8 @@ def test_decompose_eigen_residual_against_independent_B():
     for n in (8, 120):
         dec = decompose(n, 0.1)
         B = assemble_B(n, 0.1).toarray()
-        rel = (np.linalg.norm(B @ dec.V - dec.V * dec.eigenvalues[None, :])
+        V = build_V(dec.roots)
+        rel = (np.linalg.norm(B @ V - V * dec.eigenvalues[None, :])
                / np.linalg.norm(B))
         assert rel <= 1e-9
 
@@ -439,9 +473,8 @@ def test_decompose_agrees_with_dense_eigensolver():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8])
 def test_factors_read_back_bitwise_as_given(n):
-    # the constructor keeps the halves it is given, n and q follow from
-    # their shapes, and a read of V or Vinv mirrors them: the dense
-    # builders' bytes come back, in C and Fortran order
+    # the constructor keeps the halves it is given, in C and Fortran order,
+    # and n and q follow from their shapes
     roots = find_roots(n)
     V, Vinv = build_V(roots), build_Vinv_fast(roots)
     h = n - n // 2
@@ -449,12 +482,11 @@ def test_factors_read_back_bitwise_as_given(n):
         dt=0.1, eigenvalues=roots.lambdas_unit / 0.1, V_half=V[:, :h],
         Vinv_half=Vinv[:h], cond2=1.0, residual=0.0)
     assert (dec.n, dec.q) == (n, n // 2)
-    assert dec.V.flags.c_contiguous and dec.Vinv.flags.f_contiguous
-    assert dec.V.tobytes() == V.tobytes()
-    assert dec.Vinv.tobytes(order="F") == Vinv.tobytes(order="F")
-    for name in ("V", "Vinv", "n", "q"):
+    assert dec.V_half.tobytes() == V[:, :h].tobytes()
+    assert dec.Vinv_half.tobytes(order="F") == Vinv[:h].tobytes(order="F")
+    for name in ("n", "q"):
         with pytest.raises(AttributeError):
-            setattr(dec, name, V)
+            setattr(dec, name, 1)
 
 
 def test_decomposition_arrays_are_read_only_views():
@@ -484,10 +516,11 @@ def test_dense_halves_pair_nothing(n):
     # the whole matrices are halves of width n: q = 0, every index its own
     # representative, and the dense factors read back as given
     dec = decompose(n, 0.1, with_residual=False)
-    dense = dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv)
+    V, Vinv = build_V(dec.roots), build_Vinv_fast(dec.roots)
+    dense = dataclasses.replace(dec, V_half=V, Vinv_half=Vinv)
     assert (dense.n, dense.q, dec.q) == (n, 0, n // 2)
-    assert dense.V.tobytes() == dec.V.tobytes()
-    assert dense.Vinv.tobytes(order="F") == dec.Vinv.tobytes(order="F")
+    assert dense.V_half.tobytes() == V.tobytes()
+    assert dense.Vinv_half.tobytes(order="F") == Vinv.tobytes(order="F")
 
 
 @pytest.mark.parametrize("field", ["eigenvalues"])
@@ -500,7 +533,8 @@ def test_decomposition_rejects_pairs_off_the_mirror(field):
     M[10] = complex(np.nextafter(M[10].real, np.inf), M[10].imag)
     with pytest.raises(ValueError, match=f"^{field} do not mirror"):
         dataclasses.replace(dec, **{field: M})
-    unpaired = dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv,
+    unpaired = dataclasses.replace(dec, V_half=build_V(dec.roots),
+                                   Vinv_half=build_Vinv_fast(dec.roots),
                                    **{field: M})
     assert np.array_equal(getattr(unpaired, field), M)
 
@@ -515,8 +549,8 @@ def test_save_load_round_trip(tmp_path):
     assert back.cond2 == dec.cond2
     assert back.residual == dec.residual
     assert np.array_equal(back.eigenvalues, dec.eigenvalues)
-    assert np.array_equal(back.V, dec.V)
-    assert np.array_equal(back.Vinv, dec.Vinv)
+    assert np.array_equal(back.V_half, dec.V_half)
+    assert np.array_equal(back.Vinv_half, dec.Vinv_half)
 
 
 def _save_with_roots(dec, path, **arrays):
@@ -727,9 +761,9 @@ def test_vinv_is_stored_fortran_ordered(tmp_path):
     save_decomposition(dec, path)
     for d in (dec, load_decomposition(path),
               geometric_decomposition(geometric_grid(9, 1.15, 1e-2)),
-              dataclasses.replace(dec, V_half=dec.V, Vinv_half=dec.Vinv)):
-        assert d.Vinv_half.flags.f_contiguous and d.Vinv.flags.f_contiguous
-        assert d.V_half.flags.c_contiguous and d.V.flags.c_contiguous
+              dataclasses.replace(dec, V_half=build_V(dec.roots),
+                                  Vinv_half=build_Vinv_fast(dec.roots))):
+        assert d.Vinv_half.flags.f_contiguous and d.V_half.flags.c_contiguous
 
 
 @pytest.mark.parametrize("field, shape, named", [
@@ -857,8 +891,8 @@ def test_fast_inverse_agreement_sweep_small_n():
 
 def test_inverse_identity_norm_scales_with_n():
     for n in (256, 1024):
-        dec = decompose(n, 1.0, with_residual=False)
-        err = np.linalg.norm(dec.V @ dec.Vinv - np.eye(n))
+        roots = find_roots(n)
+        err = np.linalg.norm(build_V(roots) @ build_Vinv_fast(roots) - np.eye(n))
         assert err <= 1e-8 * n, f"n={n}: {err:.2e}"
 
 

@@ -272,7 +272,7 @@ def test_assemble_TR_eigenvalues():
 
 def test_geometric_decomposition_n1():
     dec = geometric_decomposition(geometric_grid(1, 1.2, 0.5))
-    assert np.abs(dec.V - 1.0).max() < 1e-14
+    assert np.abs(dec.V_half - 1.0).max() < 1e-14
     assert dec.eigenvalues[0] == pytest.approx(4.0)
 
 
@@ -289,13 +289,14 @@ def test_geometric_decomposition_residual_small_n():
         grid = geometric_grid(n, 1.15, 0.01)
         dec = geometric_decomposition(grid)
         B = assemble_TR_system(grid)
-        rel = (np.linalg.norm(B @ dec.V - dec.V * dec.eigenvalues[None, :])
+        V, Vinv = dec.V_half, dec.Vinv_half      # q = 0: the whole matrices
+        rel = (np.linalg.norm(B @ V - V * dec.eigenvalues[None, :])
                / np.linalg.norm(B))
         assert rel < 1e-8
         # inversion error of the baseline is governed by its (huge) condition
         # number; that conditioning blowup is exactly what the comparison
         # experiment demonstrates
-        ident_err = np.linalg.norm(dec.V @ dec.Vinv - np.eye(n))
+        ident_err = np.linalg.norm(V @ Vinv - np.eye(n))
         assert ident_err < 100.0 * eps * dec.cond2 + 1e-12
 
 
