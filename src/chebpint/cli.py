@@ -122,6 +122,19 @@ def _check_budget(args):
     check_count("--max-iter", args.max_iter)
 
 
+def _benchmark_side(args, flag, counts):
+    """The grid side of --m, once --tol, --max-iter, --T and the time point
+    counts given by `flag` are checked under their flag names, before the
+    first solve."""
+    _check_budget(args)
+    check_scale("--T", args.T)
+    # the second-order rhs folds the initial velocity into the first two steps
+    minimum = 2 if args.kind == "wave" else 1
+    for n in counts:
+        check_count(f"{flag} of --kind {args.kind}", n, minimum)
+    return _square_side(args.m)
+
+
 def _square_side(m):
     side = math.isqrt(max(m, 0))
     if side * side != m:
@@ -135,9 +148,9 @@ def _square_side(m):
 
 def cmd_decompose(args):
     # n is checked before the default dt = 1/n divides by it
-    n, tol = check_count("n", args.n), args.tol
+    n, tol = check_count("--n", args.n), args.tol
     _check_budget(args)
-    dt = 1.0 / n if args.dt is None else args.dt
+    dt = 1.0 / n if args.dt is None else check_scale("--dt", args.dt)
     reps = 3 if n <= 1024 else 1
 
     dec, fast_seconds = _median_time(
@@ -207,8 +220,6 @@ def _bench_once(args, side, n, workers, reps):
     """Decompose and solve the benchmark problem of the CLI arguments at n
     time points; returns the report, the median seconds of `reps` solves
     and the global error against the discrete reference."""
-    # the second-order rhs folds the initial velocity into the first two steps
-    check_count(f"n of --kind {args.kind}", n, 2 if args.kind == "wave" else 1)
     problem = make_benchmark(args.kind, side, n=n, T=args.T)
     grid = problem.grid
     dec = spectral.decompose(n, grid.dt, with_residual=False)
@@ -222,9 +233,8 @@ def _bench_once(args, side, n, workers, reps):
 
 
 def cmd_convergence(args):
-    _check_budget(args)
-    side = _square_side(args.m)
     n_list = args.n_list
+    side = _benchmark_side(args, "--n-list", n_list)
     workers = args.workers
     rows = []
     prev_err = None
@@ -316,11 +326,10 @@ def cmd_compare_geometric(args):
 # ------------------------------------------------------------------- bench
 
 def cmd_bench(args):
-    _check_budget(args)
-    side = _square_side(args.m)
+    side = _benchmark_side(args, "--n", [args.n])
     workers_list = args.workers_list
     if workers_list != sorted(workers_list) or workers_list[0] != 1:
-        raise ValueError("--workers list must be ascending and start at 1")
+        raise ValueError("--workers-list must be ascending and start at 1")
     rows = []
     strong_base = None
     weak_base = None

@@ -2,9 +2,23 @@
 
 Every driver runs one three-step kernel once B = V D V^{-1} is known:
 
-    (a)  g = (V^{-1} (x) I) b          -- SpectralDecomposition.apply_Vinv
-    (b)  (sigma_j I + A) w_j = g_j     -- n independent shifted solves
-    (c)  u = (V (x) I) w               -- SpectralDecomposition.apply_V
+    (a)  g = (V^{-1} (x) S) b          -- SpectralDecomposition.apply_Vinv,
+                                          then op.to_modes
+    (b)  (sigma_j I + S A S^{-1}) w_j = g_j
+                                       -- n independent shifted solves
+    (c)  u = (V (x) S^{-1}) w          -- SpectralDecomposition.apply_V,
+                                          then op.from_modes
+
+S is the operator's modal basis (`SpatialOperator.to_modes`): a real map
+that acts on the spatial index alone, so it commutes with both time
+products.  The linear drivers take it from the operator, and step (b) is
+op.modal_solve_batch; for the sine Laplacian, S is the 2-D DST-I and step
+(b) one pointwise division per shift, where the physical basis would take
+two transforms per shift.  The identity basis of the base class makes
+step (b) op.shifted_solve_batch.  The simplified Newton iteration always
+runs in the physical basis (S = I), because its Jacobian diagonal acts
+there.  Step (a) maps only the h = n - q representative rows g_j and
+refills the mirrored rows by conjugation, exact since S is real.
 
 The right-hand side b is real: a nonzero imaginary part raises
 NonRealSolutionError before step (a).  Steps (a) and (c) are real products
@@ -12,7 +26,9 @@ over the decomposition's conjugate pairs, owned by `spectral`.  Step (c)
 returns Re(V w) and ||Im(V w)||, both exact for any w: the imaginary
 residue ||Im(V w)||/||V w|| measures how far the n solutions w_j are from
 conjugate-symmetric; above _IMAG_HARD it raises NonRealSolutionError, and
-the real part is the solution.
+the real part, mapped back by S^{-1}, is the solution.  The residue is
+taken before that map, which leaves it unchanged: the DST-I is a multiple
+of an orthogonal map.
 
 Linear first-order systems (B (x) I + I (x) A) u = b use the shifts
 sigma_j = lambda_j, second-order systems (B^2 (x) I + I (x) A) u = b the
@@ -59,8 +75,9 @@ The linear drivers solve all n shifts, and with q = 0 (the geometric
 baseline) so does SNI.
 
 Step (b) splits the shifts it solves into one contiguous slice per worker
-and solves each slice by batched shifted solves (op.shifted_solve_batch),
-the slices in parallel on a shared-memory thread pool.  Each worker overwrites
+and solves each slice by batched solves (op.modal_solve_batch, or
+op.shifted_solve_batch for SNI), the slices in parallel on a shared-memory
+thread pool.  Each worker overwrites
 its own blocks g_j by w_j in place, each row of a batched solve depends on
 that row and its shift alone, every shift's iteration, estimate and stop
 depend on that shift and the shared rel_k alone, and steps (a)/(c) run
@@ -165,8 +182,15 @@ def _pointwise(name, func, U):
     return values
 
 
-def _three_step(decomp, b, solve_block, workers, times, solved=None):
+def _three_step(decomp, b, solve_block, workers, times, solved=None,
+                op=None):
     """Steps (a)-(c) for the real (n, m) blocks b.
+
+    With an operator op, step (a) maps the h = n - q representative rows
+    of g into op's modal basis (op.to_modes), the mirrored rows refilled by
+    conjugation, and step (c) maps the solution back (op.from_modes) after
+    the imaginary residue is taken; with None the kernel stays in the
+    physical basis.
 
     Step (b) solves the first `solved` complex blocks g_j, all n by default,
     and fills the rows G[solved:] by conj(G[:n-solved][::-1]), the mirror
@@ -182,6 +206,12 @@ def _three_step(decomp, b, solve_block, workers, times, solved=None):
     """
     t0 = time.perf_counter()
     G = decomp.apply_Vinv(b)
+    if op is not None:
+        q, h = decomp.q, decomp.n - decomp.q
+        # one thread: on 2 cores a second one bought nothing on the DST
+        # alone and cost heat-wide's step (a) 6 ms after the GEMM
+        op.to_modes(G[:h])
+        np.conj(G[:q][::-1], out=G[h:])
     times["step_a"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -202,12 +232,14 @@ def _three_step(decomp, b, solve_block, workers, times, solved=None):
     U, im = decomp.apply_V(G)
     unorm = np.hypot(np.linalg.norm(U), im)
     residue = float(im / unorm) if unorm > 0 else 0.0
-    times["step_c"] += time.perf_counter() - t0
     if residue > _IMAG_HARD:
         raise NonRealSolutionError(
             f"imaginary residue {residue:.3e} of the recovered solution "
             f"exceeds {_IMAG_HARD:.0e}"
         )
+    if op is not None:
+        op.from_modes(U)
+    times["step_c"] += time.perf_counter() - t0
     return U, residue
 
 
@@ -252,8 +284,8 @@ def _solve_linear(decomp, op, rhs, workers, order):
     times["assembly"] = time.perf_counter() - t0
 
     U, residue = _three_step(
-        decomp, b, lambda lo, hi, Gs: op.shifted_solve_batch(shifts[lo:hi], Gs),
-        workers, times,
+        decomp, b, lambda lo, hi, Gs: op.modal_solve_batch(shifts[lo:hi], Gs),
+        workers, times, op=op,
     )
 
     return SolveReport(

@@ -23,10 +23,21 @@ use:
   rides on top of the stiff linear part, solves these systems by a fixed
   point on ``shifted_solve_batch`` and calls this method only as the exact
   fallback for a shift whose fixed point does not contract.
+- the modal basis, for the linear drivers: ``to_modes(X, workers)`` and
+  ``from_modes(X, workers)`` map each row of X in place into and out of a
+  basis S in which A is diagonal, and ``modal_solve_batch(sigmas, G)`` is
+  ``shifted_solve_batch`` on rows already in that basis.  S must be a real
+  map (it commutes with conjugation, so conjugate rows stay conjugate),
+  and the three compose to ``shifted_solve_batch``.  The base class is the
+  identity basis: the maps do nothing and ``modal_solve_batch`` is
+  ``shifted_solve_batch``, so an operator that defines neither, a
+  delegating wrapper included, solves in its physical basis.
+  ``SineLaplacian2D`` sets S to the 2-D DST-I, and ``PeriodicLaplacian1D``
+  keeps the identity, since its FFT is not a real map.
 
-``shifted_solve_batch`` must be reentrant: the driver invokes it
-concurrently on disjoint row blocks of one array, so no method mutates
-shared scratch state.
+``shifted_solve_batch`` and ``modal_solve_batch`` must be reentrant: the
+driver invokes them concurrently on disjoint row blocks of one array, so no
+method mutates shared scratch state.
 
 The discrete Laplacians avoid external sparse solvers in their shifted
 solves: the Dirichlet operator on a square is diagonalized exactly by the
@@ -66,11 +77,11 @@ __all__ = [
 ]
 
 _SHIFT_FLOOR = 1e-12
-#: SineLaplacian2D.shifted_solve_batch, and the SNI fixed point above it,
-#: work through their rows in chunks of at most this many complex elements
-#: (512 KiB): the DSTs run in place, but each chunk's denominators are new
-#: arrays of its size, and 4 MiB chunks raised the peak RSS of 1024 shifts
-#: on a 31^2 grid by 11%
+#: SineLaplacian2D's shifted and modal batched solves, and the SNI fixed
+#: point above them, work through their rows in chunks of at most this
+#: many complex elements (512 KiB): the DSTs run in place, but each chunk's
+#: denominators are new arrays of its size, and 4 MiB chunks raised the
+#: peak RSS of 1024 shifts on a 31^2 grid by 11%
 _BATCH_ELEMS = 1 << 15
 
 
@@ -82,6 +93,14 @@ class SpatialOperator:
     `shifted_solve_batch`); `apply` and the exact `shifted_diag_solve` are
     written here once, from `matrix`.  An operator without a matrix (a
     delegating wrapper) overrides `apply` and `shifted_diag_solve` instead.
+
+    The modal basis hooks `to_modes`, `from_modes` and `modal_solve_batch`
+    default to the identity basis.  An operator diagonalized by a real
+    transform S may define all three: the linear drivers then apply S once
+    to all right-hand sides, divide in the modal basis and map back once,
+    instead of two transforms per shift.  The simplified Newton iteration
+    does not use them, because its Jacobian diagonal acts in the physical
+    basis.
     """
 
     m: int
@@ -104,6 +123,18 @@ class SpatialOperator:
         """
         for j, sigma in enumerate(self._check_batch(sigmas, G)):
             G[j] = self.shifted_solve(sigma, G[j])
+
+    def to_modes(self, X, workers=1):
+        """Map each row of the C-contiguous float64 or complex128 array X
+        into the modal basis, in place; `workers` threads may share it.
+        The identity here."""
+
+    def from_modes(self, X, workers=1):
+        """The inverse of `to_modes`, in place.  The identity here."""
+
+    def modal_solve_batch(self, sigmas, G):
+        """`shifted_solve_batch` on rows G[j] already in the modal basis."""
+        self.shifted_solve_batch(sigmas, G)
 
     def shifted_diag_solve(self, sigma, diag, g):
         """Solve (sigma I + A + diag(d)) w = g by a sparse LU of `matrix`.
@@ -236,20 +267,51 @@ class SineLaplacian2D(SpatialOperator):
         return G.reshape(g.shape)
 
     def shifted_solve_batch(self, sigmas, G):
+        """`modal_solve_batch` between `to_modes` and `from_modes`, one
+        chunk of rows at a time."""
         sigmas = self._check_batch(sigmas, G)
+        rows = max(1, _BATCH_ELEMS // self.m)
+        for s in range(0, len(G), rows):
+            W = G[s:s + rows]
+            self.to_modes(W)
+            self.modal_solve_batch(sigmas[s:s + rows], W)
+            self.from_modes(W)
+
+    def to_modes(self, X, workers=1):
+        """The unnormalised 2-D DST-I of each row of X, in place.
+
+        ValueError unless X is a C-contiguous float64 or complex128 array of
+        rows of length m, since dstn would transform any other into a copy.
+        """
+        if not (isinstance(X, np.ndarray) and X.flags.c_contiguous
+                and X.dtype in (np.float64, np.complex128)
+                and X.ndim == 2 and X.shape[1] == self.m):
+            raise ValueError(f"X must be a C-contiguous float64 or complex128 "
+                             f"array of rows of length {self.m}")
         p = self.points_per_dim
+        # overwrite_x makes dstn transform the real and imaginary parts of X
+        # in place, one line at a time
+        scipy.fft.dstn(X.reshape(len(X), p, p), type=1, axes=(1, 2),
+                       overwrite_x=True, workers=workers)
+
+    def from_modes(self, X, workers=1):
+        """The inverse 2-D DST-I of each row of X, in place: DST-I is its
+        own inverse up to the factor _dst_scale."""
+        self.to_modes(X, workers)
+        X *= self._dst_scale
+
+    def modal_solve_batch(self, sigmas, G):
+        """Divide each modal row G[j] by sigmas[j] + modes2d, in place, by
+        chunks of _BATCH_ELEMS elements; SingularShiftError as
+        `_check_shifts` finds it."""
+        sigmas = self._check_batch(sigmas, G)
+        modes = self.modes2d.reshape(-1)
         rows = max(1, _BATCH_ELEMS // self.m)
         for s in range(0, len(G), rows):
             e = min(s + rows, len(G))
-            denom = sigmas[s:e, None, None] + self.modes2d
+            denom = sigmas[s:e, None] + modes
             self._check_shifts(sigmas[s:e], denom)
-            W = G[s:e].reshape(e - s, p, p)
-            # overwrite_x makes dstn transform the real and imaginary parts
-            # of W in place, one line at a time
-            scipy.fft.dstn(W, type=1, axes=(1, 2), overwrite_x=True)
-            W /= denom
-            scipy.fft.dstn(W, type=1, axes=(1, 2), overwrite_x=True)
-            W *= self._dst_scale
+            G[s:e] /= denom
 
 
 class PeriodicLaplacian1D(SpatialOperator):

@@ -13,6 +13,7 @@ from chebpint.errors import (
     DimensionMismatchError,
     MaxIterationsError,
     NonRealSolutionError,
+    SingularShiftError,
 )
 from chebpint.solver import (
     _FP_MAX_SWEEPS,
@@ -279,19 +280,22 @@ def test_recover_velocity_linear_ramp():
 
 def test_worker_count_does_not_change_results():
     # the dense operator takes the per-shift loop of the base class; the
-    # sine Laplacian's batched solve gets uneven slices from odd n = 33
+    # sine Laplacian solves in its modal basis, and behind a delegating
+    # wrapper in the physical one, both with uneven slices from odd n = 33
     rng = np.random.default_rng(5)
     m = 6
     M = rng.normal(size=(m, m))
     dense = make_dense_operator(M @ M.T + m * np.eye(m))
     lap = SineLaplacian2D(7, 1.0 / 8.0)
-    for op, n, worker_counts in ((dense, 16, (2, 4, 8)), (lap, 33, (2, 3, 5, 8))):
+    for op, n, worker_counts in ((dense, 16, (2, 4, 8)), (lap, 33, (2, 3, 5, 8)),
+                                 (_CountingOperator(lap), 33, (2, 3, 5))):
         dec = decompose(n, 0.1)
         rhs = rhs_first_order(rng.normal(size=op.m), rng.normal(size=(n, op.m)), 0.1)
-        base = solve_first_order_linear(dec, op, rhs, workers=1).solution.values
-        for workers in worker_counts:
-            got = solve_first_order_linear(dec, op, rhs, workers=workers).solution.values
-            assert np.array_equal(got, base), (n, workers)
+        for solve in (solve_first_order_linear, solve_second_order_linear):
+            base = solve(dec, op, rhs, workers=1).solution.values
+            for workers in worker_counts:
+                got = solve(dec, op, rhs, workers=workers).solution.values
+                assert np.array_equal(got, base), (type(op), n, workers)
 
 
 @pytest.mark.parametrize("workers", [0, -3, 2.0, 1.5, 2.5, "2", float("nan")])
@@ -457,6 +461,67 @@ def test_sni_worker_count_does_not_change_results():
                                    max_iter=40, workers=workers)
         assert np.array_equal(got.solution.values, base.solution.values), workers
         assert got.residual_history == base.residual_history, workers
+
+
+@pytest.mark.parametrize("n, order", [(1, 1), (2, 1), (3, 1), (32, 1), (33, 1),
+                                      (2, 2), (3, 2), (32, 2), (33, 2)])
+def test_modal_basis_matches_the_physical_basis(n, order):
+    # SineLaplacian2D solves in its DST basis; a delegating wrapper inherits
+    # the identity basis and solves in the physical one, on the stencil
+    # halves and on dense q = 0 factors, which map and mirror all n rows
+    rng = np.random.default_rng(71)
+    lap = SineLaplacian2D(9, 0.1)
+    dec = decompose(n, 0.05)
+    dense = dataclasses.replace(dec, V_half=build_V(dec.roots),
+                                Vinv_half=build_Vinv_fast(dec.roots))
+    rhs = BlockVector(rng.normal(size=(n, lap.m)))
+    solve = solve_first_order_linear if order == 1 else solve_second_order_linear
+    for d in (dec, dense):
+        modal = solve(d, lap, rhs, workers=2)
+        physical = solve(d, _CountingOperator(lap), rhs, workers=2)
+        diff = np.linalg.norm(modal.solution.values - physical.solution.values)
+        assert diff <= 1e-13 * np.linalg.norm(physical.solution.values), d.q
+        assert modal.residual_history[0] <= 1e-12
+
+
+def test_modal_solve_names_the_colliding_mode():
+    # a dense q = 0 decomposition may carry a real eigenvalue; at -mu_(1,1)
+    # step (b)'s division meets a zero denominator, and the modal path
+    # raises as the physical one does
+    n = 4
+    lap = SineLaplacian2D(5, 1.0 / 6.0)
+    dec = decompose(n, 0.1)
+    lam = dec.eigenvalues.copy()
+    lam[1] = -lap.modes2d[0, 0]
+    bad = dataclasses.replace(dec, eigenvalues=lam, V_half=build_V(dec.roots),
+                              Vinv_half=build_Vinv_fast(dec.roots))
+    rhs = BlockVector(np.ones((n, lap.m)))
+    for op in (lap, _CountingOperator(lap)):
+        with pytest.raises(SingularShiftError, match=r"mode \(1, 1\)"):
+            solve_first_order_linear(bad, op, rhs)
+
+
+def test_modal_solve_holds_no_more_arrays_than_the_physical_one():
+    # the modal maps and the mirror refill work in place: the modal solve's
+    # peak is the physical one's, G (two n x m float arrays) and U next to
+    # it plus one chunk of _BATCH_ELEMS complex elements
+    n, side = 32, 64
+    m = side**2
+    lap = SineLaplacian2D(side, 1.0 / (side + 1))
+    dec = decompose(n, 0.1, with_residual=False)
+    rhs = BlockVector(np.random.default_rng(2).normal(size=(n, m)))
+    peaks = []
+    for op in (lap, _CountingOperator(lap)):
+        solve_first_order_linear(dec, op, rhs)              # warm up
+        tracemalloc.start()
+        try:
+            solve_first_order_linear(dec, op, rhs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    modal, physical = peaks
+    assert modal <= physical, peaks
+    assert modal <= 3 * n * m * 8 + _BATCH_ELEMS * 16, peaks
 
 
 def _varying_jacobian_problem(n, spy=_CountingOperator):

@@ -220,6 +220,72 @@ def test_shifted_solve_batch_rejects_bad_rows(any_operator):
         any_operator.shifted_solve_batch(sigmas, np.ones((m, 2), dtype=complex).T)
 
 
+def test_modal_hooks_compose_to_the_batched_solve(any_operator):
+    # to_modes, modal_solve_batch and from_modes, each in place, are
+    # shifted_solve_batch: bitwise for the sine Laplacian, whose batch is
+    # written as those three calls, and trivially for the identity basis
+    rng = np.random.default_rng(22)
+    k, m = 5, any_operator.m
+    sigmas = rng.uniform(0.5, 3.0, size=k) + 1j * rng.normal(size=k)
+    G = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    expected = G.copy()
+    any_operator.shifted_solve_batch(sigmas, expected)
+    assert any_operator.to_modes(G) is None
+    assert any_operator.modal_solve_batch(sigmas, G) is None
+    assert any_operator.from_modes(G) is None
+    assert np.array_equal(G, expected)
+
+
+def test_modal_maps_are_real_and_inverse(any_operator):
+    # real maps commute with conjugation bitwise, which the drivers' mirror
+    # of the conjugate rows relies on; the thread count changes no bit
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(3, any_operator.m)) + 1j * rng.normal(size=(3, any_operator.m))
+    Y, Z, R = X.copy(), X.conj(), X.real.copy()
+    any_operator.to_modes(Y)
+    any_operator.to_modes(Z)
+    any_operator.to_modes(R)
+    assert np.array_equal(Z, Y.conj()) and np.array_equal(R, Y.real)
+    threaded = X.copy()
+    any_operator.to_modes(threaded, workers=2)
+    assert np.array_equal(threaded, Y)
+    any_operator.from_modes(Y)
+    assert np.abs(Y - X).max() <= 1e-14 * np.abs(X).max()
+
+
+def test_laplacian2d_modal_maps_reject_rows_they_cannot_map_in_place():
+    op = SineLaplacian2D(4, 0.2)
+    for X in (np.ones((2, 16), dtype=np.float32), np.ones((16, 2)).T,
+              np.ones((2, 15)), np.ones(16), [[1.0] * 16]):
+        for method in (op.to_modes, op.from_modes):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                method(X)
+
+
+def test_identity_basis_is_the_default():
+    # the dense and periodic operators define no modal basis: the FFT
+    # diagonalizes the periodic one, but it is not a real map
+    for op in (make_dense_operator(np.eye(3)), make_laplacian_1d_periodic(5, 0.2)):
+        X = np.arange(2.0 * op.m).reshape(2, op.m) + 0j
+        before = X.copy()
+        op.to_modes(X)
+        op.from_modes(X)
+        assert np.array_equal(X, before)
+
+
+def test_laplacian2d_modal_solve_is_a_division():
+    p = 6
+    op = SineLaplacian2D(p, 1.0 / (p + 1))
+    rng = np.random.default_rng(24)
+    sigmas = np.array([0.5 + 1j, 2.0, -3j])
+    G = rng.normal(size=(3, op.m)) + 1j * rng.normal(size=(3, op.m))
+    expected = G / (sigmas[:, None] + op.modes2d.ravel())
+    op.modal_solve_batch(sigmas, G)
+    assert np.array_equal(G, expected)
+    with pytest.raises(SingularShiftError, match=r"mode \(2, 2\)"):
+        op.modal_solve_batch(np.array([1.0, -op.modes2d[1, 1]]), G[:2].copy())
+
+
 # -------------------------------------------------------------- benchmarks
 
 def test_heat_benchmark_initial_data():
