@@ -208,8 +208,6 @@ def _three_step(decomp, b, solve_block, workers, times, solved=None,
     G = decomp.apply_Vinv(b)
     if op is not None:
         q, h = decomp.q, decomp.n - decomp.q
-        # one thread: on 2 cores a second one bought nothing on the DST
-        # alone and cost heat-wide's step (a) 6 ms after the GEMM
         op.to_modes(G[:h])
         np.conj(G[:q][::-1], out=G[h:])
     times["step_a"] += time.perf_counter() - t0

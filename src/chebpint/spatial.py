@@ -23,8 +23,8 @@ use:
   rides on top of the stiff linear part, solves these systems by a fixed
   point on ``shifted_solve_batch`` and calls this method only as the exact
   fallback for a shift whose fixed point does not contract.
-- the modal basis, for the linear drivers: ``to_modes(X, workers)`` and
-  ``from_modes(X, workers)`` map each row of X in place into and out of a
+- the modal basis, for the linear drivers: ``to_modes(X)`` and
+  ``from_modes(X)`` map each row of X in place into and out of a
   basis S in which A is diagonal, and ``modal_solve_batch(sigmas, G)`` is
   ``shifted_solve_batch`` on rows already in that basis.  S must be a real
   map (it commutes with conjugation, so conjugate rows stay conjugate),
@@ -124,12 +124,11 @@ class SpatialOperator:
         for j, sigma in enumerate(self._check_batch(sigmas, G)):
             G[j] = self.shifted_solve(sigma, G[j])
 
-    def to_modes(self, X, workers=1):
+    def to_modes(self, X):
         """Map each row of the C-contiguous float64 or complex128 array X
-        into the modal basis, in place; `workers` threads may share it.
-        The identity here."""
+        into the modal basis, in place.  The identity here."""
 
-    def from_modes(self, X, workers=1):
+    def from_modes(self, X):
         """The inverse of `to_modes`, in place.  The identity here."""
 
     def modal_solve_batch(self, sigmas, G):
@@ -267,17 +266,17 @@ class SineLaplacian2D(SpatialOperator):
         return G.reshape(g.shape)
 
     def shifted_solve_batch(self, sigmas, G):
-        """`modal_solve_batch` between `to_modes` and `from_modes`, one
-        chunk of rows at a time."""
+        """`to_modes`, the modal division and `from_modes`, one chunk of
+        rows at a time."""
         sigmas = self._check_batch(sigmas, G)
         rows = max(1, _BATCH_ELEMS // self.m)
         for s in range(0, len(G), rows):
             W = G[s:s + rows]
             self.to_modes(W)
-            self.modal_solve_batch(sigmas[s:s + rows], W)
+            self._divide(sigmas[s:s + rows], W)
             self.from_modes(W)
 
-    def to_modes(self, X, workers=1):
+    def to_modes(self, X):
         """The unnormalised 2-D DST-I of each row of X, in place.
 
         ValueError unless X is a C-contiguous float64 or complex128 array of
@@ -292,12 +291,12 @@ class SineLaplacian2D(SpatialOperator):
         # overwrite_x makes dstn transform the real and imaginary parts of X
         # in place, one line at a time
         scipy.fft.dstn(X.reshape(len(X), p, p), type=1, axes=(1, 2),
-                       overwrite_x=True, workers=workers)
+                       overwrite_x=True)
 
-    def from_modes(self, X, workers=1):
+    def from_modes(self, X):
         """The inverse 2-D DST-I of each row of X, in place: DST-I is its
         own inverse up to the factor _dst_scale."""
-        self.to_modes(X, workers)
+        self.to_modes(X)
         X *= self._dst_scale
 
     def modal_solve_batch(self, sigmas, G):
@@ -305,13 +304,15 @@ class SineLaplacian2D(SpatialOperator):
         chunks of _BATCH_ELEMS elements; SingularShiftError as
         `_check_shifts` finds it."""
         sigmas = self._check_batch(sigmas, G)
-        modes = self.modes2d.reshape(-1)
         rows = max(1, _BATCH_ELEMS // self.m)
         for s in range(0, len(G), rows):
-            e = min(s + rows, len(G))
-            denom = sigmas[s:e, None] + modes
-            self._check_shifts(sigmas[s:e], denom)
-            G[s:e] /= denom
+            self._divide(sigmas[s:s + rows], G[s:s + rows])
+
+    def _divide(self, sigmas, W):
+        """W[j] /= sigmas[j] + modes2d for one chunk of modal rows."""
+        denom = sigmas[:, None] + self.modes2d.reshape(-1)
+        self._check_shifts(sigmas, denom)
+        W /= denom
 
 
 class PeriodicLaplacian1D(SpatialOperator):

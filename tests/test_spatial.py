@@ -238,7 +238,7 @@ def test_modal_hooks_compose_to_the_batched_solve(any_operator):
 
 def test_modal_maps_are_real_and_inverse(any_operator):
     # real maps commute with conjugation bitwise, which the drivers' mirror
-    # of the conjugate rows relies on; the thread count changes no bit
+    # of the conjugate rows relies on
     rng = np.random.default_rng(23)
     X = rng.normal(size=(3, any_operator.m)) + 1j * rng.normal(size=(3, any_operator.m))
     Y, Z, R = X.copy(), X.conj(), X.real.copy()
@@ -246,9 +246,6 @@ def test_modal_maps_are_real_and_inverse(any_operator):
     any_operator.to_modes(Z)
     any_operator.to_modes(R)
     assert np.array_equal(Z, Y.conj()) and np.array_equal(R, Y.real)
-    threaded = X.copy()
-    any_operator.to_modes(threaded, workers=2)
-    assert np.array_equal(threaded, Y)
     any_operator.from_modes(Y)
     assert np.abs(Y - X).max() <= 1e-14 * np.abs(X).max()
 
