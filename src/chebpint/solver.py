@@ -14,11 +14,12 @@ that acts on the spatial index alone, so it commutes with both time
 products.  The linear drivers take it from the operator, and step (b) is
 op.modal_solve_batch; for the sine Laplacian, S is the 2-D DST-I and step
 (b) one pointwise division per shift, where the physical basis would take
-two transforms per shift.  The identity basis of the base class makes
-step (b) op.shifted_solve_batch.  The simplified Newton iteration always
-runs in the physical basis (S = I), because its Jacobian diagonal acts
-there.  Step (a) maps only the h = n - q representative rows g_j and
-refills the mirrored rows by conjugation, exact since S is real.
+two transforms per shift.  In the identity basis of the base class step
+(b) is one op.shifted_solve per shift.  The simplified Newton iteration
+always runs in the physical basis (S = I), because its Jacobian diagonal
+acts there: its step (b) is op.shifted_solve_batch.  Step (a) maps only
+the h = n - q representative rows g_j and refills the mirrored rows by
+conjugation, exact since S is real.
 
 The right-hand side b is real: a nonzero imaginary part raises
 NonRealSolutionError before step (a).  Steps (a) and (c) are real products
@@ -74,14 +75,15 @@ its warm starts, update counts and fallbacks are kept per representative.
 The linear drivers solve all n shifts, and with q = 0 (the geometric
 baseline) so does SNI.
 
-Step (b) splits the shifts it solves into one contiguous slice per worker
-and solves each slice by batched solves (op.modal_solve_batch, or
-op.shifted_solve_batch for SNI), the slices in parallel on a shared-memory
-thread pool.  Each worker overwrites
-its own blocks g_j by w_j in place, each row of a batched solve depends on
-that row and its shift alone, every shift's iteration, estimate and stop
-depend on that shift and the shared rel_k alone, and steps (a)/(c) run
-outside the pool, so numerical output is identical for any worker count.
+Step (b) splits the shifts it solves into one contiguous slice per worker,
+the slices in parallel on a shared-memory thread pool, and each slice into
+chunks of at most _BATCH_ELEMS elements; each chunk is one batched solve
+(op.modal_solve_batch for the linear drivers, one fixed point for SNI).
+Each worker overwrites its own blocks g_j by w_j in place, each row of a
+batched solve depends on that row and its shift alone, every shift's
+iteration, estimate and stop depend on that shift and the shared rel_k
+alone, and steps (a)/(c) run outside the pool, so numerical output is
+identical for any worker count and any chunk size.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ from .errors import (
     check_count,
     check_scale,
 )
-from .spatial import _BATCH_ELEMS, SemilinearProblem, SpatialOperator
+from .spatial import SemilinearProblem, SpatialOperator
 from .spectral import SpectralDecomposition
 from .timedisc import BlockVector, GeometricGrid, TimeGrid, apply_B
 
@@ -115,6 +117,14 @@ __all__ = [
 
 #: imaginary residue above this fraction of the solution norm is an error
 _IMAG_HARD = 1e-6
+
+#: step (b) hands its batched solves chunks of rows of at most this many
+#: complex elements (512 KiB), and the stencil residual adds A U by chunks
+#: of as many.  The sine Laplacian's denominators are new arrays of a
+#: chunk's size, and 4 MiB chunks raised the peak RSS of 1024 shifts on a
+#: 31^2 grid by 11%; SNI's fixed-point temporaries stay in cache, where
+#: whole 16-row slices of 63^2 cost 1.5x
+_BATCH_ELEMS = 1 << 15
 
 #: an SNI shift's fixed point stops once an update moves w_j by at most
 #: this fraction of its norm (on sweep 0, and as the floor of later sweeps)
@@ -171,13 +181,12 @@ def _real_rhs(values):
     return np.ascontiguousarray(values, dtype=float)
 
 
-def _pointwise(name, func, U):
-    """func(U); DimensionMismatchError, naming func, unless it has U's
-    shape (n, m)."""
-    values = func(U)
-    if np.shape(values) != U.shape:
+def _shaped(call, values, shape):
+    """values, the result of `call`; DimensionMismatchError, naming the
+    call, unless they have the given shape."""
+    if np.shape(values) != shape:
         raise DimensionMismatchError(
-            f"{name}(U) has shape {np.shape(values)}, but U has {U.shape}"
+            f"{call} has shape {np.shape(values)}, expected {shape}"
         )
     return values
 
@@ -195,11 +204,13 @@ def _three_step(decomp, b, solve_block, workers, times, solved=None,
     Step (b) solves the first `solved` complex blocks g_j, all n by default,
     and fills the rows G[solved:] by conj(G[:n-solved][::-1]), the mirror
     that conjugate shifts give on real data; `solved` is n or the h = n - q
-    representatives.  It splits them into min(workers, solved) contiguous
-    slices [solved*i/w, solved*(i+1)/w) and calls solve_block(lo, hi,
-    G[lo:hi]) once per slice, on a thread pool when there is more than one;
-    each call overwrites its rows g_j by w_j in place.  The seconds of each
-    step are added to times["step_a"], times["step_b"] and times["step_c"].
+    representatives.  It splits them into w = min(workers, solved)
+    contiguous slices [solved*i/w, solved*(i+1)/w), one per thread of a pool
+    when w > 1, and each slice from its start into chunks of
+    max(1, _BATCH_ELEMS // m) rows; it calls solve_block(lo, hi, G[lo:hi])
+    once per chunk, which overwrites the rows g_j by w_j in place.  The
+    seconds of each step are added to times["step_a"], times["step_b"] and
+    times["step_c"].
     Returns the real solution blocks Re(V w) and the imaginary residue
     ||Im(V w)||/||V w||; a residue above _IMAG_HARD raises
     NonRealSolutionError.
@@ -213,16 +224,22 @@ def _three_step(decomp, b, solve_block, workers, times, solved=None,
     times["step_a"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    n = len(G)
+    n, m = G.shape
     solved = n if solved is None else solved
+    rows = max(1, _BATCH_ELEMS // m)
+
+    def solve_slice(lo, hi):
+        for s in range(lo, hi, rows):
+            e = min(s + rows, hi)
+            solve_block(s, e, G[s:e])
+
     w = min(workers, solved)
     bounds = [solved * i // w for i in range(w + 1)]
-    slices = [(lo, hi, G[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     if w == 1:
-        solve_block(*slices[0])
+        solve_slice(0, solved)
     else:
         with ThreadPoolExecutor(max_workers=w) as pool:
-            list(pool.map(lambda sl: solve_block(*sl), slices))
+            list(pool.map(solve_slice, bounds[:-1], bounds[1:]))
     np.conj(G[:n - solved][::-1], out=G[solved:])
     times["step_b"] += time.perf_counter() - t0
 
@@ -419,7 +436,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     The source, f and jac_diag must be real: an f(u) or a sweep's
     right-hand side with a nonzero imaginary part raises
     NonRealSolutionError.  f(U) and jac_diag(U) must have U's shape (n, m),
-    or DimensionMismatchError names the one that does not.  ValueError
+    and source(t) the shape (m,) of the operator dimension, or
+    DimensionMismatchError names the one that does not.  ValueError
     unless tol is positive and finite and max_iter and workers are integers
     >= 1.
     """
@@ -431,7 +449,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     lam = decomp.eigenvalues
     grid = TimeGrid(n=n, dt=decomp.dt)
     t = grid.t_points
-    g = np.stack([problem.source(float(tj)) for tj in t])
+    g = np.stack([_shaped("source(t)", problem.source(float(tj)), (m,))
+                  for tj in t])
     from .timedisc import rhs_first_order
 
     b = _real_rhs(rhs_first_order(problem.u0, g, decomp.dt).values)
@@ -440,7 +459,6 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     h = n - decomp.q                        # the representative shifts
     warm = np.empty((h, m), dtype=complex)  # each shift's w_j of the last sweep
     rho = np.ones(h)                        # each shift's contraction estimate
-    rows = max(1, _BATCH_ELEMS // m)
     updates = np.zeros(h, dtype=int)
     fell_back = np.zeros(h, dtype=bool)
     history = []
@@ -449,7 +467,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     residue = 0.0
     for k in range(max_iter):
         t0 = time.perf_counter()
-        fU = _real_rhs(_pointwise("f", problem.f, U))
+        fU = _real_rhs(_shaped("f(U)", problem.f(U), U.shape))
         rel = _residual(decomp, op, U, b, fU=fU)
         history.append(rel)
         if rel <= tol:
@@ -462,20 +480,15 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
                 sweeps=sweeps,
             )
         rtol = _FP_RTOL if k == 0 else max(_FP_RTOL, _ETA * rel)
-        avg_jac = _pointwise("jac_diag", problem.jac_diag, U).mean(axis=0)
+        avg_jac = _shaped("jac_diag(U)", problem.jac_diag(U), U.shape).mean(axis=0)
         c = 0.5 * (avg_jac.min() + avg_jac.max())
         rhs_k = _real_rhs(b + U * avg_jac[None, :] - fU)
         times["assembly"] += time.perf_counter() - t0
 
         def solve_block(lo, hi, Gs):
-            # chunks of the spatial batch size keep the fixed point's
-            # temporaries in cache; whole 16-row slices of 63^2 cost 1.5x
-            for s in range(lo, hi, rows):
-                e = min(s + rows, hi)
-                _fixed_point_chunk(
-                    op, lam[s:e], avg_jac, c, Gs[s - lo:e - lo], warm[s:e],
-                    k == 0, rtol, rho[s:e], updates[s:e], fell_back[s:e],
-                )
+            _fixed_point_chunk(op, lam[lo:hi], avg_jac, c, Gs, warm[lo:hi],
+                               k == 0, rtol, rho[lo:hi], updates[lo:hi],
+                               fell_back[lo:hi])
 
         U, residue = _three_step(decomp, rhs_k, solve_block, workers, times, h)
         sweeps.append({
@@ -493,7 +506,9 @@ def timestep_trapezoidal(op, grid, u0, source=None):
     """Sequential trapezoidal stepping for u' + A u = g.
 
     Each step solves (2/dt_j I + A) u_j = (2/dt_j I - A) u_{j-1} + (g_{j-1}+g_j),
-    honoring variable step sizes of a GeometricGrid.
+    honoring variable step sizes of a GeometricGrid.  source(t), when
+    given, must have the shape (m,) of the operator dimension, or
+    DimensionMismatchError names it.
     """
     if isinstance(grid, TimeGrid):
         steps = np.full(grid.n, grid.dt)
@@ -507,12 +522,12 @@ def timestep_trapezoidal(op, grid, u0, source=None):
     t = 0.0
     u = u0.copy()
     out = np.empty((len(steps), op.m))
-    g_prev = source(t) if source is not None else None
+    g_prev = None if source is None else _shaped("source(t)", source(t), u0.shape)
     for j, dt in enumerate(steps):
         t_next = t + dt
         rhs = (2.0 / dt) * u - op.apply(u)
         if source is not None:
-            g_next = source(t_next)
+            g_next = _shaped("source(t)", source(t_next), u0.shape)
             rhs = rhs + g_prev + g_next
             g_prev = g_next
         w = op.shifted_solve(2.0 / dt, rhs.astype(complex))

@@ -1,20 +1,31 @@
 """Spatial operators (matrix, apply, complex-shifted solves) and benchmark problems.
 
-An operator defines two methods, ``matrix()`` and its fast shifted solve;
-the base class supplies the rest of the contract the time-parallel drivers
-use:
+An operator defines ``matrix()`` and ``shifted_solve``; one with a real
+modal basis also defines ``to_modes``, ``from_modes`` and
+``modal_solve_batch``.  The base class supplies the rest of the contract
+the time-parallel drivers use:
 
 - ``matrix()``: A itself, as a dense array or a scipy sparse matrix;
 - ``shifted_solve(sigma, g)``: solve (sigma*I + A) w = g for complex sigma,
   by the operator's fast structure-exploiting method;
+- the modal basis: ``to_modes(X)`` and ``from_modes(X)`` map each row of X
+  in place into and out of a basis S in which the shifted solves are
+  cheap, and ``modal_solve_batch(sigmas, G)`` overwrites each row G[j],
+  already in that basis, by the solution of (sigmas[j]*I + S A S^{-1}) w =
+  G[j].  S must be a real map (it commutes with conjugation, so conjugate
+  rows stay conjugate).  The base class is the identity basis: the maps do
+  nothing and ``modal_solve_batch`` calls ``shifted_solve`` once per row,
+  so an operator that defines none of the three, a delegating wrapper
+  included, solves in its physical basis.  ``SineLaplacian2D`` sets S to
+  the 2-D DST-I, in which its solve is a division, and
+  ``PeriodicLaplacian1D`` keeps the identity, since its FFT is not a real
+  map;
 - ``shifted_solve_batch(sigmas, G)``: overwrite each row G[j] of a
   C-contiguous complex128 array by the solution of
-  (sigmas[j]*I + A) w = G[j], bitwise equal to ``shifted_solve`` of that
-  row whatever else the batch holds.  The base class loops over
-  ``shifted_solve``, so an operator that defines only the per-shift solve
-  works unchanged; ``SineLaplacian2D`` transforms chunks of rows in place,
-  and its ``shifted_solve`` is the one-row batch.  An operator defines
-  ``shifted_solve`` or ``shifted_solve_batch``, or both.
+  (sigmas[j]*I + A) w = G[j], written once in the base class as
+  ``to_modes``, ``modal_solve_batch`` and ``from_modes`` of G.  Each row's
+  result depends on that row and its shift alone, whatever else the batch
+  holds;
 - ``apply(v)``: the matrix action A @ v (batched over a leading axis),
   written once in the base class from ``matrix()``;
 - ``shifted_diag_solve(sigma, diag, g)``: solve (sigma*I + A + diag(d)) w = g
@@ -23,21 +34,11 @@ use:
   rides on top of the stiff linear part, solves these systems by a fixed
   point on ``shifted_solve_batch`` and calls this method only as the exact
   fallback for a shift whose fixed point does not contract.
-- the modal basis, for the linear drivers: ``to_modes(X)`` and
-  ``from_modes(X)`` map each row of X in place into and out of a
-  basis S in which A is diagonal, and ``modal_solve_batch(sigmas, G)`` is
-  ``shifted_solve_batch`` on rows already in that basis.  S must be a real
-  map (it commutes with conjugation, so conjugate rows stay conjugate),
-  and the three compose to ``shifted_solve_batch``.  The base class is the
-  identity basis: the maps do nothing and ``modal_solve_batch`` is
-  ``shifted_solve_batch``, so an operator that defines neither, a
-  delegating wrapper included, solves in its physical basis.
-  ``SineLaplacian2D`` sets S to the 2-D DST-I, and ``PeriodicLaplacian1D``
-  keeps the identity, since its FFT is not a real map.
 
 ``shifted_solve_batch`` and ``modal_solve_batch`` must be reentrant: the
 driver invokes them concurrently on disjoint row blocks of one array, so no
-method mutates shared scratch state.
+method mutates shared scratch state.  They work through whatever rows they
+are given at once; the driver hands them chunks of rows.
 
 The discrete Laplacians avoid external sparse solvers in their shifted
 solves: the Dirichlet operator on a square is diagonalized exactly by the
@@ -77,30 +78,24 @@ __all__ = [
 ]
 
 _SHIFT_FLOOR = 1e-12
-#: SineLaplacian2D's shifted and modal batched solves, and the SNI fixed
-#: point above them, work through their rows in chunks of at most this
-#: many complex elements (512 KiB): the DSTs run in place, but each chunk's
-#: denominators are new arrays of its size, and 4 MiB chunks raised the
-#: peak RSS of 1024 shifts on a 31^2 grid by 11%
-_BATCH_ELEMS = 1 << 15
 
 
 class SpatialOperator:
     """Contract: A as a matrix, its action and complex-shifted solves of
     dimension m.
 
-    A subclass defines `matrix` and a fast `shifted_solve` (or
-    `shifted_solve_batch`); `apply` and the exact `shifted_diag_solve` are
-    written here once, from `matrix`.  An operator without a matrix (a
-    delegating wrapper) overrides `apply` and `shifted_diag_solve` instead.
+    A subclass defines `matrix` and a fast `shifted_solve`; `apply` and the
+    exact `shifted_diag_solve` are written here once, from `matrix`.  An
+    operator without a matrix (a delegating wrapper) overrides `apply` and
+    `shifted_diag_solve` instead.
 
     The modal basis hooks `to_modes`, `from_modes` and `modal_solve_batch`
     default to the identity basis.  An operator diagonalized by a real
     transform S may define all three: the linear drivers then apply S once
     to all right-hand sides, divide in the modal basis and map back once,
-    instead of two transforms per shift.  The simplified Newton iteration
-    does not use them, because its Jacobian diagonal acts in the physical
-    basis.
+    instead of two transforms per shift.  `shifted_solve_batch` is the
+    three in a row, so the simplified Newton iteration, whose Jacobian
+    diagonal acts in the physical basis, maps each batch it solves.
     """
 
     m: int
@@ -119,10 +114,13 @@ class SpatialOperator:
     def shifted_solve_batch(self, sigmas, G):
         """Overwrite each row G[j] by the solution of (sigmas[j] I + A) w = G[j].
 
-        G is a C-contiguous complex128 array of shape (len(sigmas), m).
+        G is a C-contiguous complex128 array of shape (len(sigmas), m); its
+        rows are mapped into the modal basis, solved there and mapped back.
         """
-        for j, sigma in enumerate(self._check_batch(sigmas, G)):
-            G[j] = self.shifted_solve(sigma, G[j])
+        sigmas = self._check_batch(sigmas, G)
+        self.to_modes(G)
+        self.modal_solve_batch(sigmas, G)
+        self.from_modes(G)
 
     def to_modes(self, X):
         """Map each row of the C-contiguous float64 or complex128 array X
@@ -132,8 +130,11 @@ class SpatialOperator:
         """The inverse of `to_modes`, in place.  The identity here."""
 
     def modal_solve_batch(self, sigmas, G):
-        """`shifted_solve_batch` on rows G[j] already in the modal basis."""
-        self.shifted_solve_batch(sigmas, G)
+        """`shifted_solve_batch` on rows G[j] already in the modal basis;
+        sigmas and G as that method checks them.  The identity basis here:
+        one `shifted_solve` per row."""
+        for j, sigma in enumerate(sigmas):
+            G[j] = self.shifted_solve(sigma, G[j])
 
     def shifted_diag_solve(self, sigma, diag, g):
         """Solve (sigma I + A + diag(d)) w = g by a sparse LU of `matrix`.
@@ -265,17 +266,6 @@ class SineLaplacian2D(SpatialOperator):
         self.shifted_solve_batch(np.array([sigma]), G)
         return G.reshape(g.shape)
 
-    def shifted_solve_batch(self, sigmas, G):
-        """`to_modes`, the modal division and `from_modes`, one chunk of
-        rows at a time."""
-        sigmas = self._check_batch(sigmas, G)
-        rows = max(1, _BATCH_ELEMS // self.m)
-        for s in range(0, len(G), rows):
-            W = G[s:s + rows]
-            self.to_modes(W)
-            self._divide(sigmas[s:s + rows], W)
-            self.from_modes(W)
-
     def to_modes(self, X):
         """The unnormalised 2-D DST-I of each row of X, in place.
 
@@ -300,19 +290,11 @@ class SineLaplacian2D(SpatialOperator):
         X *= self._dst_scale
 
     def modal_solve_batch(self, sigmas, G):
-        """Divide each modal row G[j] by sigmas[j] + modes2d, in place, by
-        chunks of _BATCH_ELEMS elements; SingularShiftError as
-        `_check_shifts` finds it."""
-        sigmas = self._check_batch(sigmas, G)
-        rows = max(1, _BATCH_ELEMS // self.m)
-        for s in range(0, len(G), rows):
-            self._divide(sigmas[s:s + rows], G[s:s + rows])
-
-    def _divide(self, sigmas, W):
-        """W[j] /= sigmas[j] + modes2d for one chunk of modal rows."""
+        """Divide each modal row G[j] by sigmas[j] + modes2d, in place;
+        SingularShiftError as `_check_shifts` finds it."""
         denom = sigmas[:, None] + self.modes2d.reshape(-1)
         self._check_shifts(sigmas, denom)
-        W /= denom
+        G /= denom
 
 
 class PeriodicLaplacian1D(SpatialOperator):

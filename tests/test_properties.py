@@ -5,8 +5,9 @@ builders, and the cond2 estimate against the SVD; of the real steps (a) and (c),
 SpectralDecomposition.apply_Vinv and apply_V, against the complex products,
 and of step (c)'s skip of the imaginary rows that mirrored solves make
 exactly 0; of the solvers' one-array stencil residual against the sum of
-its terms; and of the batched sine Laplacian solve against its per-row
-solve, and of its shift check against the scan of every denominator.
+its terms; of step (b)'s chunks of rows, which change no driver's result;
+and of the batched sine Laplacian solve against its per-row solve, and of
+its shift check against the scan of every denominator.
 
 Examples are derandomized and few, so the suite stays deterministic and
 adds only a few seconds.
@@ -33,6 +34,7 @@ from chebpint.spectral import (
     save_decomposition,
 )
 from chebpint.timedisc import (
+    BlockVector,
     apply_B,
     geometric_decomposition,
     geometric_grid,
@@ -335,19 +337,97 @@ def test_cond2_estimate_matches_svd(n):
 
 
 @_SETTINGS
-@given(side=st.integers(1, 40), k=st.integers(1, 70), rows=st.integers(1, 9),
+@given(side=st.integers(1, 40), k=st.integers(1, 70),
        seed=st.integers(0, 2**32 - 1))
-def test_batched_sine_solve_is_the_per_row_solve(side, k, rows, seed):
-    # chunks of `rows` rows, so most batches cross chunk boundaries
+def test_batched_sine_solve_is_the_per_row_solve(side, k, seed):
+    # the batch maps and divides all k rows at once, each row bitwise as
+    # its own one-row batch
     op = spatial.SineLaplacian2D(side, 1.0 / (side + 1))
     rng = np.random.default_rng(seed)
     sigmas = rng.uniform(0.1, 1e3, size=k) + 1j * rng.normal(scale=1e3, size=k)
     G0 = rng.normal(size=(k, op.m)) + 1j * rng.normal(size=(k, op.m))
     G = G0.copy()
-    with mock.patch.object(spatial, "_BATCH_ELEMS", rows * op.m):
-        op.shifted_solve_batch(sigmas, G)
+    op.shifted_solve_batch(sigmas, G)
     for j in range(k):
         assert np.array_equal(G[j], op.shifted_solve(sigmas[j], G0[j])), j
+
+
+class _IdentityWrapper(spatial.SpatialOperator):
+    """Delegates to an operator in the identity basis and records the shifts
+    of each modal batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.m = inner.m
+        self.batches = []
+
+    def apply(self, v):
+        return self.inner.apply(v)
+
+    def shifted_solve(self, sigma, g):
+        return self.inner.shifted_solve(sigma, g)
+
+    def modal_solve_batch(self, sigmas, G):
+        self.batches.append(np.array(sigmas))
+        super().modal_solve_batch(sigmas, G)
+
+
+@_SETTINGS
+@given(rows=st.integers(1, 9), workers=st.integers(1, 3), n=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_b_chunks_do_not_change_results(rows, workers, n, seed):
+    # step (b) in chunks of `rows` rows, where the default chunk holds all
+    # n rows of a 4^2 grid: the linear drivers in the sine basis and in the
+    # identity one, and SNI, bitwise as by default; every chunk the kernel
+    # hands to its solves has at most `rows` rows, and each solved row is
+    # in exactly one chunk per kernel run
+    bench = spatial.make_benchmark("semilinear", 4, n=n, T=2.0)
+    lap, m = bench.operator, bench.m
+    dec = decompose(n, bench.grid.dt)
+    rhs = BlockVector(np.random.default_rng(seed).normal(size=(n, m)))
+
+    def solve_all():
+        wrapper = _IdentityWrapper(lap)
+        reports = [solver.solve_first_order_linear(dec, op, rhs, workers)
+                   for op in (lap, wrapper)]
+        if n >= 2:
+            reports.append(solver.solve_second_order_linear(dec, lap, rhs, workers))
+        reports.append(solver.solve_semilinear_sni(
+            bench.semilinear(), dec, tol=1e-8, max_iter=40, workers=workers))
+        return reports, wrapper
+
+    runs = []
+    kernel = solver._three_step
+
+    def spy(decomp, b, solve_block, *args, **kwargs):
+        chunks = []
+
+        def block(lo, hi, Gs):
+            chunks.append((lo, hi, len(Gs)))
+            solve_block(lo, hi, Gs)
+
+        U, residue = kernel(decomp, b, block, *args, **kwargs)
+        runs.append(chunks)
+        return U, residue
+
+    default, _ = solve_all()
+    with mock.patch.object(solver, "_BATCH_ELEMS", rows * m), \
+            mock.patch.object(solver, "_three_step", spy):
+        chunked, wrapper = solve_all()
+    for want, got in zip(default, chunked):
+        assert got.solution.values.tobytes() == want.solution.values.tobytes()
+        assert got.residual_history == want.residual_history
+        assert got.imag_residue == want.imag_residue
+    h = n - dec.q
+    linear = 3 if n >= 2 else 2
+    assert len(runs) == linear + chunked[-1].iterations
+    for k, chunks in enumerate(runs):
+        assert all(hi - lo == size <= rows for lo, hi, size in chunks)
+        solved = sorted(j for lo, hi, _ in chunks for j in range(lo, hi))
+        assert solved == list(range(n if k < linear else h))
+    assert all(len(sigmas) <= rows for sigmas in wrapper.batches)
+    assert np.array_equal(np.sort_complex(np.concatenate(wrapper.batches)),
+                          np.sort_complex(dec.eigenvalues))
 
 
 @_SETTINGS
@@ -400,10 +480,10 @@ def _full_scan(op, sigma):
 
 
 @_SETTINGS
-@given(side=st.integers(1, 6), real=st.booleans(), rows=st.integers(1, 4),
+@given(side=st.integers(1, 6), real=st.booleans(),
        picks=st.lists(st.tuples(st.integers(0, 35), st.sampled_from(_NEAR_MODE)),
                       min_size=1, max_size=6))
-def test_shift_check_rejects_what_the_full_scan_rejects(side, real, rows, picks):
+def test_shift_check_rejects_what_the_full_scan_rejects(side, real, picks):
     op = spatial.SineLaplacian2D(side, 1.0 / (side + 1))
     modes = op.modes2d.ravel()
     sigmas = np.array([-modes[i % modes.size] + d for i, d in picks])
@@ -418,11 +498,10 @@ def test_shift_check_rejects_what_the_full_scan_rejects(side, real, rows, picks)
             got = str(e)
         assert got == msg
     G = np.ones((len(sigmas), op.m), dtype=complex)
-    with mock.patch.object(spatial, "_BATCH_ELEMS", rows * op.m):
-        try:
-            op.shifted_solve_batch(sigmas, G)
-            got = None
-        except SingularShiftError as e:
-            got = str(e)
+    try:
+        op.shifted_solve_batch(sigmas, G)
+        got = None
+    except SingularShiftError as e:
+        got = str(e)
     # the batch raises for its first rejected shift
     assert got == next((msg for msg in want if msg), None)

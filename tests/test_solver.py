@@ -1,6 +1,7 @@
 """Tests for the time-parallel solve drivers."""
 
 import dataclasses
+import re
 import sys
 import tracemalloc
 
@@ -16,6 +17,7 @@ from chebpint.errors import (
     SingularShiftError,
 )
 from chebpint.solver import (
+    _BATCH_ELEMS,
     _FP_MAX_SWEEPS,
     _fixed_point_chunk,
     _residual,
@@ -27,7 +29,6 @@ from chebpint.solver import (
     timestep_trapezoidal,
 )
 from chebpint.spatial import (
-    _BATCH_ELEMS,
     SemilinearProblem,
     SineLaplacian2D,
     SpatialOperator,
@@ -463,6 +464,46 @@ def test_sni_worker_count_does_not_change_results():
         assert got.residual_history == base.residual_history, workers
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 9])
+def test_pool_size_is_workers_clamped_to_the_solved_rows(monkeypatch, workers):
+    # a recording stand-in for the pool runs the slices inline, so no thread
+    # starts: the linear drivers solve all n = 5 rows, SNI its h = 3
+    # representatives, and one slice builds no pool
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", InlinePool)
+    n = 5
+    bench = make_benchmark("semilinear", 5, n=n, T=2.0)
+    dec = decompose(n, bench.grid.dt)
+    h = n - dec.q
+    assert h == 3
+    rhs = BlockVector(np.ones((n, bench.m)))
+    for solve in (solve_first_order_linear, solve_second_order_linear):
+        sizes.clear()
+        solve(dec, bench.operator, rhs, workers=workers)
+        w = min(workers, n)
+        assert sizes == ([w] if w > 1 else [])
+    sizes.clear()
+    rep = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40,
+                               workers=workers)
+    w = min(workers, h)
+    assert rep.iterations > 0
+    assert sizes == ([w] * rep.iterations if w > 1 else [])
+
+
 @pytest.mark.parametrize("n, order", [(1, 1), (2, 1), (3, 1), (32, 1), (33, 1),
                                       (2, 2), (3, 2), (32, 2), (33, 2)])
 def test_modal_basis_matches_the_physical_basis(n, order):
@@ -557,14 +598,15 @@ def test_sni_spatially_varying_jacobian_falls_back_exactly():
 
 
 class _RowSpy(_CountingOperator):
-    """Also records the shifts of every batched and exact shifted solve."""
+    """Also records the shifts of every batched and exact shifted solve; in
+    its identity basis both drivers' batches reach modal_solve_batch."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.batched = []
         self.exact = []
 
-    def shifted_solve_batch(self, sigmas, G):
+    def modal_solve_batch(self, sigmas, G):
         self.batched.extend(sigmas)
         self.inner.shifted_solve_batch(sigmas, G)
 
@@ -681,6 +723,28 @@ def test_sni_rejects_nonlinearity_of_the_wrong_shape(name):
     setattr(prob, name, lambda u: np.ones(3))
     with pytest.raises(DimensionMismatchError, match=rf"^{name}\(U\) has shape \(3,\)"):
         solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=5)
+
+
+@pytest.mark.parametrize("driver", ["sni", "trapezoidal"])
+@pytest.mark.parametrize("shape", [(5,), (2, 4)], ids=["m+1", "2xm"])
+def test_source_of_the_wrong_shape_is_named_before_any_solve(driver, shape):
+    # numpy would broadcast or fail on either deep in the solve; the drivers
+    # name source(t), its shape and the operator dimension m = 4 before
+    # their first shifted solve
+    m, n, dt = 4, 4, 0.2
+    spy = _ShiftSpy(make_dense_operator(np.eye(m)))
+    want = rf"^source\(t\) has shape {re.escape(str(shape))}, expected \(4,\)$"
+    with pytest.raises(DimensionMismatchError, match=want):
+        if driver == "sni":
+            prob = _linear_semilinear_problem(np.eye(m), np.ones(m),
+                                              np.ones((n, m)), dt)
+            prob.operator = spy
+            prob.source = lambda t: np.ones(shape)
+            solve_semilinear_sni(prob, decompose(n, dt), tol=1e-8, max_iter=5)
+        else:
+            timestep_trapezoidal(spy, TimeGrid(n, dt), np.ones(m),
+                                 source=lambda t: np.ones(shape))
+    assert spy.calls == 0
 
 
 def _per_shift_fixed_point(op, sigma, d, c, g, w, rtol, rho):
