@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from . import spectral, timedisc
-from .errors import ChebPintError, check_count, check_scale
+from .errors import ChebPintError, check_count
 from .solver import (
     global_error,
     solve_first_order_linear,
@@ -62,7 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _checked(convert, ok, what):
-    """An argparse type: convert(text), rejected unless ok() holds for it.
+    """An argparse type: convert(text), refused unless ok() holds for it.
+
+    A refused value prints the usage and one ``chebpint: invalid arguments:
+    argument --FLAG: must be <what>, got '<text>'`` line, and exits 1.
     argparse also converts string defaults, so a bad CHEBPINT_WORKERS fails
     only the subcommands that read --workers."""
     def parse(text):
@@ -76,10 +79,20 @@ def _checked(convert, ok, what):
     return parse
 
 
+def _count(minimum=1):
+    return _checked(int, lambda k: k >= minimum, f"an integer >= {minimum}")
+
+
+def _int_list(ok, what):
+    return _checked(lambda text: [int(v) for v in text.split(",")], ok, what)
+
+
+_scale = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+# the 2D benchmarks' grid is sqrt(m) x sqrt(m)
+_square = _checked(int, lambda m: m >= 1 and math.isqrt(m) ** 2 == m,
+                   "a perfect square >= 1")
 _workers = _checked(int, lambda w: w >= 1,
                     "an integer >= 1 (from --workers or CHEBPINT_WORKERS)")
-_int_list = _checked(lambda text: [int(v) for v in text.split(",")],
-                     lambda v: True, "comma-separated integers")
 
 
 def _fmt(value):
@@ -90,7 +103,11 @@ def _fmt(value):
 
 def _emit(rows, config, out_path, fmt):
     if fmt == "json":
-        text = json.dumps({"config": config, "rows": rows}, indent=2)
+        # RFC 8259 has no NaN or Infinity: a non-finite float is written null
+        rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in row.items()} for row in rows]
+        text = json.dumps({"config": config, "rows": rows}, indent=2,
+                          allow_nan=False)
     else:
         # CSV: header is the key union in first-seen order (rows may add
         # failure columns mid-table)
@@ -115,42 +132,19 @@ def _median_time(fn, reps=3):
     return result, float(np.median(times))
 
 
-def _check_budget(args):
-    """--tol and --max-iter, checked under their flag names before the first
-    solve, whichever kind reads them."""
-    check_scale("--tol", args.tol)
-    check_count("--max-iter", args.max_iter)
-
-
-def _benchmark_side(args, flag, counts):
-    """The grid side of --m, once --tol, --max-iter, --T and the time point
-    counts given by `flag` are checked under their flag names, before the
-    first solve."""
-    _check_budget(args)
-    check_scale("--T", args.T)
-    # the second-order rhs folds the initial velocity into the first two steps
-    minimum = 2 if args.kind == "wave" else 1
-    for n in counts:
-        check_count(f"{flag} of --kind {args.kind}", n, minimum)
-    return _square_side(args.m)
-
-
-def _square_side(m):
-    side = math.isqrt(max(m, 0))
-    if side * side != m:
-        raise ValueError(f"--m must be a perfect square for 2D benchmarks, got {m}")
-    if side < 1:
-        raise ValueError(f"--m must be >= 1, got {m}")
-    return side
+def _check_wave_counts(args, flag, counts):
+    """The one check that spans two flags: the second-order rhs folds the
+    initial velocity into the first two steps, so --kind wave needs n >= 2."""
+    if args.kind == "wave":
+        for n in counts:
+            check_count(f"{flag} of --kind wave", n, 2)
 
 
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args):
-    # n is checked before the default dt = 1/n divides by it
-    n, tol = check_count("--n", args.n), args.tol
-    _check_budget(args)
-    dt = 1.0 / n if args.dt is None else check_scale("--dt", args.dt)
+    n, tol = args.n, args.tol
+    dt = 1.0 / n if args.dt is None else args.dt
     reps = 3 if n <= 1024 else 1
 
     dec, fast_seconds = _median_time(
@@ -207,20 +201,24 @@ def _solve_benchmark(problem, dec, g, tol, max_iter, workers):
     )
 
 
-def _sweep_totals(report):
-    """Fixed-point updates and exact fallbacks over all SNI sweeps (0 for the
-    linear drivers, which record no sweeps)."""
+def _row(args, n, workers, report, seconds, err):
+    """The columns that convergence and bench rows share; inner_updates and
+    fallbacks total the fixed-point updates and exact fallbacks over all SNI
+    sweeps (0 for the linear drivers, which record no sweeps)."""
     return {
+        "kind": args.kind, "n": n, "m": args.m, "workers": workers,
+        "error": err, "iterations": report.iterations,
         "inner_updates": sum(s["updates_total"] for s in report.sweeps),
         "fallbacks": sum(s["fallbacks"] for s in report.sweeps),
+        "wall_seconds": seconds,
     }
 
 
-def _bench_once(args, side, n, workers, reps):
+def _bench_once(args, n, workers, reps):
     """Decompose and solve the benchmark problem of the CLI arguments at n
     time points; returns the report, the median seconds of `reps` solves
     and the global error against the discrete reference."""
-    problem = make_benchmark(args.kind, side, n=n, T=args.T)
+    problem = make_benchmark(args.kind, math.isqrt(args.m), n=n, T=args.T)
     grid = problem.grid
     dec = spectral.decompose(n, grid.dt, with_residual=False)
     g = problem.sample_source(grid.t_points)
@@ -234,22 +232,17 @@ def _bench_once(args, side, n, workers, reps):
 
 def cmd_convergence(args):
     n_list = args.n_list
-    side = _benchmark_side(args, "--n-list", n_list)
+    _check_wave_counts(args, "--n-list", n_list)
     workers = args.workers
     rows = []
     prev_err = None
     for n in n_list:
-        report, seconds, err = _bench_once(args, side, n, workers, reps=1)
+        report, seconds, err = _bench_once(args, n, workers, reps=1)
         order = float(np.log2(prev_err / err)) if prev_err else float("nan")
         prev_err = err
-        rows.append({
-            "kind": args.kind, "n": n, "m": args.m,
-            "error": err, "order": order,
-            "iterations": report.iterations,
-            **_sweep_totals(report),
-            "residual": report.residual_history[-1],
-            "wall_seconds": seconds, "workers": workers,
-        })
+        rows.append({**_row(args, n, workers, report, seconds, err),
+                     "order": order,
+                     "residual": report.residual_history[-1]})
     config = {"command": "convergence", "kind": args.kind, "m": args.m,
               "T": args.T, "tol": args.tol, "workers": workers,
               "n_list": n_list}
@@ -268,7 +261,7 @@ def _wave_reference(A, u0, t_points):
 
 
 def cmd_compare_geometric(args):
-    m = check_count("--m", args.m, 3)
+    m = args.m
     dx = 2.0 / m
     op = make_laplacian_1d_periodic(m, dx)
     A = op.dense()
@@ -326,28 +319,23 @@ def cmd_compare_geometric(args):
 # ------------------------------------------------------------------- bench
 
 def cmd_bench(args):
-    side = _benchmark_side(args, "--n", [args.n])
+    _check_wave_counts(args, "--n", [args.n])
     workers_list = args.workers_list
-    if workers_list != sorted(workers_list) or workers_list[0] != 1:
-        raise ValueError("--workers-list must be ascending and start at 1")
     rows = []
     strong_base = None
     weak_base = None
     prev_speedup = 0.0
     for s in workers_list:
-        report, seconds, err = _bench_once(args, side, args.n, s, reps=3)
+        report, seconds, err = _bench_once(args, args.n, s, reps=3)
         if strong_base is None:
             strong_base = seconds
         speedup = strong_base / seconds
         n_weak = 2 * s
-        rep_w, sec_w, err_w = _bench_once(args, side, n_weak, s, reps=3)
+        rep_w, sec_w, err_w = _bench_once(args, n_weak, s, reps=3)
         if weak_base is None:
             weak_base = sec_w
         rows.append({
-            "kind": args.kind, "workers": s, "n": args.n, "m": args.m,
-            "error": err, "iterations": report.iterations,
-            **_sweep_totals(report),
-            "wall_seconds": seconds,
+            **_row(args, args.n, s, report, seconds, err),
             "speedup": speedup,
             # scaling numbers are hardware-dependent: regressions are flagged
             # in the output, never treated as failures
@@ -356,10 +344,7 @@ def cmd_bench(args):
             "weak_n": n_weak, "weak_error": err_w,
             "weak_seconds": sec_w,
             "weak_eff": 100.0 * weak_base / sec_w,
-            "step_a_seconds": report.phase_times.get("step_a", 0.0),
-            "step_b_seconds": report.phase_times.get("step_b", 0.0),
-            "step_c_seconds": report.phase_times.get("step_c", 0.0),
-            "assembly_seconds": report.phase_times.get("assembly", 0.0),
+            **{f"{phase}_seconds": t for phase, t in report.phase_times.items()},
         })
         prev_speedup = speedup
     config = {"command": "bench", "kind": args.kind, "m": args.m, "n": args.n,
@@ -381,6 +366,20 @@ def _add_workers(p):
                    help="worker threads for step (b) (env CHEBPINT_WORKERS)")
 
 
+def _add_budget(p, tol, max_iter):
+    p.add_argument("--tol", type=_scale, default=tol)
+    p.add_argument("--max-iter", type=_count(), default=max_iter)
+
+
+def _add_problem(p, max_iter):
+    """The benchmark problem of convergence and bench."""
+    _add_budget(p, 1e-8, max_iter)
+    p.add_argument("--kind", choices=("heat", "wave", "semilinear"), required=True)
+    p.add_argument("--m", type=_square, default=64**2,
+                   help="total spatial dimension (perfect square)")
+    p.add_argument("--T", type=_scale, default=2.0)
+
+
 def build_parser():
     parser = _Parser(prog="chebpint",
                      description="time-parallel solver benchmarks")
@@ -388,10 +387,9 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="spectral decomposition report")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=50)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dt", type=float, default=None, help="default 1/n")
+    _add_budget(p, 1e-10, 50)
+    p.add_argument("--n", type=_count(), required=True)
+    p.add_argument("--dt", type=_scale, default=None, help="default 1/n")
     p.add_argument("--dump", default=None, help="write a binary decomposition dump")
     p.add_argument("--skip-reference", action="store_true",
                    help="skip the dense eigensolver comparison path")
@@ -400,15 +398,11 @@ def build_parser():
     p = sub.add_parser("convergence", help="temporal order study")
     _add_common(p)
     _add_workers(p)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=50)
-    p.add_argument("--kind", choices=("heat", "wave", "semilinear"), required=True)
-    p.add_argument("--m", type=int, default=64**2,
-                   help="total spatial dimension (perfect square)")
-    p.add_argument("--n-list", dest="n_list", type=_int_list,
-                   default="16,32,64,128,256",
+    _add_problem(p, 50)
+    p.add_argument("--n-list", default="16,32,64,128,256",
+                   type=_int_list(lambda ns: min(ns) >= 1,
+                                  "comma-separated integers >= 1"),
                    help="comma-separated time point counts")
-    p.add_argument("--T", type=float, default=2.0)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("compare-geometric",
@@ -416,24 +410,20 @@ def build_parser():
     _add_common(p)
     _add_workers(p)
     p.add_argument("--tau", default=1.15, type=_checked(
-        float, lambda t: np.isfinite(t) and t > 1.0, "finite and > 1"))
-    p.add_argument("--dt-last", dest="dt_last", default=1e-2, type=_checked(
-        float, lambda d: np.isfinite(d) and d > 0.0, "positive and finite"))
-    p.add_argument("--n-max", dest="n_max", default=50,
-                   type=_checked(int, lambda k: k >= 4, "an integer >= 4"))
-    p.add_argument("--m", type=int, default=128, help="1D periodic grid size")
+        float, lambda t: 1.0 < t < math.inf, "finite and > 1"))
+    p.add_argument("--dt-last", default=1e-2, type=_scale)
+    # the table starts at n = 4; the periodic grid needs three points
+    p.add_argument("--n-max", default=50, type=_count(4))
+    p.add_argument("--m", type=_count(3), default=128, help="1D periodic grid size")
     p.set_defaults(func=cmd_compare_geometric)
 
     p = sub.add_parser("bench", help="scaling over worker counts")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=60)
-    p.add_argument("--kind", choices=("heat", "wave", "semilinear"), required=True)
-    p.add_argument("--m", type=int, default=64**2)
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--workers-list", dest="workers_list", type=_int_list,
-                   default="1,2,4",
+    _add_problem(p, 60)
+    p.add_argument("--n", type=_count(), default=64)
+    p.add_argument("--workers-list", default="1,2,4",
+                   type=_int_list(lambda ws: ws[0] == 1 and ws == sorted(ws),
+                                  "ascending comma-separated integers starting at 1"),
                    help="ascending comma-separated worker counts starting at 1")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -15,6 +15,23 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _strict_json(path):
+    """The JSON of `path`, refused if it holds NaN or Infinity, which
+    RFC 8259 does not allow."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _exit_code(argv):
+    """main's exit code, whether main returns it or argparse exits with it
+    (a value refused by its flag's type)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # ---------------------------------------------------------------- decompose
 
 def test_decompose_n1_trivial(tmp_path):
@@ -74,9 +91,9 @@ def test_decompose_unwritable_path_exits_1(tmp_path, capsys, flag):
 
 def test_decompose_rejects_zero_dt(capsys):
     # --dt 0 is a value given, not an absent flag: no fallback to 1/n
-    code = main(["decompose", "--n", "8", "--dt", "0", "--skip-reference"])
+    code = _exit_code(["decompose", "--n", "8", "--dt", "0", "--skip-reference"])
     assert code == 1
-    assert "--dt must be positive" in capsys.readouterr().err
+    assert "argument --dt: must be positive" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- convergence
@@ -87,10 +104,11 @@ def test_convergence_heat_small(tmp_path):
                  "--n-list", "8,16,32", "--T", "2.0",
                  "--format", "json", "--out", str(out)])
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = _strict_json(out)
     assert payload["config"]["command"] == "convergence"
     rows = payload["rows"]
     assert [r["n"] for r in rows] == [8, 16, 32]
+    assert rows[0]["order"] is None      # no order without a coarser run
     orders = [r["order"] for r in rows[1:]]
     assert all(1.7 <= o <= 2.3 for o in orders)
 
@@ -116,6 +134,21 @@ def test_convergence_csv_round_trips_exactly(tmp_path):
                 assert int(cr[key]) == val
 
 
+def test_convergence_wave_is_second_order(tmp_path):
+    # the second-order driver's path; orders 2.54 and 2.14 were measured
+    out = tmp_path / "w.json"
+    code = main(["convergence", "--kind", "wave", "--m", "256",
+                 "--n-list", "16,32,64", "--format", "json", "--out", str(out)])
+    assert code == 0
+    rows = _strict_json(out)["rows"]
+    assert [(r["kind"], r["n"], r["m"]) for r in rows] == [
+        ("wave", 16, 256), ("wave", 32, 256), ("wave", 64, 256)]
+    assert rows[0]["order"] is None
+    assert 2.3 <= rows[1]["order"] <= 2.8
+    assert 1.9 <= rows[2]["order"] <= 2.4
+    assert all(r["iterations"] == 1 and r["residual"] < 1e-12 for r in rows)
+
+
 def test_convergence_semilinear_reports_iterations(tmp_path):
     out = tmp_path / "s.json"
     code = main(["convergence", "--kind", "semilinear", "--m", "144",
@@ -132,9 +165,10 @@ def test_convergence_semilinear_reports_iterations(tmp_path):
 
 
 def test_convergence_rejects_non_square_m(capsys):
-    code = main(["convergence", "--kind", "heat", "--m", "65",
-                 "--n-list", "4"])
+    code = _exit_code(["convergence", "--kind", "heat", "--m", "65",
+                       "--n-list", "4"])
     assert code == 1
+    assert "argument --m: must be a perfect square" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -144,9 +178,9 @@ def test_convergence_rejects_non_square_m(capsys):
 def test_negative_m_is_not_a_perfect_square(argv, capsys):
     # a negative --m has no square root: the same message as any other
     # non-square, not a failed float-to-int conversion
-    assert main(argv + ["--m", "-4"]) == 1
+    assert _exit_code(argv + ["--m", "-4"]) == 1
     err = capsys.readouterr().err
-    assert "--m must be a perfect square for 2D benchmarks, got -4" in err
+    assert "argument --m: must be a perfect square >= 1, got '-4'" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -156,9 +190,10 @@ def test_negative_m_is_not_a_perfect_square(argv, capsys):
 def test_zero_m_names_the_flag(argv, capsys):
     # 0 is a perfect square, but no grid: the message names --m, not the
     # library's points_per_dim
-    assert main(argv + ["--m", "0"]) == 1
+    assert _exit_code(argv + ["--m", "0"]) == 1
     err = capsys.readouterr().err
-    assert err.count("chebpint:") == 1 and "--m must be >= 1, got 0" in err
+    assert err.count("chebpint:") == 1
+    assert "argument --m: must be a perfect square >= 1, got '0'" in err
     assert "points_per_dim" not in err and "Traceback" not in err
 
 
@@ -175,6 +210,26 @@ def test_compare_geometric_small(tmp_path):
         assert np.isfinite(r["new_error"])
         assert np.isfinite(r["timestep_error"])
         assert r["new_cond2"] < r["geo_cond2"]
+
+
+def test_compare_geometric_failure_row(tmp_path):
+    # at tau = 1.001 the geometric eigenvector matrix is singular by n = 70:
+    # that row names the failure and writes its geometric columns as null
+    # (nan in CSV), while the other two methods still report
+    paths = {fmt: tmp_path / f"g.{fmt}" for fmt in ("json", "csv")}
+    for fmt, path in paths.items():
+        assert main(["compare-geometric", "--tau", "1.001", "--n-max", "70",
+                     "--m", "8", "--format", fmt, "--out", str(path)]) == 0
+    rows = _strict_json(paths["json"])["rows"]
+    assert [r["n"] for r in rows] == list(range(4, 71))
+    assert [r["n"] for r in rows if "geo_failure" in r] == [70]
+    last = rows[-1]
+    assert last["geo_failure"] == "SingularMatrixError"
+    assert last["geo_error"] is None and last["geo_cond2"] is None
+    assert np.isfinite(last["new_error"]) and np.isfinite(last["timestep_error"])
+    csv_last = _read_csv(paths["csv"])[-1]
+    assert csv_last["geo_failure"] == "SingularMatrixError"
+    assert np.isnan(float(csv_last["geo_error"]))
 
 
 # -------------------------------------------------------------------- bench
@@ -194,9 +249,23 @@ def test_bench_reports_speedup_columns(tmp_path):
     assert rows[0]["inner_updates"] == rows[0]["fallbacks"] == 0
 
 
-def test_bench_rejects_bad_worker_list():
-    assert main(["bench", "--kind", "heat", "--m", "64", "--n", "4",
-                 "--workers-list", "2,1"]) == 1
+def test_bench_wave(tmp_path):
+    out = tmp_path / "b.json"
+    code = main(["bench", "--kind", "wave", "--m", "256", "--n", "16",
+                 "--workers-list", "1,2", "--format", "json", "--out", str(out)])
+    assert code == 0
+    rows = _strict_json(out)["rows"]
+    assert [(r["kind"], r["workers"], r["n"], r["weak_n"]) for r in rows] == [
+        ("wave", 1, 16, 2), ("wave", 2, 16, 4)]
+    # the worker count does not change the solution
+    assert rows[0]["error"] == rows[1]["error"] < 0.2
+    assert all(r["iterations"] == 1 for r in rows)
+
+
+def test_bench_rejects_bad_worker_list(capsys):
+    assert _exit_code(["bench", "--kind", "heat", "--m", "64", "--n", "4",
+                       "--workers-list", "2,1"]) == 1
+    assert "argument --workers-list: must be ascending" in capsys.readouterr().err
 
 
 def test_bench_honours_max_iter():
@@ -234,34 +303,38 @@ def test_exit_code_bad_n_list():
     assert exc.value.code == 1
 
 
+# the refused flag is the last one given
 @pytest.mark.parametrize("argv", [
     ["convergence", "--kind", "semilinear", "--m", "16", "--n-list", "4",
      "--max-iter", "0"],
     ["convergence", "--kind", "heat", "--m", "16", "--n-list", "0"],
-    ["decompose", "--n", "0", "--skip-reference"],
-    ["decompose", "--n", "-3", "--skip-reference"],
-    # the second-order rhs needs two steps
+    ["decompose", "--skip-reference", "--n", "0"],
+    ["decompose", "--skip-reference", "--n", "-3"],
+    # the second-order rhs needs two steps: the one check made after parsing
     ["convergence", "--kind", "wave", "--m", "16", "--n-list", "1"],
-    ["bench", "--kind", "wave", "--m", "16", "--n", "1", "--workers-list", "1"],
+    ["bench", "--kind", "wave", "--m", "16", "--workers-list", "1", "--n", "1"],
     # the periodic grid needs three points, checked before dx = 2 / m
-    ["compare-geometric", "--m", "0", "--n-max", "4"],
-    ["compare-geometric", "--m", "2", "--n-max", "4"],
+    ["compare-geometric", "--n-max", "4", "--m", "0"],
+    ["compare-geometric", "--n-max", "4", "--m", "2"],
 ])
 def test_exit_code_empty_budget_or_grid(argv, capsys):
-    assert main(argv) == 1
+    assert _exit_code(argv) == 1
     err = capsys.readouterr().err
     assert err.count("chebpint:") == 1 and err.endswith("\n")
-    assert "Traceback" not in err
+    assert argv[-2] in err and "Traceback" not in err
 
 
+# the refused flag is the last one given
 @pytest.mark.parametrize("argv", [
-    ["decompose", "--n", "8", "--dt", "nan", "--skip-reference"],
+    ["decompose", "--n", "8", "--skip-reference", "--dt", "nan"],
     ["convergence", "--kind", "heat", "--m", "16", "--n-list", "4", "--T", "inf"],
     ["convergence", "--kind", "semilinear", "--m", "16", "--n-list", "4",
      "--tol", "nan"],
 ])
-def test_exit_code_non_finite_input(argv):
-    assert main(argv) == 1
+def test_exit_code_non_finite_input(argv, capsys):
+    assert _exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be positive and finite" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -308,17 +381,16 @@ def _bad_numeric_flags():
 @pytest.mark.parametrize("argv, flag", _bad_numeric_flags())
 def test_exit_code_bad_numeric_flag(argv, flag, capsys):
     # every numeric flag of every subcommand and kind, with a value no flag
-    # accepts (2.5 for the integer ones): exit 1 and one line, before any
-    # solve, that names the flag; --tol and --max-iter are named as flags,
-    # whichever kind reads them
-    try:
-        code = main(argv)
-    except SystemExit as exc:       # argparse's usage errors
-        code = exc.code
+    # accepts (2.5 for the integer ones): exit 1, the usage and one line,
+    # before any solve, that names the flag; --tol and --max-iter are named
+    # as flags, whichever kind reads them
+    code = _exit_code(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("chebpint:") == 1 and "Traceback" not in err
-    assert flag in err and "max_iter" not in err
+    assert err.startswith("usage: chebpint ")
+    assert f"chebpint: invalid arguments: argument {flag}: " in err
+    assert "max_iter" not in err
 
 
 def test_exit_code_numerical_failure():

@@ -15,6 +15,7 @@ from chebpint.errors import (
     MaxIterationsError,
     NonRealSolutionError,
     SingularShiftError,
+    UnsupportedKindError,
 )
 from chebpint.solver import (
     _BATCH_ELEMS,
@@ -29,6 +30,7 @@ from chebpint.solver import (
     timestep_trapezoidal,
 )
 from chebpint.spatial import (
+    DenseOperator,
     SemilinearProblem,
     SineLaplacian2D,
     SpatialOperator,
@@ -1064,3 +1066,37 @@ def test_trapezoidal_error_insensitive_to_n_for_fixed_last_step():
                         for t in grid.t_points])
         errs[n] = np.abs(out.values[:, :m] - ref).max()
     assert 0.5 <= errs[50] / errs[10] <= 2.0
+
+
+_EYE2, _ZERO2 = DenseOperator(np.eye(2)), DenseOperator(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: solve_second_order_linear(decompose(1, 0.1), _EYE2,
+                                       BlockVector(np.zeros((1, 2)))),
+     DimensionMismatchError, "order-2 solves need n >= 2"),
+    (lambda: recover_velocity(decompose(2, 0.1), BlockVector(np.zeros((2, 3))),
+                              np.zeros(2)),
+     DimensionMismatchError, "u0 dimension does not match solution blocks"),
+    (lambda: recover_velocity(decompose(2, 0.1), BlockVector(np.zeros((3, 2))),
+                              np.zeros(2)),
+     DimensionMismatchError, "block count does not match decomposition"),
+    (lambda: timestep_trapezoidal(_EYE2, (2, 0.1), np.zeros(2)),
+     TypeError, "grid must be a TimeGrid or GeometricGrid"),
+    (lambda: timestep_trapezoidal(_EYE2, TimeGrid(n=2, dt=0.1), np.zeros(3)),
+     DimensionMismatchError, "u0 dimension does not match operator"),
+    (lambda: _ZERO2.shifted_solve(0, np.ones(2)),
+     SingularShiftError, "shift 0 makes the shifted operator singular"),
+    (lambda: _ZERO2.shifted_diag_solve(0, np.zeros(2), np.ones(2)),
+     SingularShiftError, "shift 0 makes the shifted operator singular"),
+    (lambda: make_benchmark("heat", 4).semilinear(),
+     UnsupportedKindError, "heat has no nonlinear part"),
+    (lambda: make_benchmark("heat", 4, n=4),
+     ValueError, "T is required when n is given"),
+], ids=["order2-n1", "velocity-u0", "velocity-blocks", "trapezoidal-grid",
+        "trapezoidal-u0", "dense-shift", "diag-shift", "heat-semilinear",
+        "benchmark-no-T"])
+def test_refusals_name_their_cause(call, error, message):
+    # each refusal raises its own type, with the message that names why
+    with pytest.raises(error, match=re.escape(message)):
+        call()
