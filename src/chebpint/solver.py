@@ -82,18 +82,33 @@ chunks of at most _BATCH_ELEMS elements; each chunk is one batched solve
 Each worker overwrites its own blocks g_j by w_j in place, each row of a
 batched solve depends on that row and its shift alone, every shift's
 iteration, estimate and stop depend on that shift and the shared rel_k
-alone, and steps (a)/(c) run outside the pool, so numerical output is
-identical for any worker count and any chunk size.
+alone (its norms by `_row_norms`, the same arithmetic in any chunk), and
+steps (a)/(c) run outside the pool, so numerical output is identical for
+any worker count and any chunk size.  The pool has one thread per slice,
+but no more than the process has usable cores; a linear solve makes one
+pool, and SNI one for all its sweeps.
+
+SNI runs with OpenBLAS at one thread (`blas.single_threaded`).  After a
+threaded BLAS call, step (a)'s GEMM or np.linalg.norm of an n x m array,
+OpenBLAS's helper thread spins on a core waiting for more work; a sweep's
+second worker would find that core taken, and step (b) would take longer
+at two workers than at one.  The fixed point's decisions take no BLAS
+call and few Python steps per update, so the workers' chunks overlap.
+The linear drivers keep BLAS's threads, which their large products at
+n = 1024 need.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .errors import (
     DimensionMismatchError,
     MaxIterationsError,
@@ -191,7 +206,28 @@ def _shaped(call, values, shape):
     return values
 
 
-def _three_step(decomp, b, solve_block, workers, times, solved=None,
+def _usable_cores():
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _pool(workers, solved):
+    """The thread pool for step (b) of `solved` rows: min(workers, solved,
+    usable cores) threads, or None where that is one, and the slices run in
+    turn on the calling thread.  More threads than cores cannot run at once,
+    so a large workers count starts no more threads than cores."""
+    threads = min(workers, solved, _usable_cores())
+    if threads == 1:
+        yield None
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield pool
+
+
+def _three_step(decomp, b, solve_block, workers, pool, times, solved=None,
                 op=None):
     """Steps (a)-(c) for the real (n, m) blocks b.
 
@@ -205,10 +241,11 @@ def _three_step(decomp, b, solve_block, workers, times, solved=None,
     and fills the rows G[solved:] by conj(G[:n-solved][::-1]), the mirror
     that conjugate shifts give on real data; `solved` is n or the h = n - q
     representatives.  It splits them into w = min(workers, solved)
-    contiguous slices [solved*i/w, solved*(i+1)/w), one per thread of a pool
-    when w > 1, and each slice from its start into chunks of
-    max(1, _BATCH_ELEMS // m) rows; it calls solve_block(lo, hi, G[lo:hi])
-    once per chunk, which overwrites the rows g_j by w_j in place.  The
+    contiguous slices [solved*i/w, solved*(i+1)/w), the tasks of `pool`
+    (one after another on this thread when pool is None), and each slice
+    from its start into chunks of max(1, _BATCH_ELEMS // m) rows; it calls
+    solve_block(lo, hi, G[lo:hi]) once per chunk, which overwrites the rows
+    g_j by w_j in place.  The
     seconds of each step are added to times["step_a"], times["step_b"] and
     times["step_c"].
     Returns the real solution blocks Re(V w) and the imaginary residue
@@ -235,11 +272,8 @@ def _three_step(decomp, b, solve_block, workers, times, solved=None,
 
     w = min(workers, solved)
     bounds = [solved * i // w for i in range(w + 1)]
-    if w == 1:
-        solve_slice(0, solved)
-    else:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            list(pool.map(solve_slice, bounds[:-1], bounds[1:]))
+    run = map if pool is None else pool.map
+    list(run(solve_slice, bounds[:-1], bounds[1:]))
     np.conj(G[:n - solved][::-1], out=G[solved:])
     times["step_b"] += time.perf_counter() - t0
 
@@ -298,10 +332,12 @@ def _solve_linear(decomp, op, rhs, workers, order):
     b = _real_rhs(rhs.values)
     times["assembly"] = time.perf_counter() - t0
 
-    U, residue = _three_step(
-        decomp, b, lambda lo, hi, Gs: op.modal_solve_batch(shifts[lo:hi], Gs),
-        workers, times, op=op,
-    )
+    with _pool(workers, decomp.n) as pool:
+        U, residue = _three_step(
+            decomp, b,
+            lambda lo, hi, Gs: op.modal_solve_batch(shifts[lo:hi], Gs),
+            workers, pool, times, op=op,
+        )
 
     return SolveReport(
         solution=BlockVector(U),
@@ -332,6 +368,19 @@ def recover_velocity(decomp, u_blocks: BlockVector, u0):
     v = apply_B(u_blocks.values, decomp.dt)
     v[0] -= u0 / (2.0 * decomp.dt)
     return BlockVector(v)
+
+
+def _row_norms(X):
+    """The 2-norm of each row of the C-contiguous complex array X (of the
+    one row when X is 1-D).
+
+    A row's norm takes the same arithmetic however many rows X holds, so a
+    chunk's decisions are a single shift's.  It is one reduction for all
+    rows, which runs without the interpreter lock and without BLAS, where
+    np.linalg.norm row by row would be a Python call and a BLAS dot each.
+    """
+    F = X.view(float)
+    return np.sqrt(np.add.reduce(F * F, axis=-1))
 
 
 def _fixed_point_chunk(op, sigmas, d, c, G, W, cold, rtol, rho, updates,
@@ -371,24 +420,20 @@ def _fixed_point_chunk(op, sigmas, d, c, G, W, cold, rtol, rho, updates,
         W_new = e * W_old
         np.subtract(G[active], W_new, out=W_new)
         op.shifted_solve_batch(shifts[active], W_new)
-        moves = np.subtract(W_new, W_old, out=W_old)
-        moving = np.zeros(active.size, dtype=bool)
-        for i, j in enumerate(active):
-            # per-row norms keep the arithmetic of a single shift's solve
-            step = np.linalg.norm(moves[i])
-            updates[j] = count
-            if step < last[j] < np.inf:
-                rho[j] = step / last[j]
-            # min(1, rho / (1 - min(rho, 1/2))): the a-posteriori error of a
-            # contraction, and the move itself while rho is unknown or large
-            factor = rho[j] / (1.0 - rho[j]) if rho[j] < 0.5 else 1.0
-            if step * factor <= rtol * np.linalg.norm(W_new[i]):
-                continue
-            if not step < last[j]:
-                fell_back[j] = True
-            else:
-                moving[i] = True
-                last[j] = step
+        steps = _row_norms(np.subtract(W_new, W_old, out=W_old))
+        updates[active] = count
+        lasts = last[active]
+        shrunk = steps < lasts                  # False for a NaN move
+        known = shrunk & (lasts < np.inf)
+        rho[active[known]] = steps[known] / lasts[known]
+        r = rho[active]
+        # min(1, rho / (1 - min(rho, 1/2))): the a-posteriori error of a
+        # contraction, and the move itself while rho is unknown or large
+        factor = np.where(r < 0.5, r / (1.0 - np.minimum(r, 0.5)), 1.0)
+        done = steps * factor <= rtol * _row_norms(W_new)
+        fell_back[active[~done & ~shrunk]] = True
+        moving = ~done & shrunk
+        last[active[moving]] = steps[moving]
         W[active] = W_new
         active = active[moving]
     fell_back[active] = True
@@ -432,7 +477,10 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     drops under tol * ||b|| (under tol when b = 0, so zero data return
     u = 0 after no sweep).  Each sweep evaluates f(u) once, for its residual
     and its right-hand side.  report.sweeps holds one record per sweep, its
-    update and fallback counts taken over the representative shifts.
+    update and fallback counts taken over the representative shifts.  The
+    sweeps share one thread pool and run with OpenBLAS at one thread, a
+    setting of the whole process that is restored when the solve returns
+    or raises (`blas.single_threaded`).
     The source, f and jac_diag must be real: an f(u) or a sweep's
     right-hand side with a nonzero imaginary part raises
     NonRealSolutionError.  f(U) and jac_diag(U) must have U's shape (n, m),
@@ -465,41 +513,46 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     sweeps = []
     times = {"assembly": 0.0, "step_a": 0.0, "step_b": 0.0, "step_c": 0.0}
     residue = 0.0
-    for k in range(max_iter):
-        t0 = time.perf_counter()
-        fU = _real_rhs(_shaped("f(U)", problem.f(U), U.shape))
-        rel = _residual(decomp, op, U, b, fU=fU)
-        history.append(rel)
-        if rel <= tol:
-            return SolveReport(
-                solution=BlockVector(U),
-                iterations=k,
-                residual_history=history,
-                phase_times=times,
-                imag_residue=residue,
-                sweeps=sweeps,
-            )
-        rtol = _FP_RTOL if k == 0 else max(_FP_RTOL, _ETA * rel)
-        avg_jac = _shaped("jac_diag(U)", problem.jac_diag(U), U.shape).mean(axis=0)
-        c = 0.5 * (avg_jac.min() + avg_jac.max())
-        rhs_k = _real_rhs(b + U * avg_jac[None, :] - fU)
-        times["assembly"] += time.perf_counter() - t0
+    # one pool serves every sweep; BLAS at one thread keeps its helpers off
+    # the cores of step (b)'s workers (module docstring)
+    with blas.single_threaded(), _pool(workers, h) as pool:
+        for k in range(max_iter):
+            t0 = time.perf_counter()
+            fU = _real_rhs(_shaped("f(U)", problem.f(U), U.shape))
+            rel = _residual(decomp, op, U, b, fU=fU)
+            history.append(rel)
+            if rel <= tol:
+                return SolveReport(
+                    solution=BlockVector(U),
+                    iterations=k,
+                    residual_history=history,
+                    phase_times=times,
+                    imag_residue=residue,
+                    sweeps=sweeps,
+                )
+            rtol = _FP_RTOL if k == 0 else max(_FP_RTOL, _ETA * rel)
+            avg_jac = _shaped("jac_diag(U)", problem.jac_diag(U),
+                              U.shape).mean(axis=0)
+            c = 0.5 * (avg_jac.min() + avg_jac.max())
+            rhs_k = _real_rhs(b + U * avg_jac[None, :] - fU)
+            times["assembly"] += time.perf_counter() - t0
 
-        def solve_block(lo, hi, Gs):
-            _fixed_point_chunk(op, lam[lo:hi], avg_jac, c, Gs, warm[lo:hi],
-                               k == 0, rtol, rho[lo:hi], updates[lo:hi],
-                               fell_back[lo:hi])
+            def solve_block(lo, hi, Gs):
+                _fixed_point_chunk(op, lam[lo:hi], avg_jac, c, Gs, warm[lo:hi],
+                                   k == 0, rtol, rho[lo:hi], updates[lo:hi],
+                                   fell_back[lo:hi])
 
-        U, residue = _three_step(decomp, rhs_k, solve_block, workers, times, h)
-        sweeps.append({
-            "residual": rel,
-            "inner_rtol": rtol,
-            "updates_max": int(updates.max()),
-            "updates_total": int(updates.sum()),
-            "fallbacks": int(fell_back.sum()),
-        })
+            U, residue = _three_step(decomp, rhs_k, solve_block, workers, pool,
+                                     times, h)
+            sweeps.append({
+                "residual": rel,
+                "inner_rtol": rtol,
+                "updates_max": int(updates.max()),
+                "updates_total": int(updates.sum()),
+                "fallbacks": int(fell_back.sum()),
+            })
 
-    raise MaxIterationsError(max_iter, history[-1], tol)
+        raise MaxIterationsError(max_iter, history[-1], tol)
 
 
 def timestep_trapezoidal(op, grid, u0, source=None):

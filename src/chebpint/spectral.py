@@ -178,13 +178,24 @@ def _inverse_rows(roots: RootSet, P):
     """The representative rows V^{-1}[:h], Fortran-ordered, from the
     (n+1, h) Chebyshev rows P of `_chebyshev_rows`: row j is
     gamma_j (-1)^k P[k, j] (k < n), plus i(-i)^{n-1}/p_n'(x_j) at k = n-1
-    (module docstring).  Row n of P is U_n's, for gamma_j."""
+    (module docstring).  Row n of P is U_n's, for gamma_j.
+
+    At a root U_{n-1} = i T_n, so p_n'(x) = x U_{n-1}(x) (1 + i n x)/(1 - x^2),
+    with 1 - x_j^2 = sin^2 theta_j: a form without cancellation, read from
+    the rows P[n-1] that V is built of.  `chebroots.p_prime`'s
+    -rho'(theta)/sin^2 theta, taken at theta_j, differs from p_n' at the
+    stored x_j = cos theta_j by up to 1e-11 relative at n = 1024, enough to
+    break the solves' roundoff model at some seeds; it is called here for
+    its check of sin theta_j alone."""
     n = roots.n
     h = P.shape[1]
     minus_i = _powers_of_minus_i(n + 1)
-    dp = p_prime(roots.thetas[:h], n)
+    thetas, xs = roots.thetas[:h], roots.xs[:h]
+    p_prime(thetas, n)    # DegenerateRootError where sin theta_j underflows
+    U = minus_i[n - 1] * P[n - 1]                   # U_{n-1}(x_j)
+    dp = xs * U * (1.0 + 1j * n * xs) / np.sin(thetas)**2
     # alpha_j / p_n'(x_j), with U_n(x_j) = (-i)^n P[n, j]
-    gamma = -2.0 * (1.0 + 1j * roots.xs[:h]) / (minus_i[n] * P[n] * dp)
+    gamma = -2.0 * (1.0 + 1j * xs) / (minus_i[n] * P[n] * dp)
     rows = np.empty((n, h), dtype=complex)          # V^{-1}[:h].T
     np.multiply(P[0:n:2], gamma, out=rows[0::2])
     np.multiply(P[1:n:2], -gamma, out=rows[1::2])   # (-1)^k

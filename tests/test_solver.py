@@ -22,6 +22,7 @@ from chebpint.solver import (
     _FP_MAX_SWEEPS,
     _fixed_point_chunk,
     _residual,
+    _row_norms,
     global_error,
     recover_velocity,
     solve_first_order_linear,
@@ -466,12 +467,14 @@ def test_sni_worker_count_does_not_change_results():
         assert got.residual_history == base.residual_history, workers
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 9])
+@pytest.mark.parametrize("workers", [1, 2, 3, 9, 100000])
 def test_pool_size_is_workers_clamped_to_the_solved_rows(monkeypatch, workers):
     # a recording stand-in for the pool runs the slices inline, so no thread
-    # starts: the linear drivers solve all n = 5 rows, SNI its h = 3
-    # representatives, and one slice builds no pool
-    sizes = []
+    # starts: the linear drivers cut all n = 5 rows into min(workers, 5)
+    # slices, SNI its h = 3 representatives into min(workers, 3), each
+    # solve on one pool of at most as many threads as usable cores, and a
+    # pool of one thread is not built
+    sizes, slices = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -484,8 +487,10 @@ def test_pool_size_is_workers_clamped_to_the_solved_rows(monkeypatch, workers):
             return False
 
         def map(self, fn, *iterables):
+            slices.append(len(iterables[0]))
             return map(fn, *iterables)
 
+    assert solver._usable_cores() >= 1
     monkeypatch.setattr(solver, "ThreadPoolExecutor", InlinePool)
     n = 5
     bench = make_benchmark("semilinear", 5, n=n, T=2.0)
@@ -493,17 +498,24 @@ def test_pool_size_is_workers_clamped_to_the_solved_rows(monkeypatch, workers):
     h = n - dec.q
     assert h == 3
     rhs = BlockVector(np.ones((n, bench.m)))
-    for solve in (solve_first_order_linear, solve_second_order_linear):
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(solver, "_usable_cores", lambda: cores)
+        for solve in (solve_first_order_linear, solve_second_order_linear):
+            sizes.clear()
+            slices.clear()
+            solve(dec, bench.operator, rhs, workers=workers)
+            w = min(workers, n)
+            threads = min(w, cores)
+            assert (sizes, slices) == (([threads], [w]) if threads > 1 else ([], []))
         sizes.clear()
-        solve(dec, bench.operator, rhs, workers=workers)
-        w = min(workers, n)
-        assert sizes == ([w] if w > 1 else [])
-    sizes.clear()
-    rep = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8, max_iter=40,
-                               workers=workers)
-    w = min(workers, h)
-    assert rep.iterations > 0
-    assert sizes == ([w] * rep.iterations if w > 1 else [])
+        slices.clear()
+        rep = solve_semilinear_sni(bench.semilinear(), dec, tol=1e-8,
+                                   max_iter=40, workers=workers)
+        w = min(workers, h)
+        threads = min(w, cores)
+        assert rep.iterations > 0
+        assert sizes == ([threads] if threads > 1 else [])
+        assert slices == ([w] * rep.iterations if threads > 1 else [])
 
 
 @pytest.mark.parametrize("n, order", [(1, 1), (2, 1), (3, 1), (32, 1), (33, 1),
@@ -751,18 +763,19 @@ def test_source_of_the_wrong_shape_is_named_before_any_solve(driver, shape):
 
 def _per_shift_fixed_point(op, sigma, d, c, g, w, rtol, rho):
     """Reference: one shift's fixed point on the per-shift solve, from the
-    contraction estimate rho.  Returns (w, updates, fell_back, rho)."""
+    contraction estimate rho, its norms by the library's row-norm
+    arithmetic.  Returns (w, updates, fell_back, rho)."""
     shift, e = sigma + c, d - c
     if w is None:
         w = op.shifted_solve(shift, g)
     last = np.inf
     for updates in range(1, _FP_MAX_SWEEPS + 1):
         w_new = op.shifted_solve(shift, g - e * w)
-        step = np.linalg.norm(w_new - w)
+        step = _row_norms(w_new - w)
         if step < last < np.inf:
             rho = step / last
         predicted = step * min(1.0, rho / (1.0 - min(rho, 0.5)))
-        if predicted <= rtol * np.linalg.norm(w_new):
+        if predicted <= rtol * _row_norms(w_new):
             return w_new, updates, False, rho
         if not step < last:
             break

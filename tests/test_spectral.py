@@ -24,6 +24,8 @@ from chebpint.spectral import (
 from chebpint.solver import solve_first_order_linear
 from chebpint.spatial import make_dense_operator
 from chebpint.timedisc import (
+    BlockVector,
+    apply_B,
     assemble_B,
     geometric_decomposition,
     geometric_grid,
@@ -89,6 +91,27 @@ def test_vinv_fast_vs_reference_sweep(n):
 def test_vinv_fast_decomposition_residual_n256():
     dec = decompose(256, 1.0, tol=1e-11)
     assert dec.residual <= 1e-9    # reported magnitude is ~1e-11
+
+
+def test_first_order_solves_meet_the_roundoff_model_at_every_seed():
+    # criterion 10's procedure at 20 seeds: err <= 100 eps cond2(V) ||u||.
+    # V^{-1} normalised by chebroots.p_prime's value of p_n'(x_j) missed it
+    # at 9 of these seeds, all at n = 1024 (worst ratio 1.82)
+    eps = np.finfo(float).eps
+    rngs = [np.random.default_rng(seed) for seed in range(20)]
+    worst = np.zeros(len(rngs))
+    for n in (64, 128, 256, 512, 1024):
+        dec = decompose(n, 1.0, tol=1e-10)
+        for s, rng in enumerate(rngs):
+            M = rng.normal(size=(2, 2))
+            op = make_dense_operator(M @ M.T + np.eye(2))
+            u = rng.normal(size=(n, 2))
+            b = apply_B(u, dec.dt) + op.apply(u)
+            rep = solve_first_order_linear(dec, op, BlockVector(b))
+            err = np.linalg.norm(rep.solution.values - u)
+            bound = 100.0 * eps * dec.cond2 * np.linalg.norm(u)
+            worst[s] = max(worst[s], err / bound)
+    assert worst.max() <= 1.0, np.flatnonzero(worst > 1.0)
 
 
 # ------------------------------------------------------- reference inverse
