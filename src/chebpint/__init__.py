@@ -44,12 +44,7 @@ from .spatial import (
     SpatialOperator,
     make_benchmark,
 )
-from .spectral import (
-    SpectralDecomposition,
-    decompose,
-    load_decomposition,
-    save_decomposition,
-)
+from .spectral import SpectralDecomposition, decompose
 from .timedisc import (
     BlockVector,
     TimeGrid,

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateRootError,
     DuplicateRootsError,
     NonConvergenceError,
     check_count,
@@ -48,12 +47,8 @@ __all__ = [
     "refined_guesses",
     "find_roots",
     "mirror_roots",
-    "p_prime",
     "characteristic_residuals",
 ]
-
-#: |sin(theta)| below this is treated as a degenerate (spurious) root.
-_SIN_FLOOR = 1e-14
 
 #: Two converged x values closer than this signal colliding Newton basins.
 _DUPLICATE_TOL = 1e-12
@@ -276,8 +271,7 @@ def mirror_roots(n, thetas, xs, newton_iters, residuals):
     x_{n-1-j} = -conj(x_j), and the same Newton count and residual.  For odd
     n the middle root pairs with itself and is put on the axis exactly,
     Re theta = pi/2 and Re x = 0.  This is the one writer of the mirror:
-    `find_roots` builds its roots with it, and `load_decomposition` refuses
-    stored roots that differ from it.
+    `find_roots` builds its roots with it.
     """
     h, q = n - n // 2, n // 2
     thetas, xs = np.array(thetas[:h], dtype=complex), np.array(xs[:h], dtype=complex)
@@ -287,26 +281,6 @@ def mirror_roots(n, thetas, xs, newton_iters, residuals):
     return RootSet(n, *(np.concatenate([a, mirror[::-1]]) for a, mirror in (
         (thetas, np.pi - np.conj(thetas[:q])), (xs, -np.conj(xs[:q])),
         (iters, iters[:q]), (resid, resid[:q]))))
-
-
-def p_prime(theta, n):
-    """Derivative p_n'(x_j) of p_n(x) = U_{n-1}(x) - i*T_n(x) at the roots.
-
-    Evaluated for the array of root angles ``theta`` through the chain-rule
-    identity p_n'(x) = -rho'(theta)/sin^2(theta) at x = cos(theta), which
-    follows from rho(theta) = sin(theta)*p_n(cos(theta)) and rho(theta_j) = 0.
-    This avoids running a degree-n derivative recurrence per root.
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=complex))
-    s = np.sin(theta)
-    if np.any(np.abs(s) < _SIN_FLOOR):
-        j = int(np.argmin(np.abs(s)))
-        raise DegenerateRootError(
-            f"|sin(theta)| = {abs(s[j]):.2e} at index {j + 1}: "
-            "theta sits on a spurious zero of rho"
-        )
-    _, rho_p = rho_and_derivative(theta, n)
-    return -rho_p / s**2
 
 
 def characteristic_residuals(root_set, method="trig"):

@@ -175,10 +175,6 @@ def cmd_decompose(args):
             ref_seconds=ref_seconds,
         )
 
-    if args.dump:
-        spectral.save_decomposition(dec, args.dump)
-        row["dump"] = args.dump
-
     config = {"command": "decompose", "n": n, "dt": dt, "tol": tol,
               "max_iter": args.max_iter}
     _emit([row], config, args.out, args.format)
@@ -390,7 +386,6 @@ def build_parser():
     _add_budget(p, 1e-10, 50)
     p.add_argument("--n", type=_count(), required=True)
     p.add_argument("--dt", type=_scale, default=None, help="default 1/n")
-    p.add_argument("--dump", default=None, help="write a binary decomposition dump")
     p.add_argument("--skip-reference", action="store_true",
                    help="skip the dense eigensolver comparison path")
     p.set_defaults(func=cmd_decompose)
@@ -434,7 +429,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError) as exc:   # OSError: --out, --dump
+    except (ValueError, TypeError, OSError) as exc:   # OSError: --out
         print(f"chebpint: invalid arguments: {exc}", file=sys.stderr)
         return 1
     except (ChebPintError, FloatingPointError, np.linalg.LinAlgError) as exc:

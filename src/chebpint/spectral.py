@@ -81,8 +81,7 @@ those rows scaled, so both factors cost one (n+1) x h array and one
 h x n array, 8 n^2 bytes each.  The diagnostics read the halves in place
 and form no dense factor: without the residual `decompose` peaks at
 17.7 n^2 at n = 512 and 16.5 n^2 at n = 1024, and the residual's chunk of
-columns adds about 24 n _COLUMNS bytes (`_check_memory`).  A dump stores
-the roots, 48 n bytes, and its load reruns the same recurrence.  An
+columns adds about 24 n _COLUMNS bytes (`_check_memory`).  An
 O(n^3) dense inversion (`build_Vinv_reference`) is kept as the
 independent cross-check path.
 """
@@ -99,7 +98,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .chebroots import RootSet, find_roots, mirror_roots, p_prime
+from .chebroots import RootSet, find_roots
 from .errors import (
     ChebPintError,
     DegenerateRootError,
@@ -116,12 +115,12 @@ __all__ = [
     "cond2_estimate",
     "eigenvalue_agreement",
     "decompose",
-    "save_decomposition",
-    "load_decomposition",
 ]
 
 _PIVOT_FLOOR = 1e-300
-_EPS = np.finfo(float).eps
+
+#: |sin(theta)| below this is treated as a degenerate (spurious) root.
+_SIN_FLOOR = 1e-14
 
 
 def _chebyshev_rows(roots: RootSet, rows):
@@ -182,18 +181,25 @@ def _inverse_rows(roots: RootSet, P):
 
     At a root U_{n-1} = i T_n, so p_n'(x) = x U_{n-1}(x) (1 + i n x)/(1 - x^2),
     with 1 - x_j^2 = sin^2 theta_j: a form without cancellation, read from
-    the rows P[n-1] that V is built of.  `chebroots.p_prime`'s
+    the rows P[n-1] that V is built of.  The chain-rule form
     -rho'(theta)/sin^2 theta, taken at theta_j, differs from p_n' at the
     stored x_j = cos theta_j by up to 1e-11 relative at n = 1024, enough to
-    break the solves' roundoff model at some seeds; it is called here for
-    its check of sin theta_j alone."""
+    break the solves' roundoff model at some seeds.  A theta_j on a
+    spurious zero of rho (|sin theta_j| < _SIN_FLOOR) raises
+    DegenerateRootError."""
     n = roots.n
     h = P.shape[1]
     minus_i = _powers_of_minus_i(n + 1)
     thetas, xs = roots.thetas[:h], roots.xs[:h]
-    p_prime(thetas, n)    # DegenerateRootError where sin theta_j underflows
+    s = np.sin(thetas)
+    j = int(np.argmin(np.abs(s)))
+    if abs(s[j]) < _SIN_FLOOR:
+        raise DegenerateRootError(
+            f"|sin(theta)| = {abs(s[j]):.2e} at index {j + 1}: "
+            "theta sits on a spurious zero of rho"
+        )
     U = minus_i[n - 1] * P[n - 1]                   # U_{n-1}(x_j)
-    dp = xs * U * (1.0 + 1j * n * xs) / np.sin(thetas)**2
+    dp = xs * U * (1.0 + 1j * n * xs) / s**2
     # alpha_j / p_n'(x_j), with U_n(x_j) = (-i)^n P[n, j]
     gamma = -2.0 * (1.0 + 1j * xs) / (minus_i[n] * P[n] * dp)
     rows = np.empty((n, h), dtype=complex)          # V^{-1}[:h].T
@@ -364,7 +370,7 @@ class SpectralDecomposition:
 
     phase_times holds the seconds of each layer of `decompose` (find_roots,
     build_V, build_Vinv_fast, cond2 and, when computed, residual); it is
-    empty for a loaded or geometric decomposition.
+    empty for a geometric decomposition.
 
     B is the dense time matrix that V D V^{-1} factors, when it is not the
     hybrid stencil `assemble_B(n, dt)`: the geometric baseline sets its
@@ -504,18 +510,17 @@ def decomposition_residual(eigenvalues, V, Vinv, B):
 def _check_memory(n):
     """Raise ChebPintError when building the decomposition of n points can
     exceed physical memory (skipped where os.sysconf cannot tell).
-    `decompose`, in both modes, and `load_decomposition`, before it reads
-    the roots, use this one count.
+    `decompose` uses this one count in both modes.
 
-    Both build the (n+1) x h Chebyshev rows, whose first n are V[:, :h],
-    and V^{-1}[:h], 16 n^2 bytes together (h = ceil(n/2)), and keep them:
+    It builds the (n+1) x h Chebyshev rows, whose first n are V[:, :h],
+    and V^{-1}[:h], 16 n^2 bytes together (h = ceil(n/2)), and keeps them:
     cond2 reads them in place.  The residual adds, next to them, a chunk of
     c = _COLUMNS columns of three n x c float arrays (the scaled rows of
     V^{-1}, the kernel's rows and the product), 24 n c bytes.  The count,
     16 n^2 + 27 n c, covers the peaks measured by tracemalloc from n = 64 to
     4096: 17.70 n^2 at n = 512 and 16.14 n^2 at 2048 without the residual,
     28.88 n^2 and 19.12 n^2 with it, and at most 16 n^2 + 26.9 n c (at
-    n = 257).  A load peaks as `decompose` without the residual.
+    n = 257).
     """
     try:
         page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
@@ -585,127 +590,4 @@ def decompose(n, dt, tol=1e-10, max_iter=50, with_residual=True):
         residual=residual,
         roots=roots,
         phase_times=times,
-    )
-
-
-_DUMP_MAGIC = "chebpint-decomp"
-_DUMP_VERSION = 2
-#: the RootSet arrays of a dump, n values each, in file order
-_DUMP_ARRAYS = {"thetas": "<c16", "xs": "<c16", "newton_iters": "<i8",
-                "residuals": "<f8"}
-
-
-def save_decomposition(dec, path):
-    """Dump a `decompose` result to a versioned binary file: its roots.
-
-    One ASCII header line, "chebpint-decomp 2 n=... dt=... cond2=...
-    residual=...", then the n values of each RootSet array, little-endian:
-    thetas and xs as complex doubles, newton_iters as int64 and residuals
-    as doubles, 48 n bytes.  The factors are not stored: they are a
-    function of the roots, which `load_decomposition` rebuilds as
-    `decompose` builds them.  A decomposition without roots (the geometric
-    baseline) raises ValueError before the file is opened.
-    """
-    if dec.roots is None:
-        raise ValueError(
-            "cannot dump a decomposition without roots (the geometric "
-            "baseline): the dump stores the roots, not the factors"
-        )
-    header = (
-        f"{_DUMP_MAGIC} {_DUMP_VERSION} n={dec.n} dt={dec.dt!r} "
-        f"cond2={dec.cond2!r} residual={dec.residual!r}\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for name, dtype in _DUMP_ARRAYS.items():
-            fh.write(np.asarray(getattr(dec.roots, name), dtype=dtype).tobytes())
-
-
-def _header_float(fields, key):
-    """The dump header's field `key` as a float, or ValueError naming it."""
-    try:
-        return float(fields[key])
-    except ValueError:
-        raise ValueError(
-            f"dump header {key} is not a number: {fields[key]!r}") from None
-
-
-def load_decomposition(path):
-    """Read a decomposition dump written by `save_decomposition`.
-
-    The halves are rebuilt from the stored roots by `_halves`, as in
-    `decompose`, so they and the eigenvalues come back bitwise, with
-    h = ceil(n/2); cond2 and the residual are read, not recomputed.
-    Raises ValueError for anything that is not a complete version-2 dump:
-    a bad header (an older version names itself), a payload shorter or
-    longer than the 48 n bytes the header announces (checked before
-    anything is read), roots that are not finite, a stored array that is
-    not bitwise `chebroots.mirror_roots` of its own first h values (the one
-    form `find_roots` writes), a negative Newton count or residual, a
-    representative x_j farther than 4 eps max(1, |x_j|) from cos(theta_j),
-    or a theta on a spurious zero.  Neither cos nor |rho| is compared
-    bitwise, so a dump written with another libm loads.  An n whose rebuild
-    cannot fit in memory raises ChebPintError (`_check_memory`) before the
-    payload is read.
-    """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            header = line.decode("ascii").strip()
-        except UnicodeDecodeError:
-            raise ValueError(f"dump header is not ASCII: {line[:80]!r}") from None
-        parts = header.split()
-        if len(parts) < 2 or parts[0] != _DUMP_MAGIC:
-            raise ValueError(f"not a chebpint decomposition dump: {header!r}")
-        if parts[1] != str(_DUMP_VERSION):
-            raise ValueError(
-                f"dump version {parts[1]} is not read, only version "
-                f"{_DUMP_VERSION}: re-run `chebpint decompose --dump`")
-        fields = dict(p.partition("=")[::2] for p in parts[2:])
-        missing = [k for k in ("n", "dt", "cond2", "residual") if k not in fields]
-        if missing:
-            raise ValueError(
-                f"dump header lacks the field(s) {', '.join(missing)}: {header!r}"
-            )
-        n = fields["n"]
-        n = check_count("dump header n", int(n) if n.isdigit() else n)
-        dt = check_scale("dump header dt", _header_float(fields, "dt"))
-        cond2 = check_scale("dump header cond2", _header_float(fields, "cond2"))
-        residual = _header_float(fields, "residual")
-        if residual < 0:      # nan is what with_residual=False writes
-            raise ValueError(
-                f"dump header residual must be >= 0 or nan, got {residual!r}")
-        expected = 48 * n
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size < expected:
-            raise ValueError(
-                f"truncated dump: expected {expected} payload bytes, got {size}")
-        if size > expected:
-            raise ValueError(
-                f"dump has {size - expected} trailing bytes after its "
-                f"{expected} payload bytes")
-        _check_memory(n)
-        stored = {name: np.frombuffer(fh.read(n * np.dtype(t).itemsize), t)
-                  for name, t in _DUMP_ARRAYS.items()}
-    if not all(np.isfinite(a).all() for a in stored.values()):
-        raise ValueError("dump roots are not all finite")
-    roots = mirror_roots(n, **stored)
-    h = n - n // 2
-    for name, values in stored.items():
-        if values.tobytes() != getattr(roots, name).tobytes():
-            raise ValueError(f"dump {name} are not mirror_roots of {name}[:{h}]")
-        if name in ("newton_iters", "residuals") and values.min() < 0:
-            raise ValueError(f"dump {name} must be >= 0")
-    xs = roots.xs[:h]
-    off = np.abs(xs - np.cos(roots.thetas[:h])) > 4 * _EPS * np.maximum(1.0, np.abs(xs))
-    if off.any():
-        j = int(np.argmax(off))
-        raise ValueError(f"dump xs[{j}] = {complex(xs[j])!r} is not cos(thetas[{j}])")
-    try:
-        V, Vinv, eigenvalues = _halves(roots, dt, {})
-    except DegenerateRootError as exc:
-        raise ValueError(f"dump roots: {exc}") from None
-    return SpectralDecomposition(
-        dt=dt, eigenvalues=eigenvalues, V_half=V, Vinv_half=Vinv,
-        cond2=cond2, residual=residual, roots=roots,
     )

@@ -9,12 +9,10 @@ from chebpint.chebroots import (
     characteristic_residuals,
     find_roots,
     mirror_roots,
-    p_prime,
     refined_guesses,
     rho_and_derivative,
 )
 from chebpint.errors import (
-    DegenerateRootError,
     DuplicateRootsError,
     NonConvergenceError,
 )
@@ -300,53 +298,7 @@ def test_root_helpers_reject_non_integer_n(func):
         func(2.5)
 
 
-# ------------------------------------------------------------------- p_prime
-
-def test_p_prime_n1_exact():
-    rs = find_roots(1, tol=1e-13)
-    # p_1(x) = 1 - i x has constant derivative -i
-    assert p_prime(rs.thetas, 1)[0] == pytest.approx(-1j, abs=1e-12)
-
-
-def test_p_prime_matches_finite_difference():
-    rs = find_roots(12, tol=1e-12)
-    h = 1e-6
-    x = rs.xs[::3]
-    got = p_prime(rs.thetas[::3], 12)
-
-    def p(x):
-        return cheb_eval("second", 11, x) - 1j * cheb_eval("first", 12, x)
-
-    fd_re = (p(x + h) - p(x - h)) / (2 * h)
-    fd_im = (p(x + 1j * h) - p(x - 1j * h)) / (2j * h)
-    assert (np.abs(fd_re - got) / np.abs(got)).max() < 1e-6
-    assert (np.abs(fd_im - got) / np.abs(got)).max() < 1e-6
-
-
-def test_p_prime_matches_derivative_recurrence():
-    # independent route: p_n'(x) = U'_{n-1}(x) - i n U_{n-1}(x)
-    n = 32
-    rs = find_roots(n, tol=1e-12)
-    x = rs.xs
-
-    # derivative recurrence: U'_{k+1} = 2 U_k + 2x U'_k - U'_{k-1}
-    u_prev = np.ones_like(x)      # U_0
-    u_cur = 2 * x                 # U_1
-    du_prev = np.zeros_like(x)    # U_0'
-    du_cur = 2 * np.ones_like(x)  # U_1'
-    for _ in range(n - 2):
-        u_prev, u_cur = u_cur, 2 * x * u_cur - u_prev
-        du_prev, du_cur = du_cur, 2 * u_prev + 2 * x * du_cur - du_prev
-    expected = du_cur - 1j * n * u_cur
-    got = p_prime(rs.thetas, n)
-    assert (np.abs(got - expected) / np.abs(expected)).max() < 1e-10
-
-
-def test_p_prime_degenerate_root_raises():
-    theta = np.array([1.0 + 0.1j, 1e-16 + 0j])
-    with pytest.raises(DegenerateRootError, match="index 2"):
-        p_prime(theta, 4)
-
+# -------------------------------------------------- characteristic_residuals
 
 def test_characteristic_residuals_two_routes_agree():
     rs = find_roots(128, tol=1e-11)

@@ -66,22 +66,11 @@ def test_decompose_row_reports_layer_times(tmp_path):
         assert row[f"{phase}_seconds"] >= 0.0
 
 
-def test_decompose_dump_round_trip(tmp_path):
-    from chebpint.spectral import load_decomposition
-
-    dump = tmp_path / "dec.bin"
-    code = main(["decompose", "--n", "12", "--skip-reference",
-                 "--dump", str(dump), "--out", str(tmp_path / "d.csv")])
-    assert code == 0
-    dec = load_decomposition(dump)
-    assert dec.n == 12
-
-
-@pytest.mark.parametrize("flag", ["--dump", "--out"])
+@pytest.mark.parametrize("flag", ["--out"])
 def test_decompose_unwritable_path_exits_1(tmp_path, capsys, flag):
     # the decomposition is computed before the write fails: one line, no
     # traceback
-    path = tmp_path / "missing" / "x.bin"
+    path = tmp_path / "missing" / "d.csv"
     code = main(["decompose", "--n", "8", "--skip-reference", flag, str(path)])
     assert code == 1
     err = capsys.readouterr().err
@@ -289,6 +278,8 @@ def test_exit_code_usage_error():
     # a prefix of a longer flag is not that flag
     ["convergence", "--kind", "heat", "--m", "16", "--n", "8"],
     ["bench", "--kind", "heat", "--m", "16", "--workers", "2"],
+    # decompose writes no file but --out's
+    ["decompose", "--n", "8", "--skip-reference", "--dump", "x.bin"],
 ])
 def test_exit_code_unread_flag(argv):
     # each subcommand accepts only the flags it reads, spelled out in full

@@ -1,5 +1,4 @@
-"""Property tests of the decomposition: dump round-trip, the refusal of
-malformed dumps with ValueError alone, the mirror symmetry of V and V^{-1},
+"""Property tests of the decomposition: the mirror symmetry of V and V^{-1},
 the bitwise agreement of `decompose`'s stored halves with the dense
 builders, and the cond2 estimate against the SVD; of the real steps (a) and (c),
 SpectralDecomposition.apply_Vinv and apply_V, against the complex products,
@@ -14,8 +13,6 @@ adds only a few seconds.
 """
 
 import dataclasses
-import os
-import tempfile
 from unittest import mock
 
 import numpy as np
@@ -30,51 +27,15 @@ from chebpint.spectral import (
     build_Vinv_fast,
     cond2_estimate,
     decompose,
-    load_decomposition,
-    save_decomposition,
 )
 from chebpint.timedisc import (
     BlockVector,
     apply_B,
     geometric_decomposition,
     geometric_grid,
-    rhs_first_order,
 )
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
-
-_DT = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False,
-                allow_infinity=False)
-
-
-def _bits(dec):
-    """Every field of `dec` but phase_times, the roots' arrays one by one:
-    an array as its dtype, shape, memory order and bytes, a float as its
-    IEEE bits (so two nan residuals compare equal)."""
-    def bits(x):
-        if isinstance(x, np.ndarray):
-            return (x.dtype.str, x.shape, x.flags.c_contiguous,
-                    x.flags.f_contiguous, x.tobytes(order="A"))
-        return np.float64(x).tobytes() if isinstance(x, float) else x
-
-    out = {f.name: bits(getattr(dec, f.name)) for f in dataclasses.fields(dec)
-           if f.name not in ("phase_times", "roots")}
-    out.update({f"roots.{f.name}": bits(getattr(dec.roots, f.name))
-                for f in dataclasses.fields(dec.roots)})
-    return out
-
-
-@_SETTINGS
-@given(n=st.integers(1, 300), dt=_DT, with_residual=st.booleans())
-def test_dump_round_trip_is_exact(n, dt, with_residual):
-    # the halves are rebuilt from the roots, as decompose builds them
-    dec = decompose(n, dt, with_residual=with_residual)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "dec.bin")
-        save_decomposition(dec, path)
-        got = load_decomposition(path)
-    assert _bits(got) == _bits(dec)
-    assert got.newton_iters_max == dec.newton_iters_max >= 1
 
 
 @_SETTINGS
@@ -169,161 +130,6 @@ def test_step_c_skips_only_exact_zeros(n, m, cols, seed):
     VW = V @ W
     assert abs(im - np.linalg.norm(VW.imag)) <= 1e-13 * np.linalg.norm(VW)
     assert im > 0.0
-
-
-@_SETTINGS
-@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-def test_dump_keeps_pairs_and_solve(n, seed):
-    dec = decompose(n, 0.1)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "dec.bin")
-        save_decomposition(dec, path)
-        got = load_decomposition(path)
-    assert got.q == dec.q == n // 2
-    rng = np.random.default_rng(seed)
-    m = 3
-    M = rng.normal(size=(m, m))
-    op = spatial.make_dense_operator(M @ M.T + m * np.eye(m))
-    rhs = rhs_first_order(rng.normal(size=m), rng.normal(size=(n, m)), 0.1)
-    want = solver.solve_first_order_linear(dec, op, rhs)
-    have = solver.solve_first_order_linear(got, op, rhs)
-    assert np.array_equal(have.solution.values, want.solution.values)
-
-
-_DUMP_FIELDS = ("n", "dt", "cond2", "residual")
-
-#: one header token each: no space, separator or control character
-_TOKEN = st.text(st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc")),
-                 min_size=1, max_size=8)
-#: a printable ASCII token, so that most dumps get past the ASCII check
-_ASCII_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126),
-                       min_size=1, max_size=8)
-_ANY_TOKEN = st.one_of(_ASCII_TOKEN, _TOKEN)
-
-
-def _field_is_bad(key, value):
-    """Whether `load_decomposition` must refuse `value` for the header field
-    `key`: not ASCII, an n that is not an integer >= 1, a dt or cond2 that
-    is not positive and finite, or a residual that is not a number >= 0 or
-    nan."""
-    if not value.isascii():
-        return True
-    if key == "n":
-        return not (value.isdigit() and int(value) >= 1)
-    try:
-        x = float(value)
-    except ValueError:
-        return True
-    return x < 0 if key == "residual" else not 0.0 < x < np.inf
-
-
-#: numbers `decompose` never writes to the header, next to random tokens
-_BAD_NUMBERS = st.sampled_from(["-1", "0", "-0.0", "nan", "inf", "-inf", "-5"])
-
-#: what a broken payload may hold in its roots
-_CORRUPTIONS = ("non-finite", "mirror", "negative", "spurious-zero",
-                "middle-theta", "x-off-cos")
-
-
-def _payload(draw, n, corrupt):
-    """The roots of `find_roots(n)` as a dump payload, and, if `corrupt`,
-    one of them broken: a value of thetas, xs or residuals made nan or
-    infinite, a mirrored value of any array moved by one ulp (one count
-    for newton_iters), newton_iters or residuals all negative (so that
-    they still mirror), a representative theta put on the spurious zero
-    theta = 0, the middle theta of an odd n moved off Re theta = pi/2 by
-    one ulp, or a representative x moved off cos(theta) by 1e-6 (with its
-    mirror, so that the mirror holds)."""
-    roots = find_roots(n)
-    arrays = {k: np.array(getattr(roots, k), dtype=t)
-              for k, t in spectral._DUMP_ARRAYS.items()}
-    # n = 1 has no pair, an even n no middle root
-    kinds = [k for k in _CORRUPTIONS if (n > 1 or k != "mirror")
-             and (n % 2 or k != "middle-theta")]
-    kind = draw(st.sampled_from(kinds)) if corrupt else None
-    h = n - n // 2
-    if kind == "non-finite":
-        flat = arrays[draw(st.sampled_from(["thetas", "xs", "residuals"]))].view(float)
-        flat[draw(st.integers(0, len(flat) - 1))] = draw(
-            st.sampled_from([np.nan, np.inf, -np.inf]))
-    elif kind == "mirror":
-        name = draw(st.sampled_from(list(arrays)))
-        flat = arrays[name][h:]
-        flat = flat if name == "newton_iters" else flat.view(float)
-        k = draw(st.integers(0, len(flat) - 1))
-        step = draw(st.sampled_from([-1, 1]))
-        flat[k] = (flat[k] + step if name == "newton_iters"
-                   else np.nextafter(flat[k], step * np.inf))
-    elif kind == "negative":
-        arrays[draw(st.sampled_from(["newton_iters", "residuals"]))][:] = -draw(
-            st.integers(1, 9))
-    elif kind == "spurious-zero":
-        arrays["thetas"][draw(st.integers(0, h - 1))] = 0.0
-    elif kind == "middle-theta":
-        theta = arrays["thetas"][h - 1]
-        arrays["thetas"][h - 1] = complex(
-            np.nextafter(theta.real, draw(st.sampled_from([-np.inf, np.inf]))),
-            theta.imag)
-    elif kind == "x-off-cos":
-        j = draw(st.integers(0, h - 1))
-        arrays["xs"][j] += draw(st.sampled_from([1e-6, -1e-6j]))
-        if j < n // 2:
-            arrays["xs"][n - 1 - j] = -np.conj(arrays["xs"][j])
-    return b"".join(a.tobytes() for a in arrays.values())
-
-
-@st.composite
-def _malformed_dumps(draw):
-    """A complete version-2 dump of n <= 3 with at least one part broken:
-    the roots it holds (`_payload`), or up to three of the magic, the
-    version, a field (dropped or given a bad value) and the payload length
-    (off by up to 20 bytes), or both; its fields shuffled among random
-    extra header tokens."""
-    n = draw(st.integers(1, 3))
-    corrupt = draw(st.booleans())
-    # at most three parts besides the roots, so that many examples reach
-    # the checks past the header
-    parts = ("magic", "version", "length") + _DUMP_FIELDS
-    broken = draw(st.sets(st.sampled_from(parts), min_size=1 - corrupt, max_size=3))
-    magic, version = "chebpint-decomp", "2"
-    if "magic" in broken:
-        magic = draw(_ANY_TOKEN.filter(lambda t: t != "chebpint-decomp"))
-    if "version" in broken:
-        version = draw(_ANY_TOKEN.filter(lambda t: t != "2"))
-    fields = {"n": str(n), "dt": "0.5", "cond2": "1.0", "residual": "0.0"}
-    for key in broken.intersection(_DUMP_FIELDS):
-        if draw(st.booleans()):
-            del fields[key]
-        else:
-            fields[key] = draw(st.one_of(_ANY_TOKEN, _BAD_NUMBERS).filter(
-                lambda t, k=key: _field_is_bad(k, t)))
-    extra = draw(st.lists(
-        _ASCII_TOKEN.filter(lambda t: t.partition("=")[0] not in _DUMP_FIELDS),
-        max_size=3))
-    tokens = draw(st.permutations([f"{k}={v}" for k, v in fields.items()] + extra))
-    payload = _payload(draw, n, corrupt)
-    if "length" in broken:
-        delta = draw(st.integers(-20, 20).filter(bool))
-        payload = payload[:delta] if delta < 0 else payload + bytes(delta)
-    header = " ".join([magic, version] + tokens)
-    return header.encode() + b"\n" + payload
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(dump=_malformed_dumps())
-def test_malformed_dump_raises_only_value_error(dump):
-    # exactly ValueError: not IndexError, KeyError, TypeError or
-    # UnicodeDecodeError (a ValueError subclass)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "bad.bin")
-        with open(path, "wb") as fh:
-            fh.write(dump)
-        try:
-            load_decomposition(path)
-        except Exception as exc:
-            assert type(exc) is ValueError, repr(exc)
-        else:
-            raise AssertionError(f"loaded a malformed dump: {dump[:80]!r}")
 
 
 @_SETTINGS
