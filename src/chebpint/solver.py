@@ -1,30 +1,34 @@
 """Time-parallel solve drivers.
 
-Every driver runs one three-step kernel once B = V D V^{-1} is known:
+Every driver runs one three-step kernel, `_three_step`, once
+B = V D V^{-1} is known:
 
     (a)  g = (V^{-1} (x) S) b          -- SpectralDecomposition.apply_Vinv,
                                           then op.to_modes
     (b)  (sigma_j I + S A S^{-1}) w_j = g_j
-                                       -- n independent shifted solves
+                                       -- independent shifted solves
     (c)  u = (V (x) S^{-1}) w          -- SpectralDecomposition.apply_V,
                                           then op.from_modes
 
-S is the operator's modal basis (`SpatialOperator.to_modes`): a real map
+Each driver names the kernel's basis and the rows it solves.  The basis
+S is an operator's modal basis (`SpatialOperator.to_modes`): a real map
 that acts on the spatial index alone, so it commutes with both time
-products.  The linear drivers take it from the operator, and step (b) is
-op.modal_solve_batch; for the sine Laplacian, S is the 2-D DST-I and step
-(b) one pointwise division per shift, where the physical basis would take
-two transforms per shift.  In the identity basis of the base class step
-(b) is one op.shifted_solve per shift.  The simplified Newton iteration
-always runs in the physical basis (S = I), because its Jacobian diagonal
-acts there: its step (b) is op.shifted_solve_batch.  Step (a) maps only
-the h = n - q representative rows g_j and refills the mirrored rows by
-conjugation, exact since S is real.
+products.  The linear drivers take it from their operator, and step (b)
+is op.modal_solve_batch; for the sine Laplacian, S is the 2-D DST-I and
+step (b) one pointwise division per shift, where the physical basis would
+take two transforms per shift.  In the identity basis of the base class
+step (b) is one op.shifted_solve per shift.  The simplified Newton
+iteration always runs in the physical basis, `_PHYSICAL` (S = I),
+because its Jacobian diagonal acts there: its step (b) is
+op.shifted_solve_batch.  Step (a) computes and maps only the h = n - q
+representative rows g_j; where all n rows are solved, the kernel then
+writes the mirrored rows by conjugation, exact since S is real.
 
 The right-hand side b is real: a nonzero imaginary part raises
 NonRealSolutionError before step (a).  Steps (a) and (c) are real products
 over the decomposition's conjugate pairs, owned by `spectral`.  Step (c)
-returns Re(V w) and ||Im(V w)||, both exact for any w: the imaginary
+returns Re(V w) and ||Im(V w)||, both exact for any w given by all n
+rows, and for a mirrored w given by its representatives: the imaginary
 residue ||Im(V w)||/||V w|| measures how far the n solutions w_j are from
 conjugate-symmetric; above _IMAG_HARD it raises NonRealSolutionError, and
 the real part, mapped back by S^{-1}, is the solution.  The residue is
@@ -69,10 +73,10 @@ always computed exactly, so the returned solution meets tol all the same.
 
 For real data the shifts of a conjugate pair give conjugate solutions,
 w_{n-1-j} = conj(w_j), so SNI solves only the h = n - q representative
-shifts j < h and fills the mirrored rows by conjugation before step (c),
-which then sees an exactly mirrored w (imaginary residue 0 for even n);
-its warm starts, update counts and fallbacks are kept per representative.
-The linear drivers solve all n shifts, and with q = 0 (the geometric
+shifts j < h, and steps (a)-(c) hold those h rows alone: step (c) reads
+them as an exactly mirrored w (imaginary residue 0 for even n).  Its warm
+starts, update counts and fallbacks are kept per representative.  The
+linear drivers solve all n shifts, and with q = 0 (the geometric
 baseline) so does SNI.
 
 Step (b) splits the shifts it solves into one contiguous slice per worker,
@@ -141,6 +145,10 @@ _IMAG_HARD = 1e-6
 #: whole 16-row slices of 63^2 cost 1.5x
 _BATCH_ELEMS = 1 << 15
 
+#: the identity basis, whose maps do nothing: SNI's step (b) solves in the
+#: physical basis, where its Jacobian diagonal acts
+_PHYSICAL = SpatialOperator()
+
 #: an SNI shift's fixed point stops once an update moves w_j by at most
 #: this fraction of its norm (on sweep 0, and as the floor of later sweeps)
 _FP_RTOL = 1e-13
@@ -181,18 +189,19 @@ def _check_shapes(decomp: SpectralDecomposition, op: SpatialOperator, rhs: Block
 
 
 def _real_rhs(values):
-    """The right-hand side blocks as a C-contiguous float64 array.
+    """Right-hand side data (the blocks, u0 or a source sample) as a
+    C-contiguous float64 array.
 
     A complex dtype is accepted if its imaginary part is zero; otherwise
     NonRealSolutionError is raised, since steps (a) and (c) assume real data.
     """
     if np.iscomplexobj(values):
-        if np.any(values.imag):
+        if np.any(np.imag(values)):
             raise NonRealSolutionError(
                 "the right-hand side has a nonzero imaginary part; "
                 "the drivers solve real problems only"
             )
-        values = values.real
+        values = np.real(values)
     return np.ascontiguousarray(values, dtype=float)
 
 
@@ -204,6 +213,12 @@ def _shaped(call, values, shape):
             f"{call} has shape {np.shape(values)}, expected {shape}"
         )
     return values
+
+
+def _source_at(source, t, m):
+    """source(t) as a float64 array; DimensionMismatchError unless it has
+    the shape (m,), NonRealSolutionError if its imaginary part is not 0."""
+    return _real_rhs(_shaped("source(t)", source(t), (m,)))
 
 
 def _usable_cores():
@@ -227,54 +242,49 @@ def _pool(workers, solved):
             yield pool
 
 
-def _three_step(decomp, b, solve_block, workers, pool, times, solved=None,
-                op=None):
+def _three_step(decomp, b, basis, rows, solve_block, workers, pool, times):
     """Steps (a)-(c) for the real (n, m) blocks b.
 
-    With an operator op, step (a) maps the h = n - q representative rows
-    of g into op's modal basis (op.to_modes), the mirrored rows refilled by
-    conjugation, and step (c) maps the solution back (op.from_modes) after
-    the imaginary residue is taken; with None the kernel stays in the
-    physical basis.
+    Step (a) computes the h = n - q representative rows of g = V^{-1} b
+    (`apply_Vinv`) and maps them into the modal basis of the operator
+    `basis` (basis.to_modes); `_PHYSICAL` stays in the physical basis.  The
+    kernel solves the first `rows` complex blocks g_j: all n, whose q
+    mirrored rows it fills by conjugation, exact since the map is real, or
+    the h representatives of a w that mirrors, w_{n-1-j} = conj(w_j), as
+    conjugate shifts give on real data.
 
-    Step (b) solves the first `solved` complex blocks g_j, all n by default,
-    and fills the rows G[solved:] by conj(G[:n-solved][::-1]), the mirror
-    that conjugate shifts give on real data; `solved` is n or the h = n - q
-    representatives.  It splits them into w = min(workers, solved)
-    contiguous slices [solved*i/w, solved*(i+1)/w), the tasks of `pool`
-    (one after another on this thread when pool is None), and each slice
-    from its start into chunks of max(1, _BATCH_ELEMS // m) rows; it calls
+    Step (b) splits the rows into w = min(workers, rows) contiguous slices
+    [rows*i/w, rows*(i+1)/w), the tasks of `pool` (one after another on
+    this thread when pool is None), and each slice from its start into
+    chunks of max(1, _BATCH_ELEMS // m) rows; it calls
     solve_block(lo, hi, G[lo:hi]) once per chunk, which overwrites the rows
-    g_j by w_j in place.  The
-    seconds of each step are added to times["step_a"], times["step_b"] and
+    g_j by w_j in place.  Step (c) is `apply_V` on those rows, then
+    basis.from_modes after the imaginary residue is taken.  The seconds of
+    each step are added to times["step_a"], times["step_b"] and
     times["step_c"].
     Returns the real solution blocks Re(V w) and the imaginary residue
     ||Im(V w)||/||V w||; a residue above _IMAG_HARD raises
     NonRealSolutionError.
     """
     t0 = time.perf_counter()
-    G = decomp.apply_Vinv(b)
-    if op is not None:
-        q, h = decomp.q, decomp.n - decomp.q
-        op.to_modes(G[:h])
-        np.conj(G[:q][::-1], out=G[h:])
+    h = decomp.n - decomp.q
+    G = decomp.apply_Vinv(b, rows)
+    basis.to_modes(G[:h])
+    np.conj(G[:rows - h][::-1], out=G[h:])      # no rows when rows = h
     times["step_a"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    n, m = G.shape
-    solved = n if solved is None else solved
-    rows = max(1, _BATCH_ELEMS // m)
+    chunk = max(1, _BATCH_ELEMS // G.shape[1])
 
     def solve_slice(lo, hi):
-        for s in range(lo, hi, rows):
-            e = min(s + rows, hi)
+        for s in range(lo, hi, chunk):
+            e = min(s + chunk, hi)
             solve_block(s, e, G[s:e])
 
-    w = min(workers, solved)
-    bounds = [solved * i // w for i in range(w + 1)]
+    w = min(workers, rows)
+    bounds = [rows * i // w for i in range(w + 1)]
     run = map if pool is None else pool.map
     list(run(solve_slice, bounds[:-1], bounds[1:]))
-    np.conj(G[:n - solved][::-1], out=G[solved:])
     times["step_b"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -286,8 +296,7 @@ def _three_step(decomp, b, solve_block, workers, pool, times, solved=None,
             f"imaginary residue {residue:.3e} of the recovered solution "
             f"exceeds {_IMAG_HARD:.0e}"
         )
-    if op is not None:
-        op.from_modes(U)
+    basis.from_modes(U)
     times["step_c"] += time.perf_counter() - t0
     return U, residue
 
@@ -334,9 +343,9 @@ def _solve_linear(decomp, op, rhs, workers, order):
 
     with _pool(workers, decomp.n) as pool:
         U, residue = _three_step(
-            decomp, b,
+            decomp, b, op, decomp.n,
             lambda lo, hi, Gs: op.modal_solve_batch(shifts[lo:hi], Gs),
-            workers, pool, times, op=op,
+            workers, pool, times,
         )
 
     return SolveReport(
@@ -453,7 +462,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
 
     via the three-step kernel.  Its step (b), (lambda_j I + A + A_k) w_j = g_j,
     is solved for the h = n - q representative shifts j < h only; the
-    mirrored rows are their conjugates, filled in before step (c).  Each is
+    mirrored rows are their conjugates, and no step stores them.  Each is
     the fixed point w_j <- ((lambda_j + c) I + A)^{-1} (g_j - (A_k - c) w_j)
     with c the midrange of A_k's diagonal, on op.shifted_solve_batch alone.
     Each shift starts from its w_j of the previous sweep (on the first sweep
@@ -497,8 +506,7 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
     lam = decomp.eigenvalues
     grid = TimeGrid(n=n, dt=decomp.dt)
     t = grid.t_points
-    g = np.stack([_shaped("source(t)", problem.source(float(tj)), (m,))
-                  for tj in t])
+    g = np.stack([_source_at(problem.source, float(tj), m) for tj in t])
     from .timedisc import rhs_first_order
 
     b = _real_rhs(rhs_first_order(problem.u0, g, decomp.dt).values)
@@ -542,8 +550,8 @@ def solve_semilinear_sni(problem: SemilinearProblem, decomp, tol, max_iter,
                                    k == 0, rtol, rho[lo:hi], updates[lo:hi],
                                    fell_back[lo:hi])
 
-            U, residue = _three_step(decomp, rhs_k, solve_block, workers, pool,
-                                     times, h)
+            U, residue = _three_step(decomp, rhs_k, _PHYSICAL, h, solve_block,
+                                     workers, pool, times)
             sweeps.append({
                 "residual": rel,
                 "inner_rtol": rtol,
@@ -561,7 +569,8 @@ def timestep_trapezoidal(op, grid, u0, source=None):
     Each step solves (2/dt_j I + A) u_j = (2/dt_j I - A) u_{j-1} + (g_{j-1}+g_j),
     honoring variable step sizes of a GeometricGrid.  source(t), when
     given, must have the shape (m,) of the operator dimension, or
-    DimensionMismatchError names it.
+    DimensionMismatchError names it.  u0 and source(t) must be real: a
+    nonzero imaginary part raises NonRealSolutionError, as in the drivers.
     """
     if isinstance(grid, TimeGrid):
         steps = np.full(grid.n, grid.dt)
@@ -569,18 +578,18 @@ def timestep_trapezoidal(op, grid, u0, source=None):
         steps = grid.steps
     else:
         raise TypeError("grid must be a TimeGrid or GeometricGrid")
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+    u0 = np.atleast_1d(_real_rhs(u0))
     if u0.shape != (op.m,):
         raise DimensionMismatchError("u0 dimension does not match operator")
     t = 0.0
     u = u0.copy()
     out = np.empty((len(steps), op.m))
-    g_prev = None if source is None else _shaped("source(t)", source(t), u0.shape)
+    g_prev = None if source is None else _source_at(source, t, op.m)
     for j, dt in enumerate(steps):
         t_next = t + dt
         rhs = (2.0 / dt) * u - op.apply(u)
         if source is not None:
-            g_next = _shaped("source(t)", source(t_next), u0.shape)
+            g_next = _source_at(source, t_next, op.m)
             rhs = rhs + g_prev + g_next
             g_prev = g_next
         w = op.shifted_solve(2.0 / dt, rhs.astype(complex))

@@ -55,8 +55,9 @@ v_j y_j + conj(v_j y_j) = 2 Re(v_j y_j) to V y for a mirrored y, and
 over the pairs weight their 2q entries:
 
 - `apply_Vinv` (step (a)): for a real b, Wf b holds Re g_k, Im g_k of
-  g = V^{-1} b for k < h, and g_{n-1-j} = conj(g_j): 2n^2 m flops instead
-  of 8n^2 m.
+  g = V^{-1} b for k < h: 2n^2 m flops instead of 8n^2 m.  It fills these
+  h representative rows alone; g_{n-1-j} = conj(g_j), written by the solve
+  kernel where it solves all n rows.
 - `_paired_product`, the one kernel behind step (c) and
   `decomposition_residual`: for a mirrored y, Re(V y) = Vf X with the real
   rows X[2k] = c_k Re y_k, X[2k+1] = -c_k Im y_k (c_k = 2 for a pair, 1
@@ -67,7 +68,9 @@ over the pairs weight their 2q entries:
   V r are real, so Re(V w) and Im(V w) are each one kernel call.  When w
   mirrors, as the solves of mirrored shifts give, r is 0 on the pairs and
   Im(V w) comes from the self-paired columns alone (none for even n from
-  `decompose`); both parts stay exact for any w.
+  `decompose`); both parts stay exact for any w.  A w known to mirror may
+  be given by its h representative rows alone, which are not tested; all
+  n rows are tested for the mirror.
 - `cond2_estimate`: ||V||_2 is the largest singular value of Vf with its
   2q pair columns scaled by sqrt(2), and ||V^{-1}||_2 that of Wf with its
   2q pair rows scaled, when V V^H is real: the self-paired columns
@@ -430,24 +433,28 @@ class SpectralDecomposition:
     def newton_iters_max(self):
         return int(self.roots.newton_iters.max()) if self.roots is not None else -1
 
-    def apply_Vinv(self, b):
-        """g = V^{-1} b for the real (n, m) blocks b, by one real product;
-        a C-contiguous complex (n, m) array."""
-        q, h = self.q, self.n - self.q
+    def apply_Vinv(self, b, rows):
+        """g = V^{-1} b for the real (n, m) blocks b, by one real product.
+
+        Returns a C-contiguous complex (rows, m) array, rows = h = n - q or
+        n, whose h representative rows g_k are filled; for rows = n the q
+        mirrored rows g_{n-1-j} = conj(g_j) are left to the caller to write.
+        """
+        h = self.n - self.q
         P = self.Vinv_half.T.view(float).T @ b
-        G = np.empty((self.n, b.shape[1]), dtype=complex)
+        G = np.empty((rows, b.shape[1]), dtype=complex)
         G.real[:h] = P[0::2]
         G.imag[:h] = P[1::2]
-        np.conj(G[:q][::-1], out=G[h:])
         return G
 
     def apply_V(self, W):
-        """(Re(V w), ||Im(V w)||_F) for the complex (n, m) blocks w in W,
-        which is not changed."""
+        """(Re(V w), ||Im(V w)||_F) for the complex blocks w, from W, which
+        is not changed: either all n rows of w, or the h = n - q
+        representative rows of a w that mirrors, w_{n-1-j} = conj(w_j)."""
         q, h = self.q, self.n - self.q
         # only the boolean is kept: a held conjugate half costs an n/2 x m
         # complex array through the product (7% of heat-wide's peak RSS)
-        if np.array_equal(W[:q], np.conj(W[h:][::-1])):
+        if len(W) == h or np.array_equal(W[:q], np.conj(W[h:][::-1])):
             U = _paired_product(self.V_half, q, W[:h])
             if h == q:
                 return U, 0.0

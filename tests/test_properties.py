@@ -94,9 +94,14 @@ def test_real_steps_are_the_complex_products(n, m, paired, cols, seed):
     assert np.abs(U - VW.real).max() <= 1e-13 * scale
     assert np.abs(U_imag - VW.imag).max() <= 1e-13 * scale
     assert abs(im - np.linalg.norm(VW.imag)) <= 1e-13 * np.linalg.norm(VW)
+    # step (a) fills the h representative rows, of either array it returns
     b = rng.normal(size=(n, m))
-    G = dec.apply_Vinv(b)
-    assert (np.abs(G - Vinv @ b) <= 1e-13 * (np.abs(Vinv) @ np.abs(b))).all()
+    h = n - dec.q
+    G = dec.apply_Vinv(b, h)
+    assert G.shape == (h, m)
+    bound = 1e-13 * (np.abs(Vinv) @ np.abs(b))[:h]
+    assert (np.abs(G - (Vinv @ b)[:h]) <= bound).all()
+    assert dec.apply_Vinv(b, n)[:h].tobytes() == G.tobytes()
 
 
 @_SETTINGS
@@ -117,6 +122,10 @@ def test_step_c_skips_only_exact_zeros(n, m, cols, seed):
         VW = V @ W
         assert im == 0.0
         assert np.abs(U - VW.real).max() <= 1e-13 * np.abs(VW).max()
+        # its h representative rows alone, whose mirror is not tested,
+        # give the same bits
+        U_h, im_h = dec.apply_V(W[:h])
+        assert (U_h.tobytes(), im_h) == (U.tobytes(), im)
         # one ulp in one entry of one mirrored row breaks the mirror, and
         # the imaginary part is computed in full again
         r = rng.choice(np.r_[0:q, h:n])
@@ -186,7 +195,9 @@ def test_step_b_chunks_do_not_change_results(rows, workers, n, seed):
     # n rows of a 4^2 grid: the linear drivers in the sine basis and in the
     # identity one, and SNI, bitwise as by default; every chunk the kernel
     # hands to its solves has at most `rows` rows, and each solved row is
-    # in exactly one chunk per kernel run
+    # in exactly one chunk per kernel run.  The linear drivers solve all n
+    # rows, SNI the h representatives in the physical basis, and the arrays
+    # of steps (a) and (c) have as many rows
     bench = spatial.make_benchmark("semilinear", 4, n=n, T=2.0)
     lap, m = bench.operator, bench.m
     dec = decompose(n, bench.grid.dt)
@@ -203,22 +214,38 @@ def test_step_b_chunks_do_not_change_results(rows, workers, n, seed):
         return reports, wrapper
 
     runs = []
+    lengths = []
     kernel = solver._three_step
+    Decomposition = spectral.SpectralDecomposition
+    apply_Vinv, apply_V = Decomposition.apply_Vinv, Decomposition.apply_V
 
-    def spy(decomp, b, solve_block, *args, **kwargs):
+    def spy_Vinv(self, b, solved):
+        G = apply_Vinv(self, b, solved)
+        lengths.append(len(G))
+        return G
+
+    def spy_V(self, W):
+        lengths.append(len(W))
+        return apply_V(self, W)
+
+    def spy(decomp, b, basis, solved, solve_block, workers, pool, times):
         chunks = []
+        lengths.clear()
 
         def block(lo, hi, Gs):
             chunks.append((lo, hi, len(Gs)))
             solve_block(lo, hi, Gs)
 
-        U, residue = kernel(decomp, b, block, *args, **kwargs)
-        runs.append(chunks)
+        U, residue = kernel(decomp, b, basis, solved, block, workers, pool,
+                            times)
+        runs.append((basis, solved, list(lengths), chunks))
         return U, residue
 
     default, _ = solve_all()
     with mock.patch.object(solver, "_BATCH_ELEMS", rows * m), \
-            mock.patch.object(solver, "_three_step", spy):
+            mock.patch.object(solver, "_three_step", spy), \
+            mock.patch.object(Decomposition, "apply_Vinv", spy_Vinv), \
+            mock.patch.object(Decomposition, "apply_V", spy_V):
         chunked, wrapper = solve_all()
     for want, got in zip(default, chunked):
         assert got.solution.values.tobytes() == want.solution.values.tobytes()
@@ -227,10 +254,13 @@ def test_step_b_chunks_do_not_change_results(rows, workers, n, seed):
     h = n - dec.q
     linear = 3 if n >= 2 else 2
     assert len(runs) == linear + chunked[-1].iterations
-    for k, chunks in enumerate(runs):
+    for k, (basis, solved, steps_ac, chunks) in enumerate(runs):
+        want = n if k < linear else h
+        assert (basis is solver._PHYSICAL) == (k >= linear)
+        assert solved == want and steps_ac == [want, want]
         assert all(hi - lo == size <= rows for lo, hi, size in chunks)
-        solved = sorted(j for lo, hi, _ in chunks for j in range(lo, hi))
-        assert solved == list(range(n if k < linear else h))
+        covered = sorted(j for lo, hi, _ in chunks for j in range(lo, hi))
+        assert covered == list(range(want))
     assert all(len(sigmas) <= rows for sigmas in wrapper.batches)
     assert np.array_equal(np.sort_complex(np.concatenate(wrapper.batches)),
                           np.sort_complex(dec.eigenvalues))

@@ -1098,6 +1098,12 @@ _EYE2, _ZERO2 = DenseOperator(np.eye(2)), DenseOperator(np.zeros((2, 2)))
      TypeError, "grid must be a TimeGrid or GeometricGrid"),
     (lambda: timestep_trapezoidal(_EYE2, TimeGrid(n=2, dt=0.1), np.zeros(3)),
      DimensionMismatchError, "u0 dimension does not match operator"),
+    (lambda: timestep_trapezoidal(_EYE2, TimeGrid(n=2, dt=0.1),
+                                  np.array([1j, 0])),
+     NonRealSolutionError, "the right-hand side has a nonzero imaginary part"),
+    (lambda: timestep_trapezoidal(_EYE2, TimeGrid(n=2, dt=0.1), np.zeros(2),
+                                  lambda t: np.array([1j, 0])),
+     NonRealSolutionError, "the right-hand side has a nonzero imaginary part"),
     (lambda: _ZERO2.shifted_solve(0, np.ones(2)),
      SingularShiftError, "shift 0 makes the shifted operator singular"),
     (lambda: _ZERO2.shifted_diag_solve(0, np.zeros(2), np.ones(2)),
@@ -1107,8 +1113,8 @@ _EYE2, _ZERO2 = DenseOperator(np.eye(2)), DenseOperator(np.zeros((2, 2)))
     (lambda: make_benchmark("heat", 4, n=4),
      ValueError, "T is required when n is given"),
 ], ids=["order2-n1", "velocity-u0", "velocity-blocks", "trapezoidal-grid",
-        "trapezoidal-u0", "dense-shift", "diag-shift", "heat-semilinear",
-        "benchmark-no-T"])
+        "trapezoidal-u0", "trapezoidal-complex-u0", "trapezoidal-complex-source",
+        "dense-shift", "diag-shift", "heat-semilinear", "benchmark-no-T"])
 def test_refusals_name_their_cause(call, error, message):
     # each refusal raises its own type, with the message that names why
     with pytest.raises(error, match=re.escape(message)):
